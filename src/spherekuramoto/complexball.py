@@ -15,13 +15,10 @@ import numpy as np
 from .geometry import GeometryError
 from .sampling import rng_from, uniform_sphere
 
-SPHERE_TOL = 1e-12
-
 __all__ = [
     "DivergenceReport",
     "hermitian_inner",
     "as_complex_vector",
-    "as_unit_complex",
     "as_antihermitian",
     "random_antihermitian",
     "complex_boost",
@@ -49,14 +46,6 @@ def as_complex_vector(v, dim=None):
         raise GeometryError(f"expected dimension {dim}, got {v.size}")
     if not np.all(np.isfinite(v)):
         raise GeometryError("vector has non-finite components")
-    return v
-
-
-def as_unit_complex(v, dim=None):
-    v = as_complex_vector(v, dim)
-    err = abs(float(np.linalg.norm(v)) - 1.0)
-    if err > SPHERE_TOL:
-        raise GeometryError(f"point is off the complex unit sphere by {err:.3e}")
     return v
 
 

@@ -11,6 +11,7 @@ from .geometry import GeometryError, as_antisymmetric
 from .sampling import rng_from, uniform_sphere
 
 NORM_DRIFT_LIMIT = 1e-3  # unprojected runs abort beyond this
+BOUNDARY_TOL = 1e-12  # a ball coordinate with |y| >= 1 - BOUNDARY_TOL has reached the boundary
 
 __all__ = [
     "SimulationError",
@@ -29,20 +30,26 @@ __all__ = [
     "full_rhs",
     "rk4_step",
     "integrate_full",
+    "min_pair_dot",
     "sync_metrics",
 ]
 
 
 class SimulationError(RuntimeError):
-    """Integration failed (non-finite state, norm drift, boundary breach)."""
+    """Integration failed (non-finite state or norm drift)."""
 
 
 class IntegrationAbort(SimulationError):
-    """Integration failure that still carries the valid prefix of the run."""
+    """Integration failure that still carries the valid prefix of the run.
 
-    def __init__(self, message, trajectory):
+    trajectory has the integrator's return type, cut at the last accepted
+    state; reason is "drift" or "nonfinite".
+    """
+
+    def __init__(self, message, trajectory, reason):
         super().__init__(message)
         self.trajectory = trajectory
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +227,78 @@ def step_count(t_end, h):
     return n
 
 
+class _LeftBall(Exception):
+    """An RK stage left the open unit ball."""
+
+
+def _inside_ball(rhs, d):
+    """rhs that raises _LeftBall for a stage whose first d coordinates leave
+    the open unit ball; v.dot(v) >= 1 is exactly the fields' norm(v) >= 1."""
+
+    def guarded(y):
+        if y[:d].dot(y[:d]) >= 1.0:
+            raise _LeftBall
+        return rhs(y)
+
+    return guarded
+
+
+def _boundary(v):
+    """Stop reason of a ball coordinate after a step: None or "boundary"."""
+    return "boundary" if float(np.linalg.norm(v)) >= 1.0 - BOUNDARY_TOL else None
+
+
+def _drive(rhs, y0, h, t_end, stride, after_step):
+    """Fixed-step RK4 from y0 under the stop contract of every integrator.
+
+    after_step(y) takes each new state and returns (y, info, stop): the state
+    as accepted (projected), a value recorded with it, and None or a reason
+    ("boundary", "drift") to reject the step and stop.  A stage raising
+    _LeftBall stops at "boundary", a non-finite step at "nonfinite".  Returns
+    (records, (reason, t)): (t, y, info) at t = 0, every stride steps, the
+    last step and, after an early stop, the last accepted state; reason is
+    "end" or the stop reason, t the time of the last or the rejected step.
+    """
+    n_steps = step_count(t_end, h)
+    if int(stride) < 1:
+        raise GeometryError("stride must be a positive integer")
+    stride = int(stride)
+    y, info, last = y0, 0.0, 0
+    records = [(0.0, y.copy(), info)]
+    for k in range(1, n_steps + 1):
+        try:
+            y_next = rk4_step(rhs, y, h)
+        except _LeftBall:
+            reason = "boundary"
+        except SimulationError:
+            reason = "nonfinite"
+        else:
+            y_next, info_next, reason = after_step(y_next)
+        if reason is not None:
+            if last < k - 1:
+                records.append(((k - 1) * h, y.copy(), info))
+            return records, (reason, k * h)
+        y, info = y_next, info_next
+        if k % stride == 0 or k == n_steps:
+            records.append((k * h, y.copy(), info))
+            last = k
+    return records, ("end", n_steps * h)
+
+
+_ABORTS = {
+    "drift": f"norm drift exceeded {NORM_DRIFT_LIMIT:g} with projection off (integrator failure)",
+    "nonfinite": "non-finite state after RK4 step",
+}
+
+
+def _result(value, stop):
+    """value, or IntegrationAbort carrying it when the run stopped on a failure."""
+    reason, t = stop
+    if reason in _ABORTS:
+        raise IntegrationAbort(f"{_ABORTS[reason]} at t = {t:.6g}", value, reason)
+    return value
+
+
 @dataclass(frozen=True)
 class TrajectoryPoint:
     """One recorded instant of a full-system run.
@@ -240,7 +319,8 @@ def integrate_full(x0, A, spec, h, t_end, projection=True, stride=1):
     Records every stride steps plus the initial and final states.  With
     projection on, every particle is renormalized to unit length after each
     step and the pre-projection drift is tracked; with projection off, drift
-    beyond NORM_DRIFT_LIMIT raises IntegrationAbort carrying the prefix.
+    beyond NORM_DRIFT_LIMIT raises IntegrationAbort carrying the prefix, as
+    does a non-finite state.
 
     Parameters
     ----------
@@ -249,38 +329,35 @@ def integrate_full(x0, A, spec, h, t_end, projection=True, stride=1):
     spec : LinearWeighted or MeanField
     h : signed time step; t_end * h > 0 unless t_end == 0
     """
-    x = validate_configuration(x0).copy()
-    n, d = x.shape
+    x0 = validate_configuration(x0)
+    n, d = x0.shape
     A = _validate_rotation_terms(A, n, d)
-    n_steps = step_count(t_end, h)
-    if int(stride) < 1:
-        raise GeometryError("stride must be a positive integer")
-    stride = int(stride)
-
-    def rhs(y):
-        return full_rhs(y, A, spec)
-
-    records = [TrajectoryPoint(0.0, x.copy(), order_parameter(x, spec), 0.0)]
     drift = 0.0
-    for k in range(1, n_steps + 1):
-        x = rk4_step(rhs, x, h)
+
+    def after_step(x):
+        nonlocal drift
         norms = np.linalg.norm(x, axis=1)
         drift = max(drift, float(np.max(np.abs(norms - 1.0))))
         if projection:
-            x = x / norms[:, None]
-        elif drift > NORM_DRIFT_LIMIT:
-            raise IntegrationAbort(
-                f"norm drift {drift:.3e} exceeded {NORM_DRIFT_LIMIT:g} at t = {k * h:.6g} "
-                "with projection off (integrator failure)",
-                records,
-            )
-        if k % stride == 0 or k == n_steps:
-            records.append(TrajectoryPoint(k * h, x.copy(), order_parameter(x, spec), drift))
-    return records
+            return x / norms[:, None], drift, None
+        return x, drift, "drift" if drift > NORM_DRIFT_LIMIT else None
+
+    records, stop = _drive(lambda x: full_rhs(x, A, spec), x0, h, t_end, stride, after_step)
+    return _result([TrajectoryPoint(t, x, order_parameter(x, spec), dr)
+                    for t, x, dr in records], stop)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
+
+
+def min_pair_dot(x):
+    """Worst pairwise alignment min_{i<j} <x_i, x_j>; 1 for fewer than two rows."""
+    n = x.shape[0]
+    if n < 2:
+        return 1.0
+    gram = x @ x.T
+    return float(np.min(gram[np.triu_indices(n, 1)]))
 
 
 @dataclass(frozen=True)
@@ -288,30 +365,23 @@ class SyncMetrics:
     Znorm: float
     min_pair_dot: float
     dist_to_diagonal: float
-    Z_residual: float
 
 
 def sync_metrics(x, spec):
     """Synchrony diagnostics for a configuration.
 
-    Znorm and Z_residual are |Z| (the latter as the distance-to-incoherence
-    proxy); min_pair_dot is the worst pairwise alignment; dist_to_diagonal is
-    max_i |x_i - c| with c the normalized centroid (zero exactly at full
-    synchrony).  The centroid direction is undefined when the centroid
-    vanishes, which is reported as an error.
+    Znorm is |Z| (also the distance-to-incoherence proxy); min_pair_dot is
+    the worst pairwise alignment; dist_to_diagonal is max_i |x_i - c| with c
+    the normalized centroid (zero exactly at full synchrony).  The centroid
+    direction is undefined when the centroid vanishes, which is reported as
+    an error.
     """
     x = validate_configuration(x)
     Z = order_parameter(x, spec)
-    n = x.shape[0]
-    if n >= 2:
-        gram = x @ x.T
-        min_dot = float(np.min(gram[np.triu_indices(n, 1)]))
-    else:
-        min_dot = 1.0
+    min_dot = min_pair_dot(x)
     centroid = x.mean(axis=0)
     cnorm = float(np.linalg.norm(centroid))
     if cnorm < 1e-12:
         raise GeometryError("distance to the diagonal is undefined: centroid is at the origin")
     dist = float(np.max(np.linalg.norm(x - centroid / cnorm, axis=1)))
-    znorm = float(np.linalg.norm(Z))
-    return SyncMetrics(znorm, min_dot, dist, znorm)
+    return SyncMetrics(float(np.linalg.norm(Z)), min_dot, dist)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import min_pair_dot
 from .geometry import GeometryError, as_ball_point, as_sphere_point, boost_apply
 from .reduced import integrate_w, validate_base_points, w_rhs
 from .sampling import rng_from, uniform_ball
@@ -389,11 +390,10 @@ def classify_limits(ctx, direction, seed=0, horizon=40.0, h=0.01):
     traj = integrate_w(w0, ctx.base, ctx.weights, sign * abs(h), sign * abs(horizon))
     w_end = traj.final
     x = boost_apply(w_end, ctx.base)  # reconstruction up to a rotation
-    gram = x @ x.T
-    min_pair = float(np.min(gram[np.triu_indices(ctx.n, 1)]))
+    min_pair = min_pair_dot(x)
     z_res = float(np.linalg.norm(ctx.weights @ x))
     i_dom = int(np.argmax(ctx.weights))
-    dom_dots = np.delete(gram[i_dom], i_dom)
+    dom_dots = np.delete(x @ x[i_dom], i_dom)
     metrics = {
         "w_norm": float(np.linalg.norm(w_end)),
         "Z_residual": z_res,

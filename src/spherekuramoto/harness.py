@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -26,11 +27,12 @@ from .dynamics import (
     gaussian_riemann_weights,
     integrate_full,
     majority_weights,
+    min_pair_dot,
     order_parameter,
     random_configuration,
     step_count,
 )
-from .geometry import GeometryError, boost_apply, cross_ratio, random_antisymmetric
+from .geometry import DISTINCT_TOL, GeometryError, boost_apply, cross_ratio, random_antisymmetric
 from .gradient import PotentialContext, potential
 from .reduced import (
     ReducedStateW,
@@ -379,14 +381,6 @@ def _header(cfg):
     return {"type": "header", "version": __version__, "config": config_to_dict(cfg)}
 
 
-def _min_pair_dot(x):
-    n = x.shape[0]
-    if n < 2:
-        return 1.0
-    gram = x @ x.T
-    return float(np.min(gram[np.triu_indices(n, 1)]))
-
-
 def _record(t, state, znorm, min_pair_dot, phi, drift):
     return {
         "type": "record",
@@ -414,6 +408,10 @@ def _try_potential(w, ctx):
 
 @dataclass
 class RunSummary:
+    """steps is round(t / h) at the last record.  stop_reason is "end",
+    "boundary" (a clean early stop at the ball boundary), or the abort
+    "drift" or "nonfinite", which also sets aborted."""
+
     mode: str
     steps: int
     records: int
@@ -421,101 +419,119 @@ class RunSummary:
     wall_time: float
     out: str | None
     aborted: bool = False
+    stop_reason: str = "end"
 
 
-def _potential_context(cfg, base, weights):
-    if cfg.coupling is not None or weights is None:
+def _potential_context(cfg, base):
+    if cfg.coupling is not None:
         return None
     try:
-        return PotentialContext(base, weights, allow_majority=True)
+        return PotentialContext(base, resolve_weights(cfg), allow_majority=True)
     except (GeometryError, ValueError):
         return None
+
+
+# Line builders: integrator result, initial state, cfg -> record rows
+# (t, state, Znorm, min_pair_dot, phi, drift).
+
+
+def _full_rows(records, x0, cfg):
+    return [(r.t, r.x, np.linalg.norm(r.Z), min_pair_dot(r.x), None, r.drift) for r in records]
+
+
+def _w_rows(traj, base, cfg):
+    spec, ctx = resolve_spec(cfg), _potential_context(cfg, base)
+    rows = []
+    for t, w in zip(traj.times, traj.ws):
+        x = boost_apply(w, base)  # rotation factor does not affect these metrics
+        rows.append((t, {"w": w}, np.linalg.norm(order_parameter(x, spec)), min_pair_dot(x),
+                     _try_potential(w, ctx), None))
+    return rows
+
+
+def _wzeta_rows(records, state0, cfg):
+    ctx = _potential_context(cfg, state0.base)
+    return [(r.t, {"w": r.w, "zeta": r.zeta}, r.Znorm,
+             min_pair_dot(reconstruct(ReducedStateW(r.w, r.zeta, state0.base))),
+             _try_potential(r.w, ctx), r.ortho_residual) for r in records]
+
+
+def _zzeta_rows(records, state0, cfg):
+    return [(r.t, {"z": r.z, "zeta": r.zeta}, r.Znorm,
+             min_pair_dot(reconstruct(ReducedStateZ(r.z, r.zeta, state0.base))),
+             None, r.ortho_residual) for r in records]
+
+
+def _continuum_rows(result, state0, cfg):
+    times, zs, _ = result
+    return [(t, {"z": z}, np.linalg.norm(order_parameter_closed_form(z, cfg.coupling)),
+             None, None, None) for t, z in zip(times, zs)]
+
+
+# mode: (initial state of cfg, integrator of (initial state, cfg), line builder)
+_MODE_TABLE = {
+    "full": (
+        initial_configuration,
+        lambda x0, cfg: integrate_full(x0, resolve_rotation(cfg), resolve_spec(cfg), cfg.h,
+                                       cfg.t_end, projection=cfg.projection, stride=cfg.stride),
+        _full_rows,
+    ),
+    "reduced_w": (
+        initial_configuration,
+        lambda base, cfg: integrate_w(np.zeros(cfg.d), base, resolve_weights(cfg),
+                                      cfg.h, cfg.t_end, cfg.stride),
+        _w_rows,
+    ),
+    "reduced_wzeta": (
+        lambda cfg: initial_state(initial_configuration(cfg)),
+        lambda state0, cfg: integrate_reduced(state0, resolve_rotation(cfg), resolve_spec(cfg),
+                                              cfg.h, cfg.t_end, cfg.stride),
+        _wzeta_rows,
+    ),
+    "reduced_zzeta": (
+        lambda cfg: ReducedStateZ(np.zeros(cfg.d), np.eye(cfg.d), initial_configuration(cfg)),
+        lambda state0, cfg: integrate_reduced_z(state0, resolve_rotation(cfg), resolve_spec(cfg),
+                                                cfg.h, cfg.t_end, cfg.stride),
+        _zzeta_rows,
+    ),
+    "continuum": (
+        lambda cfg: ContinuumState(initial_continuum_z(cfg), cfg.coupling, resolve_rotation(cfg)),
+        lambda state0, cfg: integrate_continuum(state0, cfg.h, cfg.t_end, cfg.stride),
+        _continuum_rows,
+    ),
+}
 
 
 def run_experiment(cfg, quiet=False):
     """Run one experiment and (optionally) write its trajectory file.
 
     Dispatches on cfg.mode, is deterministic given cfg.seed, and returns a
-    RunSummary.  Integrator aborts still flush the valid prefix of the
-    trajectory and are reported with aborted=True.
+    RunSummary.  A run that stops early, cleanly at the ball boundary or on
+    an abort, still writes its records up to the last accepted state.
     """
     started = time.perf_counter()
-    lines = [_header(cfg)]
-    aborted = False
-    spec = resolve_spec(cfg)
-    rotation = resolve_rotation(cfg)
-    weights = None if cfg.coupling is not None else resolve_weights(cfg)
-
-    if cfg.mode == "continuum":
-        z0 = initial_continuum_z(cfg)
-        state = ContinuumState(z0, cfg.coupling, rotation)
-        times, zs, _ = integrate_continuum(state, cfg.h, cfg.t_end, cfg.stride)
-        for t, z in zip(times, zs):
-            znorm = float(np.linalg.norm(order_parameter_closed_form(z, cfg.coupling)))
-            lines.append(_record(t, {"z": z}, znorm, None, None, None))
-        steps = step_count(cfg.t_end, cfg.h) if cfg.t_end != 0.0 else 0
-    elif cfg.mode == "full":
-        x0 = initial_configuration(cfg)
-        try:
-            records = integrate_full(x0, rotation, spec, cfg.h, cfg.t_end,
-                                     projection=cfg.projection, stride=cfg.stride)
-        except IntegrationAbort as exc:
-            records = exc.trajectory
-            aborted = True
-        for rec in records:
-            lines.append(_record(rec.t, rec.x, float(np.linalg.norm(rec.Z)),
-                                 _min_pair_dot(rec.x), None, rec.drift))
-        steps = len(records) if aborted else step_count(cfg.t_end, cfg.h)
-    elif cfg.mode == "reduced_w":
-        base = initial_configuration(cfg)
-        ctx = _potential_context(cfg, base, weights)
-        traj = integrate_w(np.zeros(cfg.d), base, weights, cfg.h, cfg.t_end, cfg.stride)
-        for t, w in zip(traj.times, traj.ws):
-            x = boost_apply(w, base)  # rotation factor does not affect these metrics
-            znorm = float(np.linalg.norm(order_parameter(x, spec)))
-            lines.append(_record(t, {"w": w}, znorm, _min_pair_dot(x),
-                                 _try_potential(w, ctx), None))
-        steps = len(traj.times) - 1
-    elif cfg.mode == "reduced_wzeta":
-        base = initial_configuration(cfg)
-        ctx = _potential_context(cfg, base, weights)
-        try:
-            records = integrate_reduced(initial_state(base), rotation, spec,
-                                        cfg.h, cfg.t_end, cfg.stride)
-        except IntegrationAbort as exc:
-            records = exc.trajectory
-            aborted = True
-        for rec in records:
-            x = reconstruct(ReducedStateW(rec.w, rec.zeta, base))
-            lines.append(_record(rec.t, {"w": rec.w, "zeta": rec.zeta}, rec.Znorm,
-                                 _min_pair_dot(x), _try_potential(rec.w, ctx),
-                                 rec.ortho_residual))
-        steps = len(records) if aborted else step_count(cfg.t_end, cfg.h)
-    elif cfg.mode == "reduced_zzeta":
-        base = initial_configuration(cfg)
-        state0 = ReducedStateZ(np.zeros(cfg.d), np.eye(cfg.d), base)
-        try:
-            records = integrate_reduced_z(state0, rotation, spec,
-                                          cfg.h, cfg.t_end, cfg.stride)
-        except IntegrationAbort as exc:
-            records = exc.trajectory
-            aborted = True
-        for rec in records:
-            x = reconstruct(ReducedStateZ(rec.z, rec.zeta, base))
-            lines.append(_record(rec.t, {"z": rec.z, "zeta": rec.zeta}, rec.Znorm,
-                                 _min_pair_dot(x), None, rec.ortho_residual))
-        steps = len(records) if aborted else step_count(cfg.t_end, cfg.h)
-    else:  # pragma: no cover - config validation prevents this
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
+    initial, integrate, rows = _MODE_TABLE[cfg.mode]
+    state0 = initial(cfg)
+    try:
+        result, stop_reason = integrate(state0, cfg), None
+    except IntegrationAbort as exc:
+        result, stop_reason = exc.trajectory, exc.reason
+    lines = [_header(cfg)] + [_record(*row) for row in rows(result, state0, cfg)]
+    last_t = lines[-1]["t"]
+    steps = round(last_t / cfg.h) if last_t else 0
+    if stop_reason is None:  # a clean run reaches t_end or stops at the ball boundary
+        stop_reason = "end" if steps == step_count(cfg.t_end, cfg.h) else "boundary"
 
     if cfg.out is not None:
         write_lines(cfg.out, lines)
     wall = time.perf_counter() - started
     final = {k: v for k, v in lines[-1].items() if k not in ("type", "state")}
-    summary = RunSummary(cfg.mode, steps, len(lines) - 1, final, wall, cfg.out, aborted)
+    summary = RunSummary(cfg.mode, steps, len(lines) - 1, final, wall, cfg.out,
+                         stop_reason in ("drift", "nonfinite"), stop_reason)
     if not quiet:
         print(f"mode={summary.mode} steps={summary.steps} records={summary.records} "
-              f"wall={summary.wall_time:.3f}s aborted={summary.aborted}")
+              f"wall={summary.wall_time:.3f}s aborted={summary.aborted} "
+              f"stop_reason={summary.stop_reason}")
         print("final: " + ", ".join(f"{k}={v}" for k, v in final.items()))
         if cfg.out:
             print(f"trajectory written to {cfg.out}")
@@ -531,9 +547,13 @@ class CompareReport:
     """Certificate that the reduced integration reproduces the full one.
 
     max_deviation is the sup-norm pointwise gap between the full trajectory
-    and the reconstruction from reduced coordinates at the recorded times;
-    cross_ratio_drift tracks conserved quantities along the full run.  The
-    wall times and state-space dimensions are informational.
+    and the reconstruction from reduced coordinates, taken over the records
+    with equal t in both runs: a reduced run that stops early at the ball
+    boundary is compared up to its stop and no further.  cross_ratio_drift
+    tracks conserved quantities along the full run, over the records where
+    the four points of a tuple are still distinct (a synchronized cluster
+    has no cross-ratio).  The wall times and state-space dimensions are
+    informational.
     """
 
     max_deviation: float
@@ -550,6 +570,11 @@ class CompareReport:
             f"wall time full       {self.wall_full:.3f} s  (dimension {self.full_dim})\n"
             f"wall time reduced    {self.wall_reduced:.3f} s  (dimension {self.reduced_dim})"
         )
+
+
+def _distinct(pts):
+    """cross_ratio's precondition: no two points within DISTINCT_TOL."""
+    return all(float(np.linalg.norm(a - b)) > DISTINCT_TOL for a, b in combinations(pts, 2))
 
 
 def _cross_ratio_tuples(n, seed, count=5):
@@ -578,10 +603,13 @@ def compare_full_reduced(cfg, quiet=False):
                                 cfg.h, cfg.t_end, cfg.stride)
     wall_reduced = time.perf_counter() - t0
 
+    reduced_at = {rrec.t: rrec for rrec in reduced}
     deviation = 0.0
-    for frec, rrec in zip(full, reduced):
-        x_rec = reconstruct(ReducedStateW(rrec.w, rrec.zeta, x0))
-        deviation = max(deviation, float(np.max(np.abs(frec.x - x_rec))))
+    for frec in full:
+        rrec = reduced_at.get(frec.t)
+        if rrec is not None:
+            x_rec = reconstruct(ReducedStateW(rrec.w, rrec.zeta, x0))
+            deviation = max(deviation, float(np.max(np.abs(frec.x - x_rec))))
 
     drift = 0.0
     tuples = _cross_ratio_tuples(cfg.n, cfg.seed)
@@ -589,7 +617,9 @@ def compare_full_reduced(cfg, quiet=False):
         reference = [cross_ratio(*full[0].x[list(tpl)]) for tpl in tuples]
         for frec in full[1:]:
             for ref, tpl in zip(reference, tuples):
-                drift = max(drift, abs(cross_ratio(*frec.x[list(tpl)]) - ref))
+                pts = frec.x[list(tpl)]
+                if _distinct(pts):
+                    drift = max(drift, abs(cross_ratio(*pts) - ref))
 
     report = CompareReport(
         max_deviation=deviation,

@@ -12,12 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    IntegrationAbort,
+    BOUNDARY_TOL,
     LinearWeighted,
     MeanField,
+    _boundary,
+    _drive,
+    _inside_ball,
+    _result,
     order_parameter,
-    rk4_step,
-    step_count,
     validate_configuration,
 )
 from .geometry import (
@@ -30,8 +32,6 @@ from .geometry import (
     mobius_apply,
     nearest_rotation,
 )
-
-BOUNDARY_TOL = 1e-12  # |w| >= 1 - BOUNDARY_TOL counts as a boundary breach
 
 __all__ = [
     "ReducedStateW",
@@ -240,6 +240,39 @@ def reconstruct(state):
     raise TypeError(f"cannot reconstruct from {state!r}")
 
 
+def _integrate_orbit(p0, zeta0, base, A, spec, raw_rhs, configuration, h, t_end, stride):
+    """RK4 on a (ball point p, rotation zeta) pair stacked into one vector.
+
+    After each step the rotation is polar-projected back to SO(d) and its
+    pre-projection orthogonality residual recorded; p stops the run cleanly
+    at the ball boundary.  Returns ([(t, p, zeta, Znorm, residual)], stop).
+    """
+    _check_equivariant(spec)
+    d = p0.size
+    A = _shared_rotation_term(A, d)
+    eye = np.eye(d)
+
+    def rhs(y):
+        pdot, zetadot = raw_rhs(y[:d], y[d:].reshape(d, d), base, A, spec)
+        return np.concatenate([pdot, zetadot.ravel()])
+
+    def after_step(y):
+        if _boundary(y[:d]):
+            return y, 0.0, "boundary"
+        zeta = y[d:].reshape(d, d)
+        residual = float(np.max(np.abs(zeta.T @ zeta - eye)))
+        return np.concatenate([y[:d], nearest_rotation(zeta).ravel()]), residual, None
+
+    records, stop = _drive(_inside_ball(rhs, d), np.concatenate([p0, zeta0.ravel()]),
+                           h, t_end, stride, after_step)
+    rows = []
+    for t, y, residual in records:
+        p, zeta = y[:d], y[d:].reshape(d, d)
+        Z = order_parameter(configuration(p, zeta, base), spec)
+        rows.append((t, p, zeta, float(np.linalg.norm(Z)), residual))
+    return rows, stop
+
+
 @dataclass(frozen=True)
 class ReducedPoint:
     """One recorded instant of a reduced run.
@@ -259,47 +292,17 @@ def integrate_reduced(state0, A, spec, h, t_end, stride=1):
     """RK4 on the (w, zeta) pair.
 
     The rotation is polar-projected back to SO(d) after every step (the
-    projection residual is recorded), and the boost is guarded against the
-    unit-sphere boundary; a breach raises IntegrationAbort carrying the valid
-    prefix of the trajectory.
+    projection residual is recorded).  The run stops cleanly, with its last
+    accepted state recorded, when the boost reaches the unit-sphere boundary
+    (|w| >= 1 - BOUNDARY_TOL after a step, or an RK stage outside the ball);
+    a non-finite state raises IntegrationAbort carrying the prefix.
     """
     if not isinstance(state0, ReducedStateW):
         raise TypeError("integrate_reduced expects boost-first coordinates (ReducedStateW)")
-    _check_equivariant(spec)
-    d = state0.w.size
-    A = _shared_rotation_term(A, d)
-    base = state0.base
-    n_steps = step_count(t_end, h)
-    if int(stride) < 1:
-        raise GeometryError("stride must be a positive integer")
-    stride = int(stride)
-
-    def rhs(y):
-        w, zeta = y[:d], y[d:].reshape(d, d)
-        wdot, zetadot = _wzeta_rhs_raw(w, zeta, base, A, spec)
-        return np.concatenate([wdot, zetadot.ravel()])
-
-    def record(t, w, zeta, residual):
-        Z = order_parameter(boost_apply(w, base) @ zeta.T, spec)
-        return ReducedPoint(t, w.copy(), zeta.copy(), float(np.linalg.norm(Z)), residual)
-
-    w, zeta = state0.w.copy(), state0.zeta.copy()
-    records = [record(0.0, w, zeta, 0.0)]
-    y = np.concatenate([w, zeta.ravel()])
-    eye = np.eye(d)
-    for k in range(1, n_steps + 1):
-        y = rk4_step(rhs, y, h)
-        w, zeta = y[:d], y[d:].reshape(d, d)
-        residual = float(np.max(np.abs(zeta.T @ zeta - eye)))
-        zeta = nearest_rotation(zeta)
-        if float(np.linalg.norm(w)) >= 1.0 - BOUNDARY_TOL:
-            raise IntegrationAbort(
-                f"boost parameter reached the ball boundary at t = {k * h:.6g}", records
-            )
-        y = np.concatenate([w, zeta.ravel()])
-        if k % stride == 0 or k == n_steps:
-            records.append(record(k * h, w, zeta, residual))
-    return records
+    rows, stop = _integrate_orbit(state0.w, state0.zeta, state0.base, A, spec, _wzeta_rhs_raw,
+                                  lambda w, zeta, base: boost_apply(w, base) @ zeta.T,
+                                  h, t_end, stride)
+    return _result([ReducedPoint(*row) for row in rows], stop)
 
 
 @dataclass(frozen=True)
@@ -317,41 +320,10 @@ def integrate_reduced_z(state0, A, spec, h, t_end, stride=1):
     """RK4 on the (z, zeta) pair; same guards and recording as integrate_reduced."""
     if not isinstance(state0, ReducedStateZ):
         raise TypeError("integrate_reduced_z expects rotation-first coordinates (ReducedStateZ)")
-    _check_equivariant(spec)
-    d = state0.z.size
-    A = _shared_rotation_term(A, d)
-    base = state0.base
-    n_steps = step_count(t_end, h)
-    if int(stride) < 1:
-        raise GeometryError("stride must be a positive integer")
-    stride = int(stride)
-
-    def rhs(y):
-        z, zeta = y[:d], y[d:].reshape(d, d)
-        zdot, zetadot = _zzeta_rhs_raw(z, zeta, base, A, spec)
-        return np.concatenate([zdot, zetadot.ravel()])
-
-    def record(t, z, zeta, residual):
-        Z = order_parameter(boost_apply(-z, base @ zeta.T), spec)
-        return ReducedPointZ(t, z.copy(), zeta.copy(), float(np.linalg.norm(Z)), residual)
-
-    z, zeta = state0.z.copy(), state0.zeta.copy()
-    records = [record(0.0, z, zeta, 0.0)]
-    y = np.concatenate([z, zeta.ravel()])
-    eye = np.eye(d)
-    for k in range(1, n_steps + 1):
-        y = rk4_step(rhs, y, h)
-        z, zeta = y[:d], y[d:].reshape(d, d)
-        residual = float(np.max(np.abs(zeta.T @ zeta - eye)))
-        zeta = nearest_rotation(zeta)
-        if float(np.linalg.norm(z)) >= 1.0 - BOUNDARY_TOL:
-            raise IntegrationAbort(
-                f"boost parameter reached the ball boundary at t = {k * h:.6g}", records
-            )
-        y = np.concatenate([z, zeta.ravel()])
-        if k % stride == 0 or k == n_steps:
-            records.append(record(k * h, z, zeta, residual))
-    return records
+    rows, stop = _integrate_orbit(state0.z, state0.zeta, state0.base, A, spec, _zzeta_rhs_raw,
+                                  lambda z, zeta, base: boost_apply(-z, base @ zeta.T),
+                                  h, t_end, stride)
+    return _result([ReducedPointZ(*row) for row in rows], stop)
 
 
 @dataclass(frozen=True)
@@ -371,39 +343,20 @@ class WTrajectory:
 def integrate_w(w0, base, weights, h, t_end, stride=1):
     """Integrate the boost-only flow with RK4.
 
-    Stops cleanly when |w| reaches 1 - BOUNDARY_TOL: forward time drives the
-    boost to the boundary in finite numerical time once the population
-    synchronizes, so this is an expected exit, not an error.
+    Stops cleanly when |w| reaches 1 - BOUNDARY_TOL or an RK stage leaves the
+    ball: forward time drives the boost to the boundary in finite numerical
+    time once the population synchronizes, so this is an expected exit, not
+    an error.  The last accepted state is always recorded.
     """
     base = validate_configuration(base)
-    w = as_ball_point(w0, base.shape[1]).copy()
+    w0 = as_ball_point(w0, base.shape[1])
     weights = np.asarray(weights, dtype=float)
     if weights.size != base.shape[0]:
         raise GeometryError(f"{weights.size} weights for {base.shape[0]} base points")
-    n_steps = step_count(t_end, h)
-    if int(stride) < 1:
-        raise GeometryError("stride must be a positive integer")
-    stride = int(stride)
-
-    def rhs(v):
-        return w_rhs(v, base, weights)
-
-    times = [0.0]
-    ws = [w.copy()]
-    boundary = False
-    for k in range(1, n_steps + 1):
-        w_next = rk4_step(rhs, w, h)
-        if float(np.linalg.norm(w_next)) >= 1.0 - BOUNDARY_TOL:
-            boundary = True
-            if times[-1] != (k - 1) * h:
-                times.append((k - 1) * h)
-                ws.append(w.copy())
-            break
-        w = w_next
-        if k % stride == 0 or k == n_steps:
-            times.append(k * h)
-            ws.append(w.copy())
-    return WTrajectory(np.asarray(times), np.asarray(ws), boundary)
+    rhs = _inside_ball(lambda w: w_rhs(w, base, weights), w0.size)
+    records, stop = _drive(rhs, w0, h, t_end, stride, lambda w: (w, 0.0, _boundary(w)))
+    times, ws, _ = map(np.asarray, zip(*records))
+    return _result(WTrajectory(times, ws, stop[0] == "boundary"), stop)
 
 
 # ---------------------------------------------------------------------------

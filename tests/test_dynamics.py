@@ -220,6 +220,17 @@ def test_unprojected_abort_on_drift():
     assert len(info.value.trajectory) >= 1
 
 
+def test_drift_abort_records_last_accepted_state():
+    # the step to t = 3.5 breaks the drift limit; t = 3.0 is off the stride grid
+    x0 = dyn.random_configuration(10, 3, 12)
+    with pytest.raises(dyn.IntegrationAbort) as info:
+        dyn.integrate_full(x0, None, equal_spec(10), 0.5, 500.0, projection=False, stride=1000)
+    assert info.value.reason == "drift"
+    traj = info.value.trajectory
+    assert [p.t for p in traj] == [0.0, 3.0]
+    assert traj[-1].drift <= dyn.NORM_DRIFT_LIMIT
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -231,7 +242,6 @@ def test_sync_metrics_at_synchrony():
     assert m.Znorm == pytest.approx(1.0, abs=1e-15)
     assert m.min_pair_dot == pytest.approx(1.0, abs=1e-15)
     assert m.dist_to_diagonal == pytest.approx(0.0, abs=1e-12)
-    assert m.Z_residual == m.Znorm
 
 
 def test_sync_metrics_antipodal_pair():

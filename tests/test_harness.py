@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -229,6 +230,19 @@ def test_compare_zero_horizon_has_zero_deviation():
     assert report.cross_ratio_drift == 0.0
 
 
+def test_compare_pairs_records_by_time():
+    # the reduced run stops at the ball boundary near t = 29.05, off the
+    # stride grid, while the full run goes on to t = 30
+    cfg = h.config_from_dict({
+        "d": 3, "n": 10, "mode": "full",
+        "rotation": {"kind": "random", "scale": 3.0},
+        "h": 0.01, "t_end": 30.0, "stride": 10, "seed": 21,
+    })
+    report = h.compare_full_reduced(cfg, quiet=True)
+    assert report.max_deviation <= 1e-5
+    assert np.isfinite(report.cross_ratio_drift)
+
+
 def test_compare_small_system():
     cfg = h.config_from_dict({
         "d": 3, "n": 10, "mode": "full",
@@ -247,19 +261,57 @@ def test_compare_small_system():
 
 def test_boundary_abort_flushes_partial_trajectory(tmp_path):
     # equal weights synchronize, so the boost coordinate reaches the ball
-    # boundary well before t = 40 and the reduced run aborts with its prefix
+    # boundary well before t = 40: a clean stop that still writes the prefix
+    # up to the last accepted state
     out = tmp_path / "abort.jsonl"
     cfg = h.config_from_dict({
         "d": 3, "n": 20, "mode": "reduced_wzeta",
         "h": 0.01, "t_end": 40.0, "stride": 100, "seed": 21, "out": str(out),
     })
     summary = h.run_experiment(cfg, quiet=True)
-    assert summary.aborted
+    assert not summary.aborted
+    assert summary.stop_reason == "boundary"
     _, records = h.read_trajectory(out)
     assert len(records) >= 2
     assert records[-1]["t"] < 40.0
     ws = np.asarray(records[-1]["state"]["w"])
     assert np.linalg.norm(ws) < 1.0
+    # the early stop counts steps, not records, and its last accepted state
+    # lies off the stride grid
+    assert summary.steps == round(records[-1]["t"] / 0.01)
+    assert summary.steps % 100 != 0
+    assert summary.records == len(records)
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("continuum", {"n": 3, "coupling": 1.0, "seed": 7,
+                   "rotation": {"kind": "random", "scale": 0.5}}),
+    ("reduced_zzeta", {"seed": 21, "rotation": {"kind": "random", "scale": 3.0}}),
+])
+def test_rk_stage_outside_ball_stops_at_boundary(tmp_path, mode, extra):
+    # at h = 0.05 an RK stage of these runs leaves the ball before any
+    # accepted step reaches the boundary tolerance
+    out = tmp_path / "stage.jsonl"
+    cfgfile = write_config(tmp_path / "c.json", mode=mode, h=0.05, t_end=40.0, **extra)
+    assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out), "--quiet"]) == 0
+    cfg = h.load_config(cfgfile)
+    summary = h.run_experiment(cfg, quiet=True)
+    assert summary.stop_reason == "boundary" and not summary.aborted
+    _, records = h.read_trajectory(out)
+    assert records[-1]["t"] < 40.0
+    assert summary.steps == round(records[-1]["t"] / 0.05)
+    zs = np.asarray([r["state"]["z"] for r in records])
+    assert np.all(np.linalg.norm(zs, axis=1) < 1.0)
+
+
+def test_summary_steps_with_stride():
+    cfg = h.config_from_dict({
+        "d": 3, "n": 10, "mode": "reduced_w",
+        "h": 0.01, "t_end": 2.0, "stride": 10, "seed": 6,
+    })
+    summary = h.run_experiment(cfg, quiet=True)
+    assert (summary.steps, summary.records) == (200, 21)
+    assert summary.stop_reason == "end" and not summary.aborted
 
 
 def test_fig2_preset_weights_and_run(tmp_path):
@@ -293,12 +345,40 @@ def test_cli_preset_and_exit_codes(tmp_path):
 
 
 def test_cli_abort_exit_code(tmp_path):
-    cfgfile = tmp_path / "abort.json"
-    cfgfile.write_text(json.dumps({
-        "d": 3, "n": 20, "mode": "reduced_wzeta",
-        "h": 0.01, "t_end": 40.0, "stride": 100, "seed": 21,
-    }))
+    # a huge unprojected step leaves the sphere: a norm-drift abort
+    cfgfile = write_config(tmp_path / "abort.json", h=2.5, t_end=250.0, stride=1,
+                           seed=12, projection=False)
     assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 3
+    summary = h.run_experiment(h.load_config(cfgfile), quiet=True)
+    assert summary.aborted and summary.stop_reason == "drift"
+
+
+def test_cli_nonfinite_state_aborts_with_file(tmp_path):
+    out = tmp_path / "nonfinite.jsonl"
+    cfgfile = write_config(tmp_path / "c.json", h=1e12, t_end=1e12, seed=1, projection=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out), "--quiet"]) == 3
+        summary = h.run_experiment(h.load_config(cfgfile), quiet=True)
+    assert summary.aborted and summary.stop_reason == "nonfinite"
+    assert summary.steps == 0
+    _, records = h.read_trajectory(out)
+    assert [r["t"] for r in records] == [0.0]
+
+
+# sha256 of `kuramoto-sphere preset <name>` output at the default seeds, as
+# written by the package's initial commit; trajectory files keep these bytes.
+PRESET_DIGESTS = {
+    "fig1": "6f51a0c98b9d7ab1439ac88be296d38d27bc9f1f5b01712592ad28bf4fa98ca4",
+    "fig2": "4f52700f67996a4c6277e1302dd0c4fd39e4e3c965476266de4fdbf9b95f8488",
+    "fig3": "c4f671b40c5f1eccbd13ce33a08a7eca7a12eaf08792d52e47426dd4c24ad0c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_preset_files_keep_their_bytes(tmp_path, name):
+    out = tmp_path / f"{name}.jsonl"
+    assert cli.main(["preset", name, "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_DIGESTS[name]
 
 
 def test_cli_simulate_validation_error(tmp_path):
