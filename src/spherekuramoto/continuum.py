@@ -8,8 +8,8 @@ and integrates the reduced mean-field flow for z.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,23 +46,40 @@ _BLOCK = 4096
 
 
 def hypergeom_f(a, b, c, t, rtol=1e-15, max_terms=2_000_000):
-    """Gauss hypergeometric series sum_k (a)_k (b)_k / (c)_k * t^k / k!.
+    """Gauss hypergeometric function F(a, b; c; t) = sum_k (a)_k (b)_k / (c)_k * t^k / k!.
 
-    The series is summed directly with a term-ratio stopping rule.  It
-    terminates exactly (a finite sum) when a or b is a nonpositive integer;
-    otherwise it requires |t| < 1, or |t| = 1 with the classical margin
-    (c - a - b > 0 at t = 1, > -1 at t = -1).  A pole of the coefficients
-    (c a nonpositive integer reached before termination) and failure to
-    converge are reported, never silently truncated.
+    The series terminates exactly (a finite sum) when a or b is a nonpositive
+    integer.  Otherwise it is summed for |t| < 1 until a bound on the
+    remaining tail is at most rtol times the partial sum; t = 1 with
+    c - a - b > 0 returns Gauss's sum G(c) G(c-a-b) / (G(c-a) G(c-b))
+    (DLMF 15.4.20), and t = -1 with c - a - b > -1 the Pfaff transform
+    2^-a F(a, c - b; c; 1/2) (DLMF 15.8.1).  Divergence, a pole of the
+    coefficients (c a nonpositive integer reached before termination), a
+    Gamma function beyond the float range in Gauss's sum, and a tail bound
+    still above rtol after max_terms terms raise ConvergenceError, never a
+    truncated value.
     """
     a, b, c, t = float(a), float(b), float(c), float(t)
     terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
     if abs(t) > 1.0:
         raise ConvergenceError(f"series diverges for |t| = {abs(t):.17g} > 1")
-    if not terminating and t == 1.0 and c - a - b <= 0.0:
-        raise ConvergenceError(f"series diverges at t = 1 (c - a - b = {c - a - b:.17g})")
-    if not terminating and t == -1.0 and c - a - b <= -1.0:
-        raise ConvergenceError(f"series diverges at t = -1 (c - a - b = {c - a - b:.17g})")
+    if not terminating:
+        if t == 1.0 and c - a - b <= 0.0:
+            raise ConvergenceError(f"series diverges at t = 1 (c - a - b = {c - a - b:.17g})")
+        if t == -1.0 and c - a - b <= -1.0:
+            raise ConvergenceError(f"series diverges at t = -1 (c - a - b = {c - a - b:.17g})")
+        if _is_nonpositive_int(c):
+            raise ConvergenceError(f"series hit the coefficient pole at c = {c:.17g}")
+        if t == 1.0:
+            if _is_nonpositive_int(c - a) or _is_nonpositive_int(c - b):
+                return 0.0
+            try:
+                return (math.gamma(c) / math.gamma(c - a)
+                        * (math.gamma(c - a - b) / math.gamma(c - b)))
+            except OverflowError:
+                raise ConvergenceError(f"Gauss's sum overflows for c = {c:.17g}") from None
+        if t == -1.0:
+            return 2.0**-a * hypergeom_f(a, c - b, c, 0.5, rtol, max_terms)
 
     total = 1.0
     term = 1.0
@@ -75,37 +92,83 @@ def hypergeom_f(a, b, c, t, rtol=1e-15, max_terms=2_000_000):
         limit = int(stop[0]) if stop.size else _BLOCK
         if np.any(denom[:limit] == 0.0):
             raise ConvergenceError(f"series hit the coefficient pole at c = {c:.17g}")
-        if limit == 0:
-            return total
         terms = term * np.cumprod(numer[:limit] / denom[:limit] * t)
+        if stop.size:
+            return total + float(terms.sum())
+        # Every ratio after term j (j > |c|) is at most rho_j in magnitude, so
+        # the tail after it is at most |term_j| rho_j / (1 - rho_j).
+        js = ks + 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = (abs(t) * np.maximum(1.0, (js + abs(a)) / (js + 1.0))
+                   * (js + abs(b)) / (js - abs(c)))
+            tail = np.where((js > abs(c)) & (rho < 1.0), np.abs(terms) * rho / (1.0 - rho), np.inf)
+        done = np.nonzero(tail <= rtol * np.abs(total + np.cumsum(terms)))[0]
+        if done.size:
+            return total + float(terms[: done[0] + 1].sum())
         total += float(terms.sum())
         term = float(terms[-1])
-        if stop.size:
-            return total
         k += _BLOCK
-        if abs(term) <= rtol * max(abs(total), 1e-30):
-            return total
     raise ConvergenceError(f"series did not converge within {max_terms} terms (t = {t:.17g})")
 
 
-@lru_cache(maxsize=None)
-def _boundary_normalizer(d):
-    """F(1, 1 - d/2; 1 + d/2; 1): the boundary value normalizing the closed form."""
-    return hypergeom_f(1.0, 1.0 - d / 2.0, 1.0 + d / 2.0, 1.0)
+_TAIL = 1e-17  # absolute bound on a dropped series tail; the sums below are >= 1/2
+
+
+def _centroid_ratio(d, t):
+    """R_d(t) = F(1, 1 - d/2; 1 + d/2; t) / F(1, 1 - d/2; 1 + d/2; 1) for 0 <= t <= 1.
+
+    The normalizer is Gauss's sum d / (2(d - 1)), as c - a - b = d - 1.  For
+    even d the series is a polynomial; for odd d it is summed directly up to
+    t = 1/2 and replaced above by the logarithmic expansion in 1 - t for the
+    integer m = c - a - b (DLMF 15.8.10), where a = 1 cancels the psi(n + m + 1)
+    terms and leaves psi(n + d/2) - psi(n + 1) by recurrence from its value at
+    n = 0.  Each dropped tail is bounded by _TAIL, so R is accurate to a few
+    units in the last place; a t that rounds to 1 returns 1.
+    """
+    if t >= 1.0:
+        return 1.0
+    b, c = 1.0 - d / 2.0, 1.0 + d / 2.0
+    if d % 2 == 0 or t <= 0.5:
+        # term ratio (b + k) / (c + k) * t, at most t in magnitude
+        total = term = 1.0
+        k = 0
+        while abs(term) > _TAIL:
+            term *= (b + k) / (c + k) * t
+            total += term
+            k += 1
+        return total * (2.0 * (d - 1)) / d
+    u, m, half = 1.0 - t, d - 1, d / 2.0
+    # R = sum_{n<m} (b)_n / (1-m)_n u^n
+    #     - (b)_m / (m-1)! u^m sum_n (d/2)_n / n! u^n (log u + psi(n + d/2) - psi(n + 1))
+    head = term = 1.0
+    for n in range(m - 1):
+        term *= (b + n) / (1 - m + n) * u
+        head += term
+    coef = math.prod(b + j for j in range(m)) / math.factorial(m - 1) * u**m
+    log_u = math.log(u)
+    # psi(d/2) - psi(1) for half-integer d/2; it decreases to 0 in n
+    delta = sum(2.0 / (2 * j - 1) for j in range(1, (d + 1) // 2)) - 2.0 * math.log(2.0)
+    bound = abs(coef) * (abs(log_u) + delta)
+    g, s, n = 1.0, 0.0, 0
+    while True:
+        s += g * (log_u + delta)
+        ratio = (half + n) / (n + 1) * u  # decreasing in n
+        g *= ratio
+        delta += 1.0 / (half + n) - 1.0 / (n + 1)
+        n += 1
+        if ratio < 1.0 and bound * g / (1.0 - ratio) <= _TAIL:
+            return head - coef * s
 
 
 def order_parameter_closed_form(z, coupling=1.0):
     """Centroid coupling vector of the boosted uniform ensemble at z.
 
     Returns K * F(1, 1 - d/2; 1 + d/2; |z|^2) / F(1, 1 - d/2; 1 + d/2; 1) * z,
-    always parallel to z.  For d = 2 both series are identically 1 and the
-    result is exactly K z.
+    always parallel to z, with the normalizer F(...; 1) = d / (2(d - 1)).
+    For d = 2 the ratio is identically 1 and the result is exactly K z.
     """
     z = as_ball_point(z)
-    d = z.size
-    t = float(z @ z)
-    ratio = hypergeom_f(1.0, 1.0 - d / 2.0, 1.0 + d / 2.0, t) / _boundary_normalizer(d)
-    return coupling * ratio * z
+    return coupling * _centroid_ratio(z.size, float(z @ z)) * z
 
 
 # ---------------------------------------------------------------------------

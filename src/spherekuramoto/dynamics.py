@@ -265,23 +265,25 @@ def _drive(rhs, y0, h, t_end, stride, after_step):
     stride = int(stride)
     y, info, last = y0, 0.0, 0
     records = [(0.0, y.copy(), info)]
-    for k in range(1, n_steps + 1):
-        try:
-            y_next = rk4_step(rhs, y, h)
-        except _LeftBall:
-            reason = "boundary"
-        except SimulationError:
-            reason = "nonfinite"
-        else:
-            y_next, info_next, reason = after_step(y_next)
-        if reason is not None:
-            if last < k - 1:
-                records.append(((k - 1) * h, y.copy(), info))
-            return records, (reason, k * h)
-        y, info = y_next, info_next
-        if k % stride == 0 or k == n_steps:
-            records.append((k * h, y.copy(), info))
-            last = k
+    # a run that overflows ends as "nonfinite", not with numpy warnings on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            try:
+                y_next = rk4_step(rhs, y, h)
+            except _LeftBall:
+                reason = "boundary"
+            except SimulationError:
+                reason = "nonfinite"
+            else:
+                y_next, info_next, reason = after_step(y_next)
+            if reason is not None:
+                if last < k - 1:
+                    records.append(((k - 1) * h, y.copy(), info))
+                return records, (reason, k * h)
+            y, info = y_next, info_next
+            if k % stride == 0 or k == n_steps:
+                records.append((k * h, y.copy(), info))
+                last = k
     return records, ("end", n_steps * h)
 
 

@@ -35,13 +35,13 @@ from .dynamics import (
 from .geometry import DISTINCT_TOL, GeometryError, boost_apply, cross_ratio, random_antisymmetric
 from .gradient import PotentialContext, potential
 from .reduced import (
-    ReducedStateW,
     ReducedStateZ,
+    _configuration_w,
+    _configuration_z,
     initial_state,
     integrate_reduced,
     integrate_reduced_z,
     integrate_w,
-    reconstruct,
 )
 from .sampling import rng_from, uniform_ball
 
@@ -432,7 +432,9 @@ def _potential_context(cfg, base):
 
 
 # Line builders: integrator result, initial state, cfg -> record rows
-# (t, state, Znorm, min_pair_dot, phi, drift).
+# (t, state, Znorm, min_pair_dot, phi, drift).  The reduced builders
+# reconstruct from the record arrays: the base was validated once, when the
+# run's initial state was built.
 
 
 def _full_rows(records, x0, cfg):
@@ -452,13 +454,13 @@ def _w_rows(traj, base, cfg):
 def _wzeta_rows(records, state0, cfg):
     ctx = _potential_context(cfg, state0.base)
     return [(r.t, {"w": r.w, "zeta": r.zeta}, r.Znorm,
-             min_pair_dot(reconstruct(ReducedStateW(r.w, r.zeta, state0.base))),
+             min_pair_dot(_configuration_w(r.w, r.zeta, state0.base)),
              _try_potential(r.w, ctx), r.ortho_residual) for r in records]
 
 
 def _zzeta_rows(records, state0, cfg):
     return [(r.t, {"z": r.z, "zeta": r.zeta}, r.Znorm,
-             min_pair_dot(reconstruct(ReducedStateZ(r.z, r.zeta, state0.base))),
+             min_pair_dot(_configuration_z(r.z, r.zeta, state0.base)),
              None, r.ortho_residual) for r in records]
 
 
@@ -608,7 +610,7 @@ def compare_full_reduced(cfg, quiet=False):
     for frec in full:
         rrec = reduced_at.get(frec.t)
         if rrec is not None:
-            x_rec = reconstruct(ReducedStateW(rrec.w, rrec.zeta, x0))
+            x_rec = _configuration_w(rrec.w, rrec.zeta, x0)
             deviation = max(deviation, float(np.max(np.abs(frec.x - x_rec))))
 
     drift = 0.0

@@ -231,12 +231,22 @@ def w_rhs(w, base, weights):
 # reconstruction and integration
 
 
+def _configuration_w(w, zeta, base):
+    """x_i = zeta M_w(base_i), for a base validated once by the caller."""
+    return boost_apply(w, base) @ zeta.T
+
+
+def _configuration_z(z, zeta, base):
+    """x_i = M_{-z}(zeta base_i), for a base validated once by the caller."""
+    return boost_apply(-z, base @ zeta.T)
+
+
 def reconstruct(state):
     """Full configuration represented by reduced coordinates; rows on the sphere."""
     if isinstance(state, ReducedStateW):
-        return boost_apply(state.w, state.base) @ state.zeta.T
+        return _configuration_w(state.w, state.zeta, state.base)
     if isinstance(state, ReducedStateZ):
-        return boost_apply(-state.z, state.base @ state.zeta.T)
+        return _configuration_z(state.z, state.zeta, state.base)
     raise TypeError(f"cannot reconstruct from {state!r}")
 
 
@@ -300,8 +310,7 @@ def integrate_reduced(state0, A, spec, h, t_end, stride=1):
     if not isinstance(state0, ReducedStateW):
         raise TypeError("integrate_reduced expects boost-first coordinates (ReducedStateW)")
     rows, stop = _integrate_orbit(state0.w, state0.zeta, state0.base, A, spec, _wzeta_rhs_raw,
-                                  lambda w, zeta, base: boost_apply(w, base) @ zeta.T,
-                                  h, t_end, stride)
+                                  _configuration_w, h, t_end, stride)
     return _result([ReducedPoint(*row) for row in rows], stop)
 
 
@@ -321,8 +330,7 @@ def integrate_reduced_z(state0, A, spec, h, t_end, stride=1):
     if not isinstance(state0, ReducedStateZ):
         raise TypeError("integrate_reduced_z expects rotation-first coordinates (ReducedStateZ)")
     rows, stop = _integrate_orbit(state0.z, state0.zeta, state0.base, A, spec, _zzeta_rhs_raw,
-                                  lambda z, zeta, base: boost_apply(-z, base @ zeta.T),
-                                  h, t_end, stride)
+                                  _configuration_z, h, t_end, stride)
     return _result([ReducedPointZ(*row) for row in rows], stop)
 
 

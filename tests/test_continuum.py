@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -35,7 +36,31 @@ def test_terminating_polynomial_case():
 
 def test_gauss_value_at_one():
     # F(1, -1/2; 5/2; 1) = Gamma(5/2)Gamma(2) / (Gamma(3/2)Gamma(3)) = 3/4
-    assert cont.hypergeom_f(1.0, -0.5, 2.5, 1.0) == pytest.approx(0.75, abs=1e-9)
+    assert cont.hypergeom_f(1.0, -0.5, 2.5, 1.0) == pytest.approx(0.75, abs=1e-15)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.9, 0.99, 0.999])
+def test_series_matches_mpmath_near_one(t):
+    expected = float(mpmath.hyp2f1(1, -0.5, 2.5, t))
+    assert cont.hypergeom_f(1.0, -0.5, 2.5, t) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("a, b, c", [(0.5, 0.5, 2.0), (0.3, 1.2, 3.1), (1.0, -0.5, 2.5),
+                                     (2.5, -2.5, 1.5)])
+def test_unit_circle_values_match_mpmath(a, b, c):
+    # t = 1 is Gauss's sum (0 for c - a = -1), t = -1 the Pfaff transform at 1/2
+    for t in (1.0, -1.0):
+        expected = float(mpmath.hyp2f1(a, b, c, t))
+        assert cont.hypergeom_f(a, b, c, t) == pytest.approx(expected, rel=1e-14)
+
+
+def test_unbounded_sums_raise_instead_of_truncating():
+    # terms decay like k^-3, so no tail bound reaches rtol within 10^5 terms
+    with pytest.raises(cont.ConvergenceError):
+        cont.hypergeom_f(1.0, -0.5, 2.5, 1.0 - 1e-12, max_terms=100_000)
+    # Gamma(200) is beyond the float range
+    with pytest.raises(cont.ConvergenceError):
+        cont.hypergeom_f(1.0, 0.5, 200.0, 1.0)
 
 
 def test_divergence_reported_not_truncated():
@@ -86,6 +111,68 @@ def test_closed_form_d4_ratio_polynomial():
         t = z @ z
         expected = (1.0 - t / 3.0) / (2.0 / 3.0) * z
         assert np.allclose(cont.order_parameter_closed_form(z, 1.0), expected, rtol=1e-13)
+
+
+# 1 - t on both sides of the switch at t = 1/2, down to 1e-12
+_T_GRID = sorted({*np.linspace(0.0, 0.95, 20), 0.5 - 1e-9, 0.5, 0.5 + 1e-9,
+                  *(1.0 - np.logspace(-1.5, -12, 22))})
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_closed_form_matches_mpmath(d):
+    mpmath.mp.dps = 30
+    half = mpmath.mpf(d) / 2
+    K = 1.3
+    for t in _T_GRID:
+        z = np.zeros(d)
+        z[0], z[-1] = np.sqrt(0.64 * t), np.sqrt(0.36 * t)
+        t_z = float(z @ z)
+        ratio = mpmath.hyp2f1(1, 1 - half, 1 + half, t_z) / (half / (d - 1))
+        expected = np.array([float(K * ratio * mpmath.mpf(v)) for v in z])
+        got = cont.order_parameter_closed_form(z, K)
+        scale = max(float(np.linalg.norm(expected)), 1e-300)
+        assert np.linalg.norm(got - expected) <= 1e-14 * scale, (d, t)
+
+
+def test_planar_closed_form_is_bitwise_coupling_times_z():
+    rng = np.random.default_rng(4)
+    for r in (0.0, 0.3, 0.7, 1.0 - 1e-12):
+        z = rng.standard_normal(2)
+        z *= r / np.linalg.norm(z)
+        for K in (1.0, 2.5, -0.7):
+            assert np.array_equal(cont.order_parameter_closed_form(z, K), K * z)
+
+
+def test_closed_form_at_the_largest_valid_radius():
+    # |z| = 1 - 2^-53 is the largest valid radius; t = |z|^2 lies one rounding
+    # below 1 and the ratio is 1 to within that rounding
+    assert all(cont._centroid_ratio(d, 1.0) == 1.0 for d in range(2, 10))
+    for d in range(2, 10):
+        z = np.zeros(d)
+        z[0] = np.nextafter(1.0, 0.0)
+        got = cont.order_parameter_closed_form(z, 1.7)
+        if d % 2:
+            assert np.array_equal(got, 1.7 * z)
+        assert np.max(np.abs(got - 1.7 * z)) <= 2 * np.spacing(1.7)
+
+
+def test_closed_form_magnitude_monotone_to_boundary():
+    # |Z| = K R(t) sqrt(t) reaches K with zero slope in t (R'(1) = -1/2 for
+    # d >= 3), so its increments fall below one rounding for 1 - t < 1e-7;
+    # there it is nondecreasing up to rounding and never above K
+    K = 1.7
+    ts = np.concatenate([np.linspace(0.0, 0.98, 99), 1.0 - np.logspace(-2, -12, 101)])
+    for d in range(2, 10):
+        mags = []
+        for t in ts:
+            z = np.zeros(d)
+            z[0] = np.sqrt(t)
+            mags.append(np.linalg.norm(cont.order_parameter_closed_form(z, K)))
+        steps = np.diff(mags)
+        resolved = 1.0 - ts[1:] >= 1e-7
+        assert np.all(steps[resolved] > 0.0), d
+        assert np.all(steps >= -4 * np.spacing(K)), d
+        assert max(mags) <= K + 4 * np.spacing(K), d
 
 
 def test_closed_form_matches_monte_carlo_d3():

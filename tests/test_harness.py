@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,34 @@ def test_cli_nonfinite_state_aborts_with_file(tmp_path):
     assert summary.steps == 0
     _, records = h.read_trajectory(out)
     assert [r["t"] for r in records] == [0.0]
+
+
+def test_nonfinite_run_prints_no_numpy_warnings(tmp_path, capsys):
+    cfgfile = write_config(tmp_path / "c.json", h=1e12, t_end=1e12, seed=1, projection=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 3
+        summary = h.run_experiment(h.load_config(cfgfile), quiet=True)
+    assert summary.stop_reason == "nonfinite"
+    assert "Warning" not in capsys.readouterr().err
+
+
+# sha256 of small rotated reduced runs (n = 50, d = 3, h = 0.01, t_end = 2,
+# stride 10, seed 11), as written before the line builders stopped rebuilding
+# and revalidating a reduced state per record.
+REDUCED_DIGESTS = {
+    "reduced_wzeta": "57f866f543175e6c5b38177c6b60d017a297cf3332d4fc746d59782c9952d141",
+    "reduced_zzeta": "1b8ffc2da667e3aaefa4445b92b11758e7eb3ef7047974436358b052234a3b38",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REDUCED_DIGESTS))
+def test_reduced_files_keep_their_bytes(tmp_path, mode):
+    out = tmp_path / f"{mode}.jsonl"
+    cfgfile = write_config(tmp_path / "c.json", n=50, mode=mode, t_end=2.0, seed=11,
+                           rotation={"kind": "random"}, out=str(out))
+    h.run_experiment(h.load_config(cfgfile), quiet=True)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REDUCED_DIGESTS[mode]
 
 
 # sha256 of `kuramoto-sphere preset <name>` output at the default seeds, as
