@@ -123,9 +123,10 @@ def _centroid_ratio(d, t):
     integer m = c - a - b (DLMF 15.8.10), where a = 1 cancels the psi(n + m + 1)
     terms and leaves psi(n + d/2) - psi(n + 1) by recurrence from its value at
     n = 0.  Each dropped tail is bounded by _TAIL, so R is accurate to a few
-    units in the last place; a t that rounds to 1 returns 1.
+    units in the last place; a t that rounds to 1 returns 1, and so does a
+    NaN t, whose centroid stays NaN through z.
     """
-    if t >= 1.0:
+    if not t < 1.0:
         return 1.0
     b, c = 1.0 - d / 2.0, 1.0 + d / 2.0
     if d % 2 == 0 or t <= 0.5:
@@ -167,7 +168,12 @@ def order_parameter_closed_form(z, coupling=1.0):
     always parallel to z, with the normalizer F(...; 1) = d / (2(d - 1)).
     For d = 2 the ratio is identically 1 and the result is exactly K z.
     """
-    z = as_ball_point(z)
+    return _closed_form(as_ball_point(z), coupling)
+
+
+def _closed_form(z, coupling):
+    # unvalidated: the integrator's stage guard keeps z inside the ball, and a
+    # NaN stage gives a NaN derivative, which ends the run as "nonfinite"
     return coupling * _centroid_ratio(z.size, float(z @ z)) * z
 
 
@@ -266,11 +272,16 @@ class ContinuumState:
 
 def continuum_rhs(z, A, coupling):
     """z' = A z + (1 + |z|^2) Z(z) / 2 - <Z(z), z> z with the closed-form Z."""
-    z = np.asarray(z, dtype=float)
-    Z = order_parameter_closed_form(z, coupling)
+    A = None if A is None else np.asarray(A, dtype=float)
+    return _continuum_field(as_ball_point(z), A, coupling)
+
+
+def _continuum_field(z, A, coupling):
+    # continuum_rhs without validation, for the integrator's RK stages
+    Z = _closed_form(z, coupling)
     out = 0.5 * (1.0 + float(z @ z)) * Z - float(Z @ z) * z
     if A is not None:
-        out = out + np.asarray(A, dtype=float) @ z
+        out = out + A @ z
     return out
 
 
@@ -284,7 +295,7 @@ def integrate_continuum(state0, h, t_end, stride=1):
         raise TypeError("integrate_continuum expects a ContinuumState")
     A = state0.rotation
     K = state0.coupling
-    rhs = _inside_ball(lambda z: continuum_rhs(z, A, K), state0.z.size)
+    rhs = _inside_ball(lambda z: _continuum_field(z, A, K), state0.z.size)
     records, stop = _drive(rhs, state0.z, h, t_end, stride, lambda z: (z, 0.0, _boundary(z)))
     times, zs, _ = map(np.asarray, zip(*records))
     return _result((times, zs, stop[0] == "boundary"), stop)

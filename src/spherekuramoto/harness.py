@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -347,13 +347,30 @@ def _format_scalar(v):
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
+def _array_template(shape):
+    """The "%.17g" template nested to shape, in the list syntax of dumps_record."""
+    template = "%.17g"
+    for n in reversed(shape):
+        template = "[" + ", ".join([template] * n) + "]"
+    return template
+
+
 def dumps_record(obj):
     """Serialize to JSON with floats at 17 significant digits, keys in
-    insertion order."""
+    insertion order.
+
+    A nonempty float array is checked once and printed with one % operation;
+    "%.17g" % v and format(v, ".17g") are the same double formatter, so the
+    bytes equal the per-scalar path.
+    """
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {dumps_record(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.size:
+            if not np.isfinite(obj).all():
+                raise ConfigError("non-finite value cannot be serialized")
+            return _array_template(obj.shape) % tuple(obj.ravel().tolist())
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_record(v) for v in obj) + "]"
@@ -410,7 +427,10 @@ def _try_potential(w, ctx):
 class RunSummary:
     """steps is round(t / h) at the last record.  stop_reason is "end",
     "boundary" (a clean early stop at the ball boundary), or the abort
-    "drift" or "nonfinite", which also sets aborted."""
+    "drift" or "nonfinite", which also sets aborted.  phases holds the
+    seconds spent in "setup", "integrate", "diagnostics" (the record
+    builders) and "serialize" (writing the file); they sum to at most
+    wall_time."""
 
     mode: str
     steps: int
@@ -420,6 +440,7 @@ class RunSummary:
     out: str | None
     aborted: bool = False
     stop_reason: str = "end"
+    phases: dict = field(default_factory=dict)
 
 
 def _potential_context(cfg, base):
@@ -511,29 +532,35 @@ def run_experiment(cfg, quiet=False):
     RunSummary.  A run that stops early, cleanly at the ball boundary or on
     an abort, still writes its records up to the last accepted state.
     """
-    started = time.perf_counter()
+    marks = [time.perf_counter()]
     initial, integrate, rows = _MODE_TABLE[cfg.mode]
     state0 = initial(cfg)
+    marks.append(time.perf_counter())
     try:
         result, stop_reason = integrate(state0, cfg), None
     except IntegrationAbort as exc:
         result, stop_reason = exc.trajectory, exc.reason
+    marks.append(time.perf_counter())
     lines = [_header(cfg)] + [_record(*row) for row in rows(result, state0, cfg)]
     last_t = lines[-1]["t"]
     steps = round(last_t / cfg.h) if last_t else 0
     if stop_reason is None:  # a clean run reaches t_end or stops at the ball boundary
         stop_reason = "end" if steps == step_count(cfg.t_end, cfg.h) else "boundary"
 
+    marks.append(time.perf_counter())
     if cfg.out is not None:
         write_lines(cfg.out, lines)
-    wall = time.perf_counter() - started
+    marks.append(time.perf_counter())
+    phases = {name: b - a for name, a, b in
+              zip(("setup", "integrate", "diagnostics", "serialize"), marks, marks[1:])}
     final = {k: v for k, v in lines[-1].items() if k not in ("type", "state")}
-    summary = RunSummary(cfg.mode, steps, len(lines) - 1, final, wall, cfg.out,
-                         stop_reason in ("drift", "nonfinite"), stop_reason)
+    summary = RunSummary(cfg.mode, steps, len(lines) - 1, final, marks[-1] - marks[0], cfg.out,
+                         stop_reason in ("drift", "nonfinite"), stop_reason, phases)
     if not quiet:
         print(f"mode={summary.mode} steps={summary.steps} records={summary.records} "
               f"wall={summary.wall_time:.3f}s aborted={summary.aborted} "
               f"stop_reason={summary.stop_reason}")
+        print("phases: " + " ".join(f"{k}={v:.3f}s" for k, v in phases.items()))
         print("final: " + ", ".join(f"{k}={v}" for k, v in final.items()))
         if cfg.out:
             print(f"trajectory written to {cfg.out}")

@@ -3,9 +3,12 @@
 Each oracle is deliberately written along a different route than the code it
 checks: complex one-variable arithmetic for the planar boost, the simplified
 sphere-restricted boost formula, the classical angle form of the planar
-model, quadrature for the radial hyperbolic length, and a plain geometric
-series for the hypergeometric spot value.
+model, quadrature for the radial hyperbolic length, a plain geometric series for
+the hypergeometric spot value, and a per-scalar recursive formatter for the
+trajectory serializer.
 """
+import json
+
 import numpy as np
 from scipy.integrate import quad
 
@@ -59,3 +62,35 @@ def angles_to_plane(theta):
 def geometric_series(t, n_terms=5000):
     """Partial sum of sum_k t^k, the oracle for F(1, 1; 1; t)."""
     return float(sum(t**k for k in range(n_terms)))
+
+
+def _format_scalar_reference(v):
+    if v is None:
+        return "null"
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        v = float(v)
+        if not np.isfinite(v):
+            raise ValueError("non-finite value cannot be serialized")
+        return format(v, ".17g")
+    if isinstance(v, str):
+        return json.dumps(v)
+    raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+def dumps_record_reference(obj):
+    """Trajectory-line serializer one scalar at a time: JSON with floats at
+    17 significant digits and keys in insertion order."""
+    if isinstance(obj, dict):
+        inner = ", ".join(
+            f"{json.dumps(str(k))}: {dumps_record_reference(v)}" for k, v in obj.items()
+        )
+        return "{" + inner + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(dumps_record_reference(v) for v in obj) + "]"
+    return _format_scalar_reference(obj)

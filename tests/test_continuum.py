@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 from spherekuramoto import continuum as cont
+from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
 
 from oracles import geometric_series
@@ -327,3 +328,25 @@ def test_integrate_continuum_records_and_guard():
     norms = np.linalg.norm(zs, axis=1)
     assert np.all(np.diff(norms) > 0.0)  # positive coupling pushes outward
     assert not boundary
+
+
+def test_nonfinite_stage_aborts_as_nonfinite():
+    # K R(1/4) overflows to inf (R(0) = 4/3 at d = 3), so the first stage
+    # derivative is NaN; the integrator's field does not validate z, so the
+    # NaN must carry through the step and end the run as a non-finite abort,
+    # not as a GeometryError (or a hang in the series for R)
+    state = cont.ContinuumState(np.array([0.5, 0.0, 0.0]), 1.5e308, None)
+    with pytest.raises(dyn.IntegrationAbort) as info:
+        cont.integrate_continuum(state, 0.01, 1.0)
+    assert info.value.reason == "nonfinite"
+    times, zs, boundary = info.value.trajectory
+    assert list(times) == [0.0] and np.array_equal(zs[0], state.z) and not boundary
+
+
+def test_public_closed_forms_still_validate():
+    outside = np.array([0.8, 0.7, 0.0])
+    for call in (lambda: cont.order_parameter_closed_form(outside, 1.0),
+                 lambda: cont.continuum_rhs(outside, None, 1.0),
+                 lambda: cont.continuum_rhs(np.array([np.nan, 0.0, 0.0]), None, 1.0)):
+        with pytest.raises(geo.GeometryError):
+            call()

@@ -6,6 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import dumps_record_reference
 
 from spherekuramoto import cli
 from spherekuramoto import harness as h
@@ -97,6 +101,35 @@ def test_float_serialization_round_trips():
     line = h.dumps_record({"v": values})
     parsed = json.loads(line)["v"]
     assert parsed == values
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1e22, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1 / 3]
+
+
+def _filled(shape, seed=0):
+    a = np.random.default_rng(seed).normal(size=shape)
+    flat = a.reshape(-1)
+    flat[: min(flat.size, len(EDGE_VALUES))] = EDGE_VALUES[: flat.size]
+    return a
+
+
+@pytest.mark.parametrize("value", [
+    _filled(()), _filled((0,)), _filled((3,)), _filled((0, 3)), _filled((100, 3)),
+    _filled((4, 3, 3)), np.array(EDGE_VALUES), np.arange(-3, 9).reshape(4, 3),
+    np.array([[True, False], [False, True]]),
+    np.random.default_rng(1).normal(size=(10, 3)).astype(np.float32),
+], ids=lambda a: f"{a.dtype}{a.shape}")
+def test_dumps_record_matches_reference_formatter(value):
+    for obj in (value, {"t": 0.5, "state": value}, {"state": {"w": value, "zeta": value}}):
+        assert h.dumps_record(obj) == dumps_record_reference(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_dumps_record_matches_reference_on_random_arrays(value):
+    assert h.dumps_record({"v": value}) == dumps_record_reference({"v": value})
 
 
 def test_trajectory_file_round_trip(tmp_path):
@@ -315,6 +348,19 @@ def test_summary_steps_with_stride():
     assert summary.stop_reason == "end" and not summary.aborted
 
 
+def test_summary_phases_account_for_wall_time(tmp_path, capsys):
+    cfg = h.config_from_dict({
+        "d": 3, "n": 10, "mode": "full",
+        "h": 0.01, "t_end": 1.0, "stride": 10, "seed": 6, "out": str(tmp_path / "t.jsonl"),
+    })
+    summary = h.run_experiment(cfg)
+    assert list(summary.phases) == ["setup", "integrate", "diagnostics", "serialize"]
+    assert all(v >= 0.0 for v in summary.phases.values())
+    assert sum(summary.phases.values()) <= summary.wall_time
+    assert capsys.readouterr().out.count("phases: setup=") == 1
+    assert "phases" not in (tmp_path / "t.jsonl").read_text()
+
+
 def test_fig2_preset_weights_and_run(tmp_path):
     from dataclasses import replace
 
@@ -332,6 +378,11 @@ def test_serializer_rejects_nonfinite():
         h.dumps_record({"v": float("inf")})
     with pytest.raises(h.ConfigError):
         h.dumps_record({"v": [0.0, float("nan")]})
+    for bad in (float("nan"), float("inf")):
+        state = np.zeros((100, 3))
+        state[57, 1] = bad
+        with pytest.raises(h.ConfigError):
+            h.dumps_record({"v": state})
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,20 @@ def test_general_position_validation():
 # integration
 
 
+def test_initial_state_validates_its_base_once(monkeypatch):
+    x0, _, _ = make_system()
+    calls = []
+    original = red.validate_base_points
+    monkeypatch.setattr(red, "validate_base_points", lambda p: calls.append(1) or original(p))
+    s0 = red.initial_state(x0)
+    assert len(calls) == 1
+    assert np.array_equal(s0.base, x0) and np.array_equal(s0.zeta, np.eye(3))
+    assert np.array_equal(s0.w, np.zeros(3))
+    for bad, match in [(x0[0], "shape"), (x0[:2], "at least 3"), (2.0 * x0, "unit sphere")]:
+        with pytest.raises(geo.GeometryError, match=match):
+            red.initial_state(bad)
+
+
 def test_integrate_reduced_zero_time():
     x0, A, spec = make_system()
     s0 = red.initial_state(x0)
