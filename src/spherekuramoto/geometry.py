@@ -171,6 +171,11 @@ def boost_apply(w, x):
     is used for every input; it maps the closed ball to itself and restricts
     to a sphere-to-sphere map on the boundary.
 
+    Validates its input once, then calls _boost: w must be a finite vector
+    strictly inside the unit ball, x must match its dimension, and no
+    denominator may fall below 1e-300 in magnitude; each violation raises
+    GeometryError.
+
     Parameters
     ----------
     w : array, shape (d,)
@@ -184,18 +189,27 @@ def boost_apply(w, x):
     """
     w = as_ball_point(w)
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     pts = np.atleast_2d(x)
     if pts.shape[1] != w.size:
         raise GeometryError(f"dimension mismatch: boost in R^{w.size}, point in R^{pts.shape[1]}")
-    w2 = float(w @ w)
-    wx = pts @ w
-    x2 = np.einsum("ij,ij->i", pts, pts)
-    denom = 1.0 - 2.0 * wx + w2 * x2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out, denom = _boost(w, pts, np.einsum("ij,ij->i", pts, pts))
     if np.any(np.abs(denom) < 1e-300):
         raise GeometryError("boost denominator vanished; state is corrupted")
-    out = ((1.0 - w2) * pts - np.outer(1.0 - 2.0 * wx + x2, w)) / denom[:, None]
-    return out[0] if single else out
+    return out[0] if x.ndim == 1 else out
+
+
+def _boost(w, x, x2):
+    """boost_apply without validation, for right-hand sides run once per RK stage.
+
+    x is an (n, d) array and x2 its squared row norms; returns the images and
+    their denominators.  Precondition: |w| < 1 and unit rows.  Then each
+    denominator is |x_i - w|^2 >= (1 - |w|)^2 > 0, so nothing is checked here.
+    """
+    w2 = float(w @ w)
+    c = 1.0 - 2.0 * (x @ w)
+    denom = c + w2 * x2
+    return ((1.0 - w2) * x - (c + x2)[:, None] * w) / denom[:, None], denom
 
 
 @dataclass(frozen=True)

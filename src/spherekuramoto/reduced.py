@@ -25,6 +25,7 @@ from .dynamics import (
 from .geometry import (
     DISTINCT_TOL,
     GeometryError,
+    _boost,
     as_antisymmetric,
     as_ball_point,
     as_rotation,
@@ -172,7 +173,7 @@ def _check_equivariant(spec):
 
 
 def _wzeta_rhs_raw(w, zeta, base, A, spec):
-    boosted = boost_apply(w, base)  # M_w(p)
+    boosted, _ = _boost(w, base, np.einsum("ij,ij->i", base, base))  # M_w(p)
     Z0 = order_parameter(boosted, spec)  # equivariance: equals zeta^-1 Z at the configuration
     wdot = -0.5 * (1.0 - float(w @ w)) * Z0
     generator = -skew_pair_matrix(zeta @ w, zeta @ Z0)
@@ -197,7 +198,8 @@ def wzeta_rhs(state, A, spec):
 
 
 def _zzeta_rhs_raw(z, zeta, base, A, spec):
-    x = boost_apply(-z, base @ zeta.T)  # M_{-z}(zeta p)
+    x = base @ zeta.T
+    x, _ = _boost(-z, x, np.einsum("ij,ij->i", x, x))  # M_{-z}(zeta p)
     Z = order_parameter(x, spec)
     zdot = 0.5 * (1.0 + float(z @ z)) * Z - float(Z @ z) * z
     generator = skew_pair_matrix(z, Z)
@@ -361,8 +363,14 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
     weights = np.asarray(weights, dtype=float)
     if weights.size != base.shape[0]:
         raise GeometryError(f"{weights.size} weights for {base.shape[0]} base points")
-    rhs = _inside_ball(lambda w: w_rhs(w, base, weights), w0.size)
-    records, stop = _drive(rhs, w0, h, t_end, stride, lambda w: (w, 0.0, _boundary(w)))
+    x2 = np.einsum("ij,ij->i", base, base)
+
+    def rhs(w):  # w_rhs on the unvalidated kernel, with |base_i|^2 computed once
+        boosted, _ = _boost(w, base, x2)
+        return -0.5 * (1.0 - float(w @ w)) * (weights @ boosted)
+
+    records, stop = _drive(_inside_ball(rhs, w0.size), w0, h, t_end, stride,
+                           lambda w: (w, 0.0, _boundary(w)))
     times, ws, _ = map(np.asarray, zip(*records))
     return _result(WTrajectory(times, ws, stop[0] == "boundary"), stop)
 

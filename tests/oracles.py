@@ -4,8 +4,9 @@ Each oracle is deliberately written along a different route than the code it
 checks: complex one-variable arithmetic for the planar boost, the simplified
 sphere-restricted boost formula, the classical angle form of the planar
 model, quadrature for the radial hyperbolic length, a plain geometric series for
-the hypergeometric spot value, and a per-scalar recursive formatter for the
-trajectory serializer.
+the hypergeometric spot value, a per-scalar recursive formatter for the
+trajectory serializer, and a plain RK4 loop over the public, validating boost
+flow for the boost-only integrator.
 """
 import json
 
@@ -13,6 +14,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from spherekuramoto.dynamics import rk4_step
+from spherekuramoto.geometry import GeometryError
+from spherekuramoto.reduced import w_rhs
 
 
 def mobius_disc_complex(w, x):
@@ -94,3 +97,40 @@ def dumps_record_reference(obj):
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_record_reference(v) for v in obj) + "]"
     return _format_scalar_reference(obj)
+
+
+def integrate_w_reference(w0, base, weights, h, n_steps, stride=1):
+    """RK4 on the public w_rhs, one stage at a time: (times, ws, boundary_reached).
+
+    Records t = 0, every stride steps and the last step.  A step that lands
+    within 1e-12 of the unit sphere, or a stage that w_rhs rejects as outside
+    the ball, ends the run; the last accepted state is then recorded.
+    """
+    w = np.asarray(w0, dtype=float)
+    times, ws, last = [0.0], [w], 0
+
+    def f(v):
+        return w_rhs(v, base, weights)
+
+    for k in range(1, n_steps + 1):
+        try:
+            k1 = f(w)
+            k2 = f(w + (0.5 * h) * k1)
+            k3 = f(w + (0.5 * h) * k2)
+            k4 = f(w + h * k3)
+        except GeometryError:
+            boundary = True
+        else:
+            w_next = w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            boundary = float(np.linalg.norm(w_next)) >= 1.0 - 1e-12
+        if boundary:
+            if last < k - 1:
+                times.append((k - 1) * h)
+                ws.append(w)
+            return np.array(times), np.array(ws), True
+        w = w_next
+        if k % stride == 0 or k == n_steps:
+            times.append(k * h)
+            ws.append(w)
+            last = k
+    return np.array(times), np.array(ws), False

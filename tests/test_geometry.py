@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,18 @@ def test_boost_rejects_parameter_outside_ball():
         geo.boost_apply(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     with pytest.raises(geo.GeometryError):
         geo.boost_apply(np.array([1.2, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(geo.GeometryError, match="non-finite"):
+        geo.boost_apply(np.array([np.nan, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(geo.GeometryError, match="dimension mismatch"):
+        geo.boost_apply(np.array([0.1, 0.0, 0.0]), np.array([[0.0, 1.0]]))
+
+
+def test_boost_rejects_vanishing_denominator_without_warnings():
+    # x = w / |w|^2 is the point the boost sends to infinity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(geo.GeometryError, match="denominator"):
+            geo.boost_apply(np.array([0.5, 0.0]), np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 def test_boost_batch_matches_single():

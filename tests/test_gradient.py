@@ -59,6 +59,12 @@ def test_potential_two_formulas_agree():
         assert direct == pytest.approx(kernel, abs=1e-12)
 
 
+@pytest.mark.parametrize("w", [[0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [2.0, 0.0, 0.0]])
+def test_flow_rhs_rejects_boost_on_or_outside_the_sphere(w):
+    with pytest.raises(geo.GeometryError, match="outside the open unit ball"):
+        gr.flow_rhs(np.array(w), make_ctx())
+
+
 def test_potential_singular_near_base_point():
     ctx = make_ctx()
     w = ctx.base[0] * (1.0 - 1e-13)

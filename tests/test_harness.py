@@ -417,6 +417,21 @@ def test_cli_nonfinite_state_aborts_with_file(tmp_path):
     assert [r["t"] for r in records] == [0.0]
 
 
+@pytest.mark.parametrize("mode", ["full", "reduced_wzeta", "reduced_zzeta"])
+def test_nonfinite_stage_aborts_with_file_in_every_mode(tmp_path, mode):
+    # a rotation term of size 1e305 overflows the first RK step: every mode
+    # ends as a nonfinite abort (exit 3) that still writes its prefix
+    out = tmp_path / f"{mode}.jsonl"
+    huge = [[0.0, 1e305, 0.0], [-1e305, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    cfgfile = write_config(tmp_path / "c.json", mode=mode, seed=3,
+                           rotation={"kind": "explicit", "matrix": huge})
+    assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out), "--quiet"]) == 3
+    summary = h.run_experiment(h.load_config(cfgfile), quiet=True)
+    assert summary.aborted and summary.stop_reason == "nonfinite"
+    _, records = h.read_trajectory(out)
+    assert records[0]["t"] == 0.0
+
+
 def test_nonfinite_run_prints_no_numpy_warnings(tmp_path, capsys):
     cfgfile = write_config(tmp_path / "c.json", h=1e12, t_end=1e12, seed=1, projection=False)
     with warnings.catch_warnings():
@@ -429,8 +444,11 @@ def test_nonfinite_run_prints_no_numpy_warnings(tmp_path, capsys):
 
 # sha256 of small rotated reduced runs (n = 50, d = 3, h = 0.01, t_end = 2,
 # stride 10, seed 11), as written before the line builders stopped rebuilding
-# and revalidating a reduced state per record.
+# and revalidating a reduced state per record; reduced_w (which ignores the
+# rotation) as written before its right-hand side moved to the unvalidated
+# boost kernel.
 REDUCED_DIGESTS = {
+    "reduced_w": "8e60ca842844b647b866070b97b6f84378d213052531715a285ee9201f951257",
     "reduced_wzeta": "57f866f543175e6c5b38177c6b60d017a297cf3332d4fc746d59782c9952d141",
     "reduced_zzeta": "1b8ffc2da667e3aaefa4445b92b11758e7eb3ef7047974436358b052234a3b38",
 }

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import integrate_w_reference
 
 from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
@@ -240,6 +241,31 @@ def test_boost_norm_grows_monotonically_toward_synchrony():
     settled = norms[5:]  # skip the flat start at w = 0
     assert np.all(np.diff(settled) >= -1e-12)
     assert traj.boundary_reached or norms[-1] >= 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("h, n_steps, stride", [
+    (0.01, 4000, 1),  # forward: synchronizes and stops at the ball boundary
+    (-0.01, 4000, 1),  # backward: settles at the interior fixed point
+    (0.01, 1000, 7),  # stride 7 with a last step off the stride grid
+])
+def test_integrate_w_matches_plain_rk4_on_public_w_rhs(h, n_steps, stride):
+    # the integrator runs the unvalidated boost kernel; the reference runs
+    # the validating public w_rhs, so any difference in arithmetic shows
+    base = dyn.random_configuration(100, 3, 7000)
+    weights = dyn.equal_weights(100)
+    w0 = np.array([0.2, -0.3, 0.1])
+    traj = red.integrate_w(w0, base, weights, h, n_steps * h, stride)
+    times, ws, boundary = integrate_w_reference(w0, base, weights, h, n_steps, stride)
+    assert traj.boundary_reached == boundary == (h > 0 and stride == 1)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.ws, ws)
+
+
+@pytest.mark.parametrize("w", [[1.0, 0.0, 0.0], [0.0, -1.5, 0.0], [np.nan, 0.0, 0.0]])
+def test_w_rhs_rejects_boost_off_the_open_ball(w):
+    base = dyn.random_configuration(10, 3, 48)
+    with pytest.raises(geo.GeometryError):
+        red.w_rhs(np.array(w), base, dyn.equal_weights(10))
 
 
 def test_integrate_w_zero_time():
