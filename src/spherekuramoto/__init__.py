@@ -36,17 +36,14 @@ from .dynamics import (  # noqa: F401
     sync_metrics,
 )
 from .reduced import (  # noqa: F401
-    ReducedStateW,
-    ReducedStateZ,
+    ReducedState,
     basepoint_change,
     initial_state,
     integrate_reduced,
-    integrate_reduced_z,
     integrate_w,
     reconstruct,
+    reduced_rhs,
     w_rhs,
-    wzeta_rhs,
-    zzeta_rhs,
 )
 from .continuum import (  # noqa: F401
     ContinuumState,

@@ -16,7 +16,7 @@ import numpy as np
 # rk4_step stays importable from here: perfbench/selftest.py checks that the
 # tracer rebinds it in every module that holds it.
 from .dynamics import _boundary, _drive, _inside_ball, _result, rk4_step  # noqa: F401
-from .geometry import GeometryError, as_antisymmetric, as_ball_point, boost_apply
+from .geometry import GeometryError, _generator, as_antisymmetric, as_ball_point, boost_apply
 from .sampling import rng_from, uniform_sphere
 
 __all__ = [
@@ -278,11 +278,7 @@ def continuum_rhs(z, A, coupling):
 
 def _continuum_field(z, A, coupling):
     # continuum_rhs without validation, for the integrator's RK stages
-    Z = _closed_form(z, coupling)
-    out = 0.5 * (1.0 + float(z @ z)) * Z - float(Z @ z) * z
-    if A is not None:
-        out = out + A @ z
-    return out
+    return _generator(A, _closed_form(z, coupling), z)
 
 
 def integrate_continuum(state0, h, t_end, stride=1):

@@ -341,4 +341,12 @@ def infinitesimal_generator(A, Z, y):
     A = as_antisymmetric(A)
     Z = as_vector(Z, A.shape[0])
     y = as_vector(y, Z.size)
-    return A @ y - float(Z @ y) * y + 0.5 * (1.0 + float(y @ y)) * Z
+    return _generator(A, Z, y)
+
+
+def _generator(A, Z, y):
+    """infinitesimal_generator without validation, for right-hand sides run
+    once per RK stage: (1 + |y|^2) Z / 2 - <Z, y> y, plus A y unless A is None.
+    The rotation-first reduced flow and the mean-field flow share it."""
+    out = 0.5 * (1.0 + float(y @ y)) * Z - float(Z @ y) * y
+    return out if A is None else out + A @ y

@@ -32,17 +32,10 @@ from .dynamics import (
     random_configuration,
     step_count,
 )
-from .geometry import DISTINCT_TOL, GeometryError, boost_apply, cross_ratio, random_antisymmetric
+from .geometry import (DISTINCT_TOL, LEFT, RIGHT, GeometryError, MobiusMap, boost_apply,
+                       cross_ratio, mobius_apply, random_antisymmetric)
 from .gradient import PotentialContext, potential
-from .reduced import (
-    ReducedStateZ,
-    _configuration_w,
-    _configuration_z,
-    initial_state,
-    integrate_reduced,
-    integrate_reduced_z,
-    integrate_w,
-)
+from .reduced import ReducedState, initial_state, integrate_reduced, integrate_w
 from .sampling import rng_from, uniform_ball
 
 MODES = ("full", "reduced_w", "reduced_wzeta", "reduced_zzeta", "continuum")
@@ -453,8 +446,8 @@ def _potential_context(cfg, base):
 
 
 # Line builders: integrator result, initial state, cfg -> record rows
-# (t, state, Znorm, min_pair_dot, phi, drift).  The reduced builders
-# reconstruct from the record arrays: the base was validated once, when the
+# (t, state, Znorm, min_pair_dot, phi, drift).  The reduced builder
+# reconstructs from the record arrays: the base was validated once, when the
 # run's initial state was built.
 
 
@@ -472,23 +465,29 @@ def _w_rows(traj, base, cfg):
     return rows
 
 
-def _wzeta_rows(records, state0, cfg):
-    ctx = _potential_context(cfg, state0.base)
-    return [(r.t, {"w": r.w, "zeta": r.zeta}, r.Znorm,
-             min_pair_dot(_configuration_w(r.w, r.zeta, state0.base)),
-             _try_potential(r.w, ctx), r.ortho_residual) for r in records]
-
-
-def _zzeta_rows(records, state0, cfg):
-    return [(r.t, {"z": r.z, "zeta": r.zeta}, r.Znorm,
-             min_pair_dot(_configuration_z(r.z, r.zeta, state0.base)),
-             None, r.ortho_residual) for r in records]
+def _reduced_rows(records, state0, cfg):
+    # the state key names the form's boost; phi is the potential of w, so LEFT only
+    form, base = state0.form, state0.base
+    key, ctx = ("w", _potential_context(cfg, base)) if form == LEFT else ("z", None)
+    return [(r.t, {key: r.boost, "zeta": r.zeta}, r.Znorm,
+             min_pair_dot(mobius_apply(MobiusMap(r.zeta, r.boost, form), base)),
+             _try_potential(r.boost, ctx), r.ortho_residual) for r in records]
 
 
 def _continuum_rows(result, state0, cfg):
     times, zs, _ = result
     return [(t, {"z": z}, np.linalg.norm(order_parameter_closed_form(z, cfg.coupling)),
              None, None, None) for t, z in zip(times, zs)]
+
+
+def _reduced_mode(form):
+    """Mode-table entry of a reduced run in the given form, from boost 0 and zeta = I."""
+    return (
+        lambda cfg: ReducedState(np.zeros(cfg.d), np.eye(cfg.d), initial_configuration(cfg), form),
+        lambda state0, cfg: integrate_reduced(state0, resolve_rotation(cfg), resolve_spec(cfg),
+                                              cfg.h, cfg.t_end, cfg.stride),
+        _reduced_rows,
+    )
 
 
 # mode: (initial state of cfg, integrator of (initial state, cfg), line builder)
@@ -505,18 +504,8 @@ _MODE_TABLE = {
                                       cfg.h, cfg.t_end, cfg.stride),
         _w_rows,
     ),
-    "reduced_wzeta": (
-        lambda cfg: initial_state(initial_configuration(cfg)),
-        lambda state0, cfg: integrate_reduced(state0, resolve_rotation(cfg), resolve_spec(cfg),
-                                              cfg.h, cfg.t_end, cfg.stride),
-        _wzeta_rows,
-    ),
-    "reduced_zzeta": (
-        lambda cfg: ReducedStateZ(np.zeros(cfg.d), np.eye(cfg.d), initial_configuration(cfg)),
-        lambda state0, cfg: integrate_reduced_z(state0, resolve_rotation(cfg), resolve_spec(cfg),
-                                                cfg.h, cfg.t_end, cfg.stride),
-        _zzeta_rows,
-    ),
+    "reduced_wzeta": _reduced_mode(LEFT),
+    "reduced_zzeta": _reduced_mode(RIGHT),
     "continuum": (
         lambda cfg: ContinuumState(initial_continuum_z(cfg), cfg.coupling, resolve_rotation(cfg)),
         lambda state0, cfg: integrate_continuum(state0, cfg.h, cfg.t_end, cfg.stride),
@@ -637,7 +626,7 @@ def compare_full_reduced(cfg, quiet=False):
     for frec in full:
         rrec = reduced_at.get(frec.t)
         if rrec is not None:
-            x_rec = _configuration_w(rrec.w, rrec.zeta, x0)
+            x_rec = mobius_apply(MobiusMap(rrec.zeta, rrec.boost), x0)
             deviation = max(deviation, float(np.max(np.abs(frec.x - x_rec))))
 
     drift = 0.0

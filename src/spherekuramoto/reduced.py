@@ -1,9 +1,13 @@
 """Dynamics reduced to the Mobius group.
 
 A trajectory of the full system with one shared rotation term stays on the
-group orbit of its initial configuration, so it is determined by a boost
-vector w (or z) and a rotation.  This module integrates those coordinates,
-reconstructs full configurations from them, and handles base-point changes.
+group orbit of its initial configuration: x_i(t) = g(t)(base_i) for one
+Mobius map g(t).  ReducedState holds g as a boost and a rotation in either
+factorization of geometry.MobiusMap, boost-first (LEFT, x_i = zeta M_w(base_i))
+or rotation-first (RIGHT, x_i = M_{-z}(zeta base_i)).  This module integrates
+those coordinates in either form, reconstructs full configurations from them
+with geometry.mobius_apply, integrates the boost-only flow that decides
+synchrony, and handles base-point changes.
 """
 from __future__ import annotations
 
@@ -24,29 +28,28 @@ from .dynamics import (
 )
 from .geometry import (
     DISTINCT_TOL,
+    LEFT,
+    RIGHT,
     GeometryError,
+    MobiusMap,
     _boost,
+    _generator,
     as_antisymmetric,
     as_ball_point,
-    as_rotation,
     boost_apply,
     mobius_apply,
     nearest_rotation,
 )
 
 __all__ = [
-    "ReducedStateW",
-    "ReducedStateZ",
+    "ReducedState",
     "ReducedPoint",
-    "ReducedPointZ",
     "WTrajectory",
-    "integrate_reduced_z",
     "validate_base_points",
     "initial_state",
     "skew_pair_apply",
     "skew_pair_matrix",
-    "wzeta_rhs",
-    "zzeta_rhs",
+    "reduced_rhs",
     "w_rhs",
     "reconstruct",
     "integrate_reduced",
@@ -84,40 +87,27 @@ def validate_base_points(p):
 
 
 @dataclass(frozen=True)
-class ReducedStateW:
-    """Orbit coordinates (w, zeta): the configuration is x_i = zeta M_w(base_i)."""
+class ReducedState:
+    """Orbit coordinates: the configuration is x_i = g(base_i) with
+    g = MobiusMap(zeta, boost, form).
 
-    w: np.ndarray
+    form LEFT is boost-first, x_i = zeta M_w(base_i) with boost w; RIGHT is
+    rotation-first, x_i = M_{-z}(zeta base_i) with boost z.  Both factor the
+    same group element: (w, zeta) in LEFT is (-zeta w, zeta) in RIGHT.
+    """
+
+    boost: np.ndarray
     zeta: np.ndarray
     base: np.ndarray
+    form: str = LEFT
 
     def __post_init__(self):
         base = validate_base_points(self.base)
-        w = as_ball_point(self.w, base.shape[1])
-        zeta = as_rotation(self.zeta)
-        if zeta.shape[0] != base.shape[1]:
+        g = MobiusMap(self.zeta, self.boost, self.form)
+        if g.dim != base.shape[1]:
             raise GeometryError("rotation dimension does not match the base points")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "base", base)
-
-
-@dataclass(frozen=True)
-class ReducedStateZ:
-    """Orbit coordinates (z, zeta): the configuration is x_i = M_{-z}(zeta base_i)."""
-
-    z: np.ndarray
-    zeta: np.ndarray
-    base: np.ndarray
-
-    def __post_init__(self):
-        base = validate_base_points(self.base)
-        z = as_ball_point(self.z, base.shape[1])
-        zeta = as_rotation(self.zeta)
-        if zeta.shape[0] != base.shape[1]:
-            raise GeometryError("rotation dimension does not match the base points")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "boost", g.boost)
+        object.__setattr__(self, "zeta", g.rotation)
         object.__setattr__(self, "base", base)
 
 
@@ -128,7 +118,7 @@ def initial_state(x0):
     """
     x0 = np.asarray(x0, dtype=float)
     d = x0.shape[1] if x0.ndim == 2 else 0  # a bad shape fails base validation first
-    return ReducedStateW(np.zeros(d), np.eye(d), x0)
+    return ReducedState(np.zeros(d), np.eye(d), x0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,42 +172,37 @@ def _wzeta_rhs_raw(w, zeta, base, A, spec):
     return wdot, generator @ zeta
 
 
-def wzeta_rhs(state, A, spec):
-    """Time derivatives (w', zeta') of the boost-first orbit coordinates.
-
-    The coupling vector is evaluated at the reconstructed configuration
-    zeta M_w(p).  For the rotation-equivariant specs supported here it equals
-    zeta Z(M_w(p)), so w' = -(1 - |w|^2) Z(M_w(p)) / 2 is computed without
-    touching zeta at all; this is the same arithmetic path as w_rhs.
-    """
-    _check_equivariant(spec)
-    A = _shared_rotation_term(A, state.w.size)
-    if float(np.linalg.norm(state.w)) >= 1.0 - BOUNDARY_TOL:
-        raise GeometryError("boost parameter has reached the ball boundary")
-    return _wzeta_rhs_raw(state.w, state.zeta, state.base, A, spec)
-
-
 def _zzeta_rhs_raw(z, zeta, base, A, spec):
     x = base @ zeta.T
     x, _ = _boost(-z, x, np.einsum("ij,ij->i", x, x))  # M_{-z}(zeta p)
     Z = order_parameter(x, spec)
-    zdot = 0.5 * (1.0 + float(z @ z)) * Z - float(Z @ z) * z
     generator = skew_pair_matrix(z, Z)
     if A is not None:
-        zdot = zdot + A @ z
         generator = A + generator
-    return zdot, generator @ zeta
+    return _generator(A, Z, z), generator @ zeta
 
 
-def zzeta_rhs(state, A, spec):
-    """Time derivatives (z', zeta') of the rotation-first orbit coordinates:
-    z' = A z + (1 + |z|^2) Z / 2 - <Z, z> z and zeta' = (A + skew(z, Z)) zeta,
-    with Z evaluated at M_{-z}(zeta p)."""
+# Both are kept: the rotation-first integration is an independent check on
+# the boost-first one.
+_RAW_RHS = {LEFT: _wzeta_rhs_raw, RIGHT: _zzeta_rhs_raw}
+
+
+def reduced_rhs(state, A, spec):
+    """Time derivatives (boost', zeta') of orbit coordinates in either form.
+
+    LEFT: w' = -(1 - |w|^2) Z(M_w(p)) / 2 and zeta' = (A - skew(zeta w,
+    zeta Z(M_w(p)))) zeta.  The coupling vector at the configuration
+    zeta M_w(p) is zeta Z(M_w(p)) for the rotation-equivariant specs
+    supported here, so w' never touches zeta; it is the arithmetic of w_rhs.
+    RIGHT: z' = A z + (1 + |z|^2) Z / 2 - <Z, z> z, the Mobius generator of
+    geometry.infinitesimal_generator, and zeta' = (A + skew(z, Z)) zeta, with
+    Z evaluated at M_{-z}(zeta p).
+    """
     _check_equivariant(spec)
-    A = _shared_rotation_term(A, state.z.size)
-    if float(np.linalg.norm(state.z)) >= 1.0 - BOUNDARY_TOL:
+    A = _shared_rotation_term(A, state.boost.size)
+    if float(np.linalg.norm(state.boost)) >= 1.0 - BOUNDARY_TOL:
         raise GeometryError("boost parameter has reached the ball boundary")
-    return _zzeta_rhs_raw(state.z, state.zeta, state.base, A, spec)
+    return _RAW_RHS[state.form](state.boost, state.zeta, state.base, A, spec)
 
 
 def w_rhs(w, base, weights):
@@ -233,35 +218,44 @@ def w_rhs(w, base, weights):
 # reconstruction and integration
 
 
-def _configuration_w(w, zeta, base):
-    """x_i = zeta M_w(base_i), for a base validated once by the caller."""
-    return boost_apply(w, base) @ zeta.T
-
-
-def _configuration_z(z, zeta, base):
-    """x_i = M_{-z}(zeta base_i), for a base validated once by the caller."""
-    return boost_apply(-z, base @ zeta.T)
-
-
 def reconstruct(state):
     """Full configuration represented by reduced coordinates; rows on the sphere."""
-    if isinstance(state, ReducedStateW):
-        return _configuration_w(state.w, state.zeta, state.base)
-    if isinstance(state, ReducedStateZ):
-        return _configuration_z(state.z, state.zeta, state.base)
-    raise TypeError(f"cannot reconstruct from {state!r}")
+    if not isinstance(state, ReducedState):
+        raise TypeError(f"cannot reconstruct from {state!r}")
+    return mobius_apply(MobiusMap(state.zeta, state.boost, state.form), state.base)
 
 
-def _integrate_orbit(p0, zeta0, base, A, spec, raw_rhs, configuration, h, t_end, stride):
-    """RK4 on a (ball point p, rotation zeta) pair stacked into one vector.
+@dataclass(frozen=True)
+class ReducedPoint:
+    """One recorded instant of a reduced run, in the form of its initial state.
 
-    After each step the rotation is polar-projected back to SO(d) and its
-    pre-projection orthogonality residual recorded; p stops the run cleanly
-    at the ball boundary.  Returns ([(t, p, zeta, Znorm, residual)], stop).
+    ortho_residual is the pre-projection orthogonality defect of the rotation
+    at this step (zero at t = 0).
     """
+
+    t: float
+    boost: np.ndarray
+    zeta: np.ndarray
+    Znorm: float
+    ortho_residual: float
+
+
+def integrate_reduced(state0, A, spec, h, t_end, stride=1):
+    """RK4 on the orbit coordinates (boost, zeta) of state0, in its form,
+    stacked into one vector.
+
+    The rotation is polar-projected back to SO(d) after every step (the
+    projection residual is recorded).  The run stops cleanly, with its last
+    accepted state recorded, when the boost reaches the unit-sphere boundary
+    (|boost| >= 1 - BOUNDARY_TOL after a step, or an RK stage outside the
+    ball); a non-finite state raises IntegrationAbort carrying the prefix.
+    """
+    if not isinstance(state0, ReducedState):
+        raise TypeError("integrate_reduced expects orbit coordinates (ReducedState)")
     _check_equivariant(spec)
-    d = p0.size
+    base, form, d = state0.base, state0.form, state0.boost.size
     A = _shared_rotation_term(A, d)
+    raw_rhs = _RAW_RHS[form]
     eye = np.eye(d)
 
     def rhs(y):
@@ -275,65 +269,14 @@ def _integrate_orbit(p0, zeta0, base, A, spec, raw_rhs, configuration, h, t_end,
         residual = float(np.max(np.abs(zeta.T @ zeta - eye)))
         return np.concatenate([y[:d], nearest_rotation(zeta).ravel()]), residual, None
 
-    records, stop = _drive(_inside_ball(rhs, d), np.concatenate([p0, zeta0.ravel()]),
-                           h, t_end, stride, after_step)
-    rows = []
+    y0 = np.concatenate([state0.boost, state0.zeta.ravel()])
+    records, stop = _drive(_inside_ball(rhs, d), y0, h, t_end, stride, after_step)
+    points = []
     for t, y, residual in records:
-        p, zeta = y[:d], y[d:].reshape(d, d)
-        Z = order_parameter(configuration(p, zeta, base), spec)
-        rows.append((t, p, zeta, float(np.linalg.norm(Z)), residual))
-    return rows, stop
-
-
-@dataclass(frozen=True)
-class ReducedPoint:
-    """One recorded instant of a reduced run.
-
-    ortho_residual is the pre-projection orthogonality defect of the rotation
-    at this step (zero at t = 0).
-    """
-
-    t: float
-    w: np.ndarray
-    zeta: np.ndarray
-    Znorm: float
-    ortho_residual: float
-
-
-def integrate_reduced(state0, A, spec, h, t_end, stride=1):
-    """RK4 on the (w, zeta) pair.
-
-    The rotation is polar-projected back to SO(d) after every step (the
-    projection residual is recorded).  The run stops cleanly, with its last
-    accepted state recorded, when the boost reaches the unit-sphere boundary
-    (|w| >= 1 - BOUNDARY_TOL after a step, or an RK stage outside the ball);
-    a non-finite state raises IntegrationAbort carrying the prefix.
-    """
-    if not isinstance(state0, ReducedStateW):
-        raise TypeError("integrate_reduced expects boost-first coordinates (ReducedStateW)")
-    rows, stop = _integrate_orbit(state0.w, state0.zeta, state0.base, A, spec, _wzeta_rhs_raw,
-                                  _configuration_w, h, t_end, stride)
-    return _result([ReducedPoint(*row) for row in rows], stop)
-
-
-@dataclass(frozen=True)
-class ReducedPointZ:
-    """One recorded instant of a rotation-first reduced run."""
-
-    t: float
-    z: np.ndarray
-    zeta: np.ndarray
-    Znorm: float
-    ortho_residual: float
-
-
-def integrate_reduced_z(state0, A, spec, h, t_end, stride=1):
-    """RK4 on the (z, zeta) pair; same guards and recording as integrate_reduced."""
-    if not isinstance(state0, ReducedStateZ):
-        raise TypeError("integrate_reduced_z expects rotation-first coordinates (ReducedStateZ)")
-    rows, stop = _integrate_orbit(state0.z, state0.zeta, state0.base, A, spec, _zzeta_rhs_raw,
-                                  _configuration_z, h, t_end, stride)
-    return _result([ReducedPointZ(*row) for row in rows], stop)
+        boost, zeta = y[:d], y[d:].reshape(d, d)
+        Z = order_parameter(mobius_apply(MobiusMap(zeta, boost, form), base), spec)
+        points.append(ReducedPoint(t, boost, zeta, float(np.linalg.norm(Z)), residual))
+    return _result(points, stop)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def test_criterion_02_group_orbit_reduction(orbit_runs):
     worst = 0.0
     for d, (x0, full, reduced) in orbit_runs.items():
         for fr, rr in zip(full, reduced):
-            x = red.reconstruct(red.ReducedStateW(rr.w, rr.zeta, x0))
+            x = red.reconstruct(red.ReducedState(rr.boost, rr.zeta, x0))
             worst = max(worst, float(np.max(np.abs(fr.x - x))))
     check("criterion 2 group-orbit reduction", worst <= 1e-5,
           f"sup-norm deviation = {worst:.3e} for d in {{2,3,4}} (tol 1e-5)")

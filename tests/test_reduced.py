@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import integrate_w_reference
 
+from spherekuramoto import continuum as cont
 from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
 from spherekuramoto import reduced as red
@@ -53,8 +56,8 @@ def test_skew_pair_matrix_matches_apply_and_is_antisymmetric():
 
 def test_wzeta_at_origin_identity():
     x0, A, spec = make_system()
-    s = red.ReducedStateW(np.zeros(3), np.eye(3), x0)
-    wdot, zetadot = red.wzeta_rhs(s, A, spec)
+    s = red.ReducedState(np.zeros(3), np.eye(3), x0)
+    wdot, zetadot = red.reduced_rhs(s, A, spec)
     Zp = dyn.order_parameter(x0, spec)
     assert np.allclose(wdot, -0.5 * Zp, atol=1e-15)
     assert np.allclose(zetadot, A, atol=1e-15)
@@ -62,8 +65,8 @@ def test_wzeta_at_origin_identity():
 
 def test_zzeta_at_origin_identity():
     x0, A, spec = make_system()
-    s = red.ReducedStateZ(np.zeros(3), np.eye(3), x0)
-    zdot, zetadot = red.zzeta_rhs(s, A, spec)
+    s = red.ReducedState(np.zeros(3), np.eye(3), x0, geo.RIGHT)
+    zdot, zetadot = red.reduced_rhs(s, A, spec)
     Zp = dyn.order_parameter(x0, spec)
     assert np.allclose(zdot, A @ np.zeros(3) + 0.5 * Zp, atol=1e-15)
     assert np.allclose(zetadot, A, atol=1e-15)
@@ -76,7 +79,7 @@ def test_w_equation_is_rotation_free_component_bitwise():
     reference = red.w_rhs(w, x0, spec.weights)
     for _ in range(5):
         zeta = geo.random_rotation(3, rng)
-        wdot, _ = red.wzeta_rhs(red.ReducedStateW(w, zeta, x0), A, spec)
+        wdot, _ = red.reduced_rhs(red.ReducedState(w, zeta, x0), A, spec)
         assert np.array_equal(wdot, reference)
 
 
@@ -93,8 +96,8 @@ def test_zzeta_consistent_with_wzeta_by_product_rule():
     w = np.array([0.15, 0.2, -0.25])
     zeta = geo.random_rotation(3, rng)
     z = -(zeta @ w)
-    wdot, zetadot = red.wzeta_rhs(red.ReducedStateW(w, zeta, x0), A, spec)
-    zdot, _ = red.zzeta_rhs(red.ReducedStateZ(z, zeta, x0), A, spec)
+    wdot, zetadot = red.reduced_rhs(red.ReducedState(w, zeta, x0), A, spec)
+    zdot, _ = red.reduced_rhs(red.ReducedState(z, zeta, x0, geo.RIGHT), A, spec)
     assert np.max(np.abs(zdot - (-(zetadot @ w) - zeta @ wdot))) <= 1e-10
 
 
@@ -104,8 +107,8 @@ def test_zzeta_radial_growth_identity():
     rng = np.random.default_rng(5)
     z = np.array([0.3, -0.1, 0.2])
     zeta = geo.random_rotation(3, rng)
-    state = red.ReducedStateZ(z, zeta, x0)
-    zdot, _ = red.zzeta_rhs(state, A, spec)
+    state = red.ReducedState(z, zeta, x0, geo.RIGHT)
+    zdot, _ = red.reduced_rhs(state, A, spec)
     Z = dyn.order_parameter(red.reconstruct(state), spec)
     lhs = zdot @ z
     rhs = 0.5 * (1.0 - z @ z) * (Z @ z)
@@ -114,25 +117,41 @@ def test_zzeta_radial_growth_identity():
 
 def test_zzeta_radial_growth_identity_along_trajectory():
     x0, A, spec = make_system(8, 3, seed=201)
-    recs = red.integrate_reduced_z(
-        red.ReducedStateZ(np.zeros(3), np.eye(3), x0), A, spec, 0.01, 5.0, stride=50
+    recs = red.integrate_reduced(
+        red.ReducedState(np.zeros(3), np.eye(3), x0, geo.RIGHT), A, spec, 0.01, 5.0, stride=50
     )
     for rec in recs:
-        state = red.ReducedStateZ(rec.z, rec.zeta, x0)
-        zdot, _ = red.zzeta_rhs(state, A, spec)
+        state = red.ReducedState(rec.boost, rec.zeta, x0, geo.RIGHT)
+        zdot, _ = red.reduced_rhs(state, A, spec)
         Z = dyn.order_parameter(red.reconstruct(state), spec)
-        lhs = zdot @ rec.z
-        rhs = 0.5 * (1.0 - rec.z @ rec.z) * (Z @ rec.z)
+        lhs = zdot @ rec.boost
+        rhs = 0.5 * (1.0 - rec.boost @ rec.boost) * (Z @ rec.boost)
         assert abs(lhs - rhs) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_finite_n_and_continuum_share_one_generator(d):
+    # the rotation-first z' and the mean-field z' are one Mobius generator,
+    # fed the finite-N coupling vector and the closed-form centroid
+    x0, A, spec = make_system(12, d, seed=60 + d)
+    rng = np.random.default_rng(70 + d)
+    z = 0.7 * geo.random_rotation(d, rng)[0]
+    state = red.ReducedState(z, geo.random_rotation(d, rng), x0, geo.RIGHT)
+    zdot, _ = red.reduced_rhs(state, A, spec)
+    Z = dyn.order_parameter(red.reconstruct(state), spec)
+    assert np.array_equal(zdot, geo.infinitesimal_generator(A, Z, z))
+    K = 1.3
+    Zc = cont.order_parameter_closed_form(z, K)
+    assert np.array_equal(cont.continuum_rhs(z, A, K), geo.infinitesimal_generator(A, Zc, z))
 
 
 def test_reduced_rejects_per_particle_rotation_terms():
     x0, _, spec = make_system()
     rng = np.random.default_rng(6)
     stack = np.stack([geo.random_antisymmetric(3, rng) for _ in range(10)])
-    s = red.ReducedStateW(np.zeros(3), np.eye(3), x0)
+    s = red.ReducedState(np.zeros(3), np.eye(3), x0)
     with pytest.raises(geo.GeometryError):
-        red.wzeta_rhs(s, stack, spec)
+        red.reduced_rhs(s, stack, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +160,59 @@ def test_reduced_rejects_per_particle_rotation_terms():
 
 def test_reconstruct_identity_coordinates():
     x0, _, _ = make_system()
-    s = red.ReducedStateW(np.zeros(3), np.eye(3), x0)
+    s = red.ReducedState(np.zeros(3), np.eye(3), x0)
     assert np.max(np.abs(red.reconstruct(s) - x0)) <= 1e-15
 
 
 def test_reconstruct_stays_on_sphere_and_preserves_cross_ratios():
     x0, _, _ = make_system()
     rng = np.random.default_rng(7)
-    s = red.ReducedStateW(np.array([0.4, -0.2, 0.3]), geo.random_rotation(3, rng), x0)
+    s = red.ReducedState(np.array([0.4, -0.2, 0.3]), geo.random_rotation(3, rng), x0)
     x = red.reconstruct(s)
     assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-12
     for idx in ([0, 1, 2, 3], [2, 5, 7, 9], [1, 4, 6, 8]):
         before = geo.cross_ratio(*x0[idx])
         after = geo.cross_ratio(*x[idx])
         assert abs(before - after) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+def test_both_forms_reconstruct_one_configuration(d, radius, seed):
+    # (w, zeta) boost-first and (-zeta w, zeta) rotation-first are one Mobius map
+    rng = np.random.default_rng(seed)
+    p = dyn.random_configuration(7, d, 80 + d)
+    direction = rng.standard_normal(d)
+    w = radius * direction / np.linalg.norm(direction)
+    zeta = geo.random_rotation(d, rng)  # Haar on SO(d)
+    left = red.ReducedState(w, zeta, p)
+    right = red.ReducedState(-(zeta @ w), zeta, p, geo.RIGHT)
+    x_left, x_right = red.reconstruct(left), red.reconstruct(right)
+    assert np.max(np.abs(x_left - x_right)) <= 1e-12
+    for s, x in ((left, x_left), (right, x_right)):
+        assert np.array_equal(x, geo.mobius_apply(geo.MobiusMap(s.zeta, s.boost, s.form), p))
+
+
+@pytest.mark.parametrize("form", [geo.LEFT, geo.RIGHT])
+def test_reduced_state_validation(form):
+    x0 = dyn.random_configuration(6, 3, 49)
+    s = red.ReducedState(np.array([0.1, 0.2, -0.3]), np.eye(3), x0, form)
+    assert s.form == form
+    bad = [
+        (np.zeros(3), np.eye(3), x0, form.upper()),  # unknown form
+        (np.zeros(4), np.eye(4), x0, form),  # rotation dimension differs from the base's
+        (np.zeros(3), np.eye(2), x0, form),
+        (np.array([1.0, 0.0, 0.0]), np.eye(3), x0, form),  # |boost| >= 1
+        (np.array([0.0, 1.5, 0.0]), np.eye(3), x0, form),
+        (np.zeros(3), np.eye(3), x0[:2], form),  # fewer than 3 base points
+    ]
+    for args in bad:
+        with pytest.raises(geo.GeometryError):
+            red.ReducedState(*args)
+    _, A, spec = make_system(6, 3, seed=49)
+    for not_a_state in (x0, geo.MobiusMap(np.eye(3), np.zeros(3), form)):
+        with pytest.raises(TypeError):
+            red.integrate_reduced(not_a_state, A, spec, 0.01, 1.0)
 
 
 def test_general_position_validation():
@@ -184,7 +242,7 @@ def test_initial_state_validates_its_base_once(monkeypatch):
     s0 = red.initial_state(x0)
     assert len(calls) == 1
     assert np.array_equal(s0.base, x0) and np.array_equal(s0.zeta, np.eye(3))
-    assert np.array_equal(s0.w, np.zeros(3))
+    assert np.array_equal(s0.boost, np.zeros(3))
     for bad, match in [(x0[0], "shape"), (x0[:2], "at least 3"), (2.0 * x0, "unit sphere")]:
         with pytest.raises(geo.GeometryError, match=match):
             red.initial_state(bad)
@@ -195,7 +253,7 @@ def test_integrate_reduced_zero_time():
     s0 = red.initial_state(x0)
     recs = red.integrate_reduced(s0, A, spec, 0.01, 0.0)
     assert len(recs) == 1
-    assert np.array_equal(recs[0].w, s0.w)
+    assert np.array_equal(recs[0].boost, s0.boost)
     assert np.array_equal(recs[0].zeta, s0.zeta)
 
 
@@ -207,7 +265,7 @@ def test_reduction_reconstructs_full_trajectory(d):
     reduced = red.integrate_reduced(red.initial_state(x0), A, spec, h, t_end, stride=500)
     worst = 0.0
     for fr, rr in zip(full, reduced):
-        x = red.reconstruct(red.ReducedStateW(rr.w, rr.zeta, x0))
+        x = red.reconstruct(red.ReducedState(rr.boost, rr.zeta, x0))
         worst = max(worst, float(np.max(np.abs(fr.x - x))))
     assert worst <= 1e-5
 
@@ -216,12 +274,12 @@ def test_zzeta_integration_matches_wzeta_reconstruction():
     x0, A, spec = make_system(8, 3, seed=200)
     h, t_end = 1e-3, 1.0
     w_recs = red.integrate_reduced(red.initial_state(x0), A, spec, h, t_end, stride=250)
-    z_recs = red.integrate_reduced_z(
-        red.ReducedStateZ(np.zeros(3), np.eye(3), x0), A, spec, h, t_end, stride=250
+    z_recs = red.integrate_reduced(
+        red.ReducedState(np.zeros(3), np.eye(3), x0, geo.RIGHT), A, spec, h, t_end, stride=250
     )
     for wr, zr in zip(w_recs, z_recs):
-        xw = red.reconstruct(red.ReducedStateW(wr.w, wr.zeta, x0))
-        xz = red.reconstruct(red.ReducedStateZ(zr.z, zr.zeta, x0))
+        xw = red.reconstruct(red.ReducedState(wr.boost, wr.zeta, x0))
+        xz = red.reconstruct(red.ReducedState(zr.boost, zr.zeta, x0, geo.RIGHT))
         assert np.max(np.abs(xw - xz)) <= 1e-9
 
 
@@ -299,7 +357,7 @@ def test_basepoint_change_reconstruction_equality():
     zeta = geo.random_rotation(3, rng)
     m = geo.MobiusMap(geo.random_rotation(3, rng), np.array([0.2, 0.1, -0.3]))
 
-    target = red.reconstruct(red.ReducedStateW(w, zeta, x0))
+    target = red.reconstruct(red.ReducedState(w, zeta, x0))
     new_base = geo.mobius_apply(m, x0)
     new_base /= np.linalg.norm(new_base, axis=1)[:, None]
     w_new = red.basepoint_change(w, m)
