@@ -12,6 +12,7 @@ from .sampling import rng_from, uniform_sphere
 
 NORM_DRIFT_LIMIT = 1e-3  # unprojected runs abort beyond this
 BOUNDARY_TOL = 1e-12  # a ball coordinate with |y| >= 1 - BOUNDARY_TOL has reached the boundary
+NEAR_BOUNDARY = 0.1  # an RK stage leaves the ball as synchrony only from 1 - |y| <= this
 
 __all__ = [
     "SimulationError",
@@ -36,14 +37,14 @@ __all__ = [
 
 
 class SimulationError(RuntimeError):
-    """Integration failed (non-finite state or norm drift)."""
+    """Integration failed (non-finite state, norm drift or an unstable step)."""
 
 
 class IntegrationAbort(SimulationError):
     """Integration failure that still carries the valid prefix of the run.
 
     trajectory has the integrator's return type, cut at the last accepted
-    state; reason is "drift" or "nonfinite".
+    state; reason is "drift", "nonfinite" or "unstable".
     """
 
     def __init__(self, message, trajectory, reason):
@@ -231,51 +232,48 @@ class _LeftBall(Exception):
     """An RK stage left the open unit ball."""
 
 
-def _inside_ball(rhs, d):
-    """rhs that raises _LeftBall for a stage whose first d coordinates leave
-    the open unit ball; v.dot(v) >= 1 is exactly the fields' norm(v) >= 1."""
-
-    def guarded(y):
-        if y[:d].dot(y[:d]) >= 1.0:
-            raise _LeftBall
-        return rhs(y)
-
-    return guarded
-
-
-def _boundary(v):
-    """Stop reason of a ball coordinate after a step: None or "boundary"."""
-    return "boundary" if float(np.linalg.norm(v)) >= 1.0 - BOUNDARY_TOL else None
-
-
-def _drive(rhs, y0, h, t_end, stride, after_step):
+def _drive(rhs, y0, h, t_end, stride, ball, after_step=lambda y: (y, 0.0, None)):
     """Fixed-step RK4 from y0 under the stop contract of every integrator.
 
-    after_step(y) takes each new state and returns (y, info, stop): the state
-    as accepted (projected), a value recorded with it, and None or a reason
-    ("boundary", "drift") to reject the step and stop.  A stage raising
-    _LeftBall stops at "boundary", a non-finite step at "nonfinite".  Returns
-    (records, (reason, t)): (t, y, info) at t = 0, every stride steps, the
-    last step and, after an early stop, the last accepted state; reason is
-    "end" or the stop reason, t the time of the last or the rejected step.
+    The first ball coordinates of the state are a point of the open unit
+    ball (ball = 0: none); no other integration code tests it.  A step that
+    lands within BOUNDARY_TOL of the sphere stops at "boundary" (synchrony),
+    as does an RK stage leaving the ball from an accepted state within
+    NEAR_BOUNDARY of the sphere; from farther inside, that stage is a failed
+    step, "unstable".  A non-finite step stops at "nonfinite".  Otherwise
+    after_step(y) returns (y, info, stop): the state as accepted (projected),
+    a value recorded with it, and None or "drift" to stop.  Returns (records,
+    (reason, t)): (t, y, info) at t = 0, every stride steps, the last step
+    and, after an early stop, the last accepted state; reason is "end" or the
+    stop reason, t the time of the last or the rejected step.
     """
     n_steps = step_count(t_end, h)
     if int(stride) < 1:
         raise GeometryError("stride must be a positive integer")
     stride = int(stride)
+
+    def inside(y):  # v.dot(v) >= 1 is exactly norm(v) >= 1
+        if y[:ball].dot(y[:ball]) >= 1.0:
+            raise _LeftBall
+        return rhs(y)
+
     y, info, last = y0, 0.0, 0
     records = [(0.0, y.copy(), info)]
     # a run that overflows ends as "nonfinite", not with numpy warnings on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             try:
-                y_next = rk4_step(rhs, y, h)
+                y_next = rk4_step(inside if ball else rhs, y, h)
             except _LeftBall:
-                reason = "boundary"
+                near = 1.0 - float(np.linalg.norm(y[:ball])) <= NEAR_BOUNDARY
+                reason = "boundary" if near else "unstable"
             except SimulationError:
                 reason = "nonfinite"
             else:
-                y_next, info_next, reason = after_step(y_next)
+                if ball and float(np.linalg.norm(y_next[:ball])) >= 1.0 - BOUNDARY_TOL:
+                    reason = "boundary"
+                else:
+                    y_next, info_next, reason = after_step(y_next)
             if reason is not None:
                 if last < k - 1:
                     records.append(((k - 1) * h, y.copy(), info))
@@ -290,6 +288,7 @@ def _drive(rhs, y0, h, t_end, stride, after_step):
 _ABORTS = {
     "drift": f"norm drift exceeded {NORM_DRIFT_LIMIT:g} with projection off (integrator failure)",
     "nonfinite": "non-finite state after RK4 step",
+    "unstable": "an RK stage left the unit ball from far inside it (step too large)",
 }
 
 
@@ -344,7 +343,7 @@ def integrate_full(x0, A, spec, h, t_end, projection=True, stride=1):
             return x / norms[:, None], drift, None
         return x, drift, "drift" if drift > NORM_DRIFT_LIMIT else None
 
-    records, stop = _drive(lambda x: full_rhs(x, A, spec), x0, h, t_end, stride, after_step)
+    records, stop = _drive(lambda x: full_rhs(x, A, spec), x0, h, t_end, stride, 0, after_step)
     return _result([TrajectoryPoint(t, x, order_parameter(x, spec), dr)
                     for t, x, dr in records], stop)
 

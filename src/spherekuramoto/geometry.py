@@ -87,8 +87,8 @@ def as_ball_point(v, dim=None):
     return v
 
 
-def as_rotation(m, tol=ROTATION_TOL):
-    """Validate a matrix in SO(d): orthogonal within tol, determinant +1."""
+def as_rotation(m):
+    """Validate a matrix in SO(d): orthogonal and determinant +1 within ROTATION_TOL."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GeometryError(f"rotation must be square, got shape {m.shape}")
@@ -98,10 +98,10 @@ def as_rotation(m, tol=ROTATION_TOL):
         raise GeometryError("rotation has non-finite entries")
     d = m.shape[0]
     ortho = float(np.max(np.abs(m.T @ m - np.eye(d))))
-    if ortho > tol:
+    if ortho > ROTATION_TOL:
         raise GeometryError(f"matrix is not orthogonal (residual {ortho:.3e})")
     det = float(np.linalg.det(m))
-    if abs(det - 1.0) > max(tol, 1e-10):
+    if abs(det - 1.0) > ROTATION_TOL:
         raise GeometryError(f"matrix is not orientation-preserving (det = {det:.17g})")
     return m
 

@@ -18,6 +18,13 @@ from .reduced import integrate_w, validate_base_points, w_rhs
 from .sampling import rng_from, uniform_ball
 
 SINGULAR_TOL = 1e-12  # the potential is singular at the base points
+FLOW_STEP = 0.01  # RK4 step of the boost-flow runs that settle and classify
+SETTLE_TIME = 10.0  # backward time between flow-speed checks of the settle loop
+SETTLE_MAX_TIME = 400.0
+VELOCITY_TOL = 1e-8  # flow speed at which the settle loop hands over to Newton
+NEWTON_TOL = 1e-12
+MAX_NEWTON = 50
+JACOBIAN_STEP = 1e-5  # central-difference step of semiscaled_jacobian
 
 FORWARD_SYNC = "forward_sync"
 BACKWARD_INCOHERENT = "backward_incoherent"
@@ -175,13 +182,12 @@ def _weighted_centroid(w, ctx):
     return ctx.weights @ boost_apply(w, ctx.base)
 
 
-def find_fixed_point(ctx, seed=0, h=0.01, settle_time=10.0, max_time=400.0,
-                     velocity_tol=1e-8, newton_tol=1e-12, max_newton=50):
+def find_fixed_point(ctx, seed=0):
     """Locate the unique interior equilibrium of the boost flow.
 
     Backward-time integration (globally convergent for admissible weights)
     settles a seeded interior point near the equilibrium until the flow speed
-    drops below velocity_tol; Newton iterations on the weighted centroid map
+    drops below VELOCITY_TOL; Newton iterations on the weighted centroid map
     then polish it.  The linearization is reported after recentring the base
     so the fixed point sits at the origin.
 
@@ -196,11 +202,11 @@ def find_fixed_point(ctx, seed=0, h=0.01, settle_time=10.0, max_time=400.0,
     w = uniform_ball(ctx.d, rng_from(seed, 11), radius=0.5)
     elapsed = 0.0
     settled = False
-    while elapsed < max_time:
-        traj = integrate_w(w, ctx.base, ctx.weights, -abs(h), -abs(settle_time))
+    while elapsed < SETTLE_MAX_TIME:
+        traj = integrate_w(w, ctx.base, ctx.weights, -FLOW_STEP, -SETTLE_TIME)
         w = traj.final.copy()
-        elapsed += abs(settle_time)
-        if float(np.linalg.norm(flow_rhs(w, ctx))) < velocity_tol:
+        elapsed += SETTLE_TIME
+        if float(np.linalg.norm(flow_rhs(w, ctx))) < VELOCITY_TOL:
             settled = True
             break
     if not settled:
@@ -210,9 +216,9 @@ def find_fixed_point(ctx, seed=0, h=0.01, settle_time=10.0, max_time=400.0,
 
     fd = 1e-7
     converged = False
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         g = _weighted_centroid(w, ctx)
-        if float(np.linalg.norm(g)) <= newton_tol:
+        if float(np.linalg.norm(g)) <= NEWTON_TOL:
             converged = True
             break
         jac = np.empty((ctx.d, ctx.d))
@@ -224,7 +230,7 @@ def find_fixed_point(ctx, seed=0, h=0.01, settle_time=10.0, max_time=400.0,
         if float(np.linalg.norm(w)) >= 1.0:
             raise GradientError("Newton polish left the ball; no interior fixed point")
     if not converged:
-        raise GradientError(f"Newton polish did not reach |Z| <= {newton_tol:g}")
+        raise GradientError(f"Newton polish did not reach |Z| <= {NEWTON_TOL:g}")
 
     recentred = boost_apply(w, ctx.base)
     recentred = recentred / np.linalg.norm(recentred, axis=1)[:, None]
@@ -323,7 +329,7 @@ def semiscaled_polar_rhs(state, ctx):
     return _semiscaled_raw(state.r, state.u, state.anchor, ctx)
 
 
-def semiscaled_jacobian(ctx, anchor=0, step=1e-5):
+def semiscaled_jacobian(ctx, anchor=0):
     """Numeric Jacobian of the blow-up system at its saddle (r, u) = (0, p_a).
 
     Central differences in an orthonormal (radial, tangent) frame; the exact
@@ -346,8 +352,8 @@ def semiscaled_jacobian(ctx, anchor=0, step=1e-5):
     jac = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
-        e[j] = step
-        jac[:, j] = (field(e) - field(-e)) / (2.0 * step)
+        e[j] = JACOBIAN_STEP
+        jac[:, j] = (field(e) - field(-e)) / (2.0 * JACOBIAN_STEP)
     return jac
 
 
@@ -371,7 +377,7 @@ class LimitReport:
     dominant_index: int | None = None
 
 
-def classify_limits(ctx, direction, seed=0, horizon=40.0, h=0.01):
+def classify_limits(ctx, direction, seed=0, horizon=40.0):
     """Classify the long-time behaviour of the boost flow from a seeded start.
 
     direction "forward": the run synchronizes (forward_sync) when |w| reaches
@@ -387,7 +393,7 @@ def classify_limits(ctx, direction, seed=0, horizon=40.0, h=0.01):
         raise GeometryError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
     w0 = uniform_ball(ctx.d, rng_from(seed, 7), radius=0.5)
-    traj = integrate_w(w0, ctx.base, ctx.weights, sign * abs(h), sign * abs(horizon))
+    traj = integrate_w(w0, ctx.base, ctx.weights, sign * FLOW_STEP, sign * abs(horizon))
     w_end = traj.final
     x = boost_apply(w_end, ctx.base)  # reconstruction up to a rotation
     min_pair = min_pair_dot(x)

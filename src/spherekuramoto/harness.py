@@ -420,7 +420,8 @@ def _try_potential(w, ctx):
 class RunSummary:
     """steps is round(t / h) at the last record.  stop_reason is "end",
     "boundary" (a clean early stop at the ball boundary), or the abort
-    "drift" or "nonfinite", which also sets aborted.  phases holds the
+    "drift", "nonfinite" or "unstable" (an RK stage thrown out of the ball
+    from far inside it), which also sets aborted.  phases holds the
     seconds spent in "setup", "integrate", "diagnostics" (the record
     builders) and "serialize" (writing the file); they sum to at most
     wall_time."""
@@ -467,11 +468,14 @@ def _w_rows(traj, base, cfg):
 
 def _reduced_rows(records, state0, cfg):
     # the state key names the form's boost; phi is the potential of w, so LEFT only
-    form, base = state0.form, state0.base
+    form, base, spec = state0.form, state0.base, resolve_spec(cfg)
     key, ctx = ("w", _potential_context(cfg, base)) if form == LEFT else ("z", None)
-    return [(r.t, {key: r.boost, "zeta": r.zeta}, r.Znorm,
-             min_pair_dot(mobius_apply(MobiusMap(r.zeta, r.boost, form), base)),
-             _try_potential(r.boost, ctx), r.ortho_residual) for r in records]
+    rows = []
+    for r in records:
+        x = mobius_apply(MobiusMap(r.zeta, r.boost, form), base)
+        rows.append((r.t, {key: r.boost, "zeta": r.zeta}, np.linalg.norm(order_parameter(x, spec)),
+                     min_pair_dot(x), _try_potential(r.boost, ctx), r.ortho_residual))
+    return rows
 
 
 def _continuum_rows(result, state0, cfg):
@@ -526,9 +530,9 @@ def run_experiment(cfg, quiet=False):
     state0 = initial(cfg)
     marks.append(time.perf_counter())
     try:
-        result, stop_reason = integrate(state0, cfg), None
+        result, stop_reason, aborted = integrate(state0, cfg), None, False
     except IntegrationAbort as exc:
-        result, stop_reason = exc.trajectory, exc.reason
+        result, stop_reason, aborted = exc.trajectory, exc.reason, True
     marks.append(time.perf_counter())
     lines = [_header(cfg)] + [_record(*row) for row in rows(result, state0, cfg)]
     last_t = lines[-1]["t"]
@@ -544,7 +548,7 @@ def run_experiment(cfg, quiet=False):
               zip(("setup", "integrate", "diagnostics", "serialize"), marks, marks[1:])}
     final = {k: v for k, v in lines[-1].items() if k not in ("type", "state")}
     summary = RunSummary(cfg.mode, steps, len(lines) - 1, final, marks[-1] - marks[0], cfg.out,
-                         stop_reason in ("drift", "nonfinite"), stop_reason, phases)
+                         aborted, stop_reason, phases)
     if not quiet:
         print(f"mode={summary.mode} steps={summary.steps} records={summary.records} "
               f"wall={summary.wall_time:.3f}s aborted={summary.aborted} "

@@ -19,9 +19,7 @@ from .dynamics import (
     BOUNDARY_TOL,
     LinearWeighted,
     MeanField,
-    _boundary,
     _drive,
-    _inside_ball,
     _result,
     order_parameter,
     validate_configuration,
@@ -236,7 +234,6 @@ class ReducedPoint:
     t: float
     boost: np.ndarray
     zeta: np.ndarray
-    Znorm: float
     ortho_residual: float
 
 
@@ -245,10 +242,10 @@ def integrate_reduced(state0, A, spec, h, t_end, stride=1):
     stacked into one vector.
 
     The rotation is polar-projected back to SO(d) after every step (the
-    projection residual is recorded).  The run stops cleanly, with its last
-    accepted state recorded, when the boost reaches the unit-sphere boundary
-    (|boost| >= 1 - BOUNDARY_TOL after a step, or an RK stage outside the
-    ball); a non-finite state raises IntegrationAbort carrying the prefix.
+    projection residual is recorded).  The boost is the ball point of
+    dynamics._drive's stop contract: the run stops cleanly at the boundary
+    with its last accepted state recorded, and an abort raises
+    IntegrationAbort carrying the prefix.
     """
     if not isinstance(state0, ReducedState):
         raise TypeError("integrate_reduced expects orbit coordinates (ReducedState)")
@@ -263,20 +260,14 @@ def integrate_reduced(state0, A, spec, h, t_end, stride=1):
         return np.concatenate([pdot, zetadot.ravel()])
 
     def after_step(y):
-        if _boundary(y[:d]):
-            return y, 0.0, "boundary"
         zeta = y[d:].reshape(d, d)
         residual = float(np.max(np.abs(zeta.T @ zeta - eye)))
         return np.concatenate([y[:d], nearest_rotation(zeta).ravel()]), residual, None
 
     y0 = np.concatenate([state0.boost, state0.zeta.ravel()])
-    records, stop = _drive(_inside_ball(rhs, d), y0, h, t_end, stride, after_step)
-    points = []
-    for t, y, residual in records:
-        boost, zeta = y[:d], y[d:].reshape(d, d)
-        Z = order_parameter(mobius_apply(MobiusMap(zeta, boost, form), base), spec)
-        points.append(ReducedPoint(t, boost, zeta, float(np.linalg.norm(Z)), residual))
-    return _result(points, stop)
+    records, stop = _drive(rhs, y0, h, t_end, stride, d, after_step)
+    return _result([ReducedPoint(t, y[:d], y[d:].reshape(d, d), residual)
+                    for t, y, residual in records], stop)
 
 
 @dataclass(frozen=True)
@@ -296,10 +287,10 @@ class WTrajectory:
 def integrate_w(w0, base, weights, h, t_end, stride=1):
     """Integrate the boost-only flow with RK4.
 
-    Stops cleanly when |w| reaches 1 - BOUNDARY_TOL or an RK stage leaves the
-    ball: forward time drives the boost to the boundary in finite numerical
-    time once the population synchronizes, so this is an expected exit, not
-    an error.  The last accepted state is always recorded.
+    w is the ball point of dynamics._drive's stop contract.  Forward time
+    drives it to the boundary in finite numerical time once the population
+    synchronizes, so that stop is an expected exit, not an error.  The last
+    accepted state is always recorded.
     """
     base = validate_configuration(base)
     w0 = as_ball_point(w0, base.shape[1])
@@ -312,8 +303,7 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
         boosted, _ = _boost(w, base, x2)
         return -0.5 * (1.0 - float(w @ w)) * (weights @ boosted)
 
-    records, stop = _drive(_inside_ball(rhs, w0.size), w0, h, t_end, stride,
-                           lambda w: (w, 0.0, _boundary(w)))
+    records, stop = _drive(rhs, w0, h, t_end, stride, w0.size)
     times, ws, _ = map(np.asarray, zip(*records))
     return _result(WTrajectory(times, ws, stop[0] == "boundary"), stop)
 

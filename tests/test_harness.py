@@ -432,6 +432,28 @@ def test_nonfinite_stage_aborts_with_file_in_every_mode(tmp_path, mode):
     assert records[0]["t"] == 0.0
 
 
+@pytest.mark.parametrize("mode, scale", [
+    ("continuum", 500.0), ("continuum", 1e305), ("reduced_zzeta", 500.0),
+])
+def test_failed_step_aborts_as_unstable(tmp_path, mode, scale):
+    # |h| rho(A) = 5 exceeds RK4's stability bound 2 sqrt(2) on a rotation (and
+    # 1e305 overflows): an RK stage leaves the ball from far inside it, which
+    # is a failed step, not synchrony
+    out = tmp_path / f"{mode}.jsonl"
+    big = [[0.0, scale, 0.0], [-scale, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    extra = {"n": 3, "coupling": 1.0} if mode == "continuum" else {}
+    cfgfile = write_config(tmp_path / "c.json", mode=mode, seed=3,
+                           rotation={"kind": "explicit", "matrix": big}, **extra)
+    assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out), "--quiet"]) == 3
+    summary = h.run_experiment(h.load_config(cfgfile), quiet=True)
+    assert summary.aborted and summary.stop_reason == "unstable"
+    _, records = h.read_trajectory(out)
+    assert records[0]["t"] == 0.0
+    assert summary.records == len(records)
+    last = np.asarray(records[-1]["state"]["z"])
+    assert 1.0 - np.linalg.norm(last) > 0.1
+
+
 def test_nonfinite_run_prints_no_numpy_warnings(tmp_path, capsys):
     cfgfile = write_config(tmp_path / "c.json", h=1e12, t_end=1e12, seed=1, projection=False)
     with warnings.catch_warnings():
