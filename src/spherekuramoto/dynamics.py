@@ -10,7 +10,7 @@ import numpy as np
 from .geometry import GeometryError, as_antisymmetric
 from .sampling import rng_from, uniform_sphere
 
-NORM_DRIFT_LIMIT = 1e-3  # unprojected runs abort beyond this
+NORM_DRIFT_LIMIT = 1e-3  # largest drift of an unprojected run, or defect a projection may correct
 BOUNDARY_TOL = 1e-12  # a ball coordinate with |y| >= 1 - BOUNDARY_TOL has reached the boundary
 NEAR_BOUNDARY = 0.1  # an RK stage leaves the ball as synchrony only from 1 - |y| <= this
 
@@ -242,10 +242,11 @@ def _drive(rhs, y0, h, t_end, stride, ball, after_step=lambda y: (y, 0.0, None))
     NEAR_BOUNDARY of the sphere; from farther inside, that stage is a failed
     step, "unstable".  A non-finite step stops at "nonfinite".  Otherwise
     after_step(y) returns (y, info, stop): the state as accepted (projected),
-    a value recorded with it, and None or "drift" to stop.  Returns (records,
-    (reason, t)): (t, y, info) at t = 0, every stride steps, the last step
-    and, after an early stop, the last accepted state; reason is "end" or the
-    stop reason, t the time of the last or the rejected step.
+    a value recorded with it, and None, "drift" or "unstable" to stop.
+    Returns (records, (reason, t)): (t, y, info) at t = 0, every stride
+    steps, the last step and, after an early stop, the last accepted state;
+    reason is "end" or the stop reason, t the time of the last or the
+    rejected step.
     """
     n_steps = step_count(t_end, h)
     if int(stride) < 1:
@@ -288,7 +289,8 @@ def _drive(rhs, y0, h, t_end, stride, ball, after_step=lambda y: (y, 0.0, None))
 _ABORTS = {
     "drift": f"norm drift exceeded {NORM_DRIFT_LIMIT:g} with projection off (integrator failure)",
     "nonfinite": "non-finite state after RK4 step",
-    "unstable": "an RK stage left the unit ball from far inside it (step too large)",
+    "unstable": "step too large: an RK stage left the unit ball from far inside it, "
+                f"or a step needed a projection beyond {NORM_DRIFT_LIMIT:g}",
 }
 
 
@@ -319,9 +321,11 @@ def integrate_full(x0, A, spec, h, t_end, projection=True, stride=1):
 
     Records every stride steps plus the initial and final states.  With
     projection on, every particle is renormalized to unit length after each
-    step and the pre-projection drift is tracked; with projection off, drift
-    beyond NORM_DRIFT_LIMIT raises IntegrationAbort carrying the prefix, as
-    does a non-finite state.
+    step and the pre-projection drift is tracked; a step whose own drift
+    exceeds NORM_DRIFT_LIMIT is a failed step (abort "unstable").  With
+    projection off, drift beyond NORM_DRIFT_LIMIT is the abort "drift".  An
+    abort, like a non-finite state, raises IntegrationAbort carrying the
+    prefix.
 
     Parameters
     ----------
@@ -338,9 +342,10 @@ def integrate_full(x0, A, spec, h, t_end, projection=True, stride=1):
     def after_step(x):
         nonlocal drift
         norms = np.linalg.norm(x, axis=1)
-        drift = max(drift, float(np.max(np.abs(norms - 1.0))))
+        defect = float(np.max(np.abs(norms - 1.0)))
+        drift = max(drift, defect)
         if projection:
-            return x / norms[:, None], drift, None
+            return x / norms[:, None], drift, "unstable" if defect > NORM_DRIFT_LIMIT else None
         return x, drift, "drift" if drift > NORM_DRIFT_LIMIT else None
 
     records, stop = _drive(lambda x: full_rhs(x, A, spec), x0, h, t_end, stride, 0, after_step)

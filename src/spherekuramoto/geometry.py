@@ -212,6 +212,25 @@ def _boost(w, x, x2):
     return ((1.0 - w2) * x - (c + x2)[:, None] * w) / denom[:, None], denom
 
 
+def _coupling_sum(w, x, x2, a):
+    """sum_i a_i M_w(x_i) without forming the images M_w(x_i).
+
+    Same arguments and precondition as _boost, plus the weight vector a of
+    length n; returns the weighted sum of the images and their denominators.
+    Each image is ((1 - |w|^2) x_i - (c_i + |x_i|^2) w) / denom_i with
+    c_i = 1 - 2 <x_i, w>, so with q = a / denom the sum is
+
+        (1 - |w|^2) q @ x - <q, c + |x|^2> w,
+
+    two length-n vectors and one (n, d) matrix-vector product per call.
+    """
+    w2 = float(w @ w)
+    c = 1.0 - 2.0 * (x @ w)
+    denom = c + w2 * x2
+    q = a / denom
+    return (1.0 - w2) * (q @ x) - float(q @ (c + x2)) * w, denom
+
+
 @dataclass(frozen=True)
 class MobiusMap:
     """Orientation-preserving isometry of the hyperbolic ball.
@@ -318,13 +337,23 @@ def cross_ratio(a, b, c, e):
     Each point enters the numerator and denominator once, so the conformal
     factors of a Mobius map cancel and the value is invariant when the same
     map is applied to all four points.
+
+    Validates its input, then calls _cross_ratio: each point must lie within
+    SPHERE_TOL of the sphere and no two within DISTINCT_TOL of each other;
+    each violation raises GeometryError.
     """
     pts = [as_sphere_point(p) for p in (a, b, c, e)]
     for i in range(4):
         for j in range(i + 1, 4):
             if float(np.linalg.norm(pts[i] - pts[j])) <= DISTINCT_TOL:
                 raise GeometryError("cross-ratio requires four pairwise distinct points")
-    a, b, c, e = pts
+    return _cross_ratio(*pts)
+
+
+def _cross_ratio(a, b, c, e):
+    """cross_ratio without validation, for points of a recorded trajectory that
+    may have drifted off the sphere by up to the integrator's drift limit.
+    Precondition: four pairwise distinct vectors."""
     return float(
         np.linalg.norm(a - c) * np.linalg.norm(b - e)
         / (np.linalg.norm(a - e) * np.linalg.norm(b - c))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import (
     BOUNDARY_TOL,
+    NORM_DRIFT_LIMIT,
     LinearWeighted,
     MeanField,
     _drive,
@@ -25,16 +26,16 @@ from .dynamics import (
     validate_configuration,
 )
 from .geometry import (
-    DISTINCT_TOL,
     LEFT,
     RIGHT,
     GeometryError,
     MobiusMap,
     _boost,
+    _coupling_sum,
     _generator,
     as_antisymmetric,
     as_ball_point,
-    boost_apply,
+    boost_apply,  # noqa: F401  (unused here; perfbench/tracing.py rebinds reduced.boost_apply)
     mobius_apply,
     nearest_rotation,
 )
@@ -63,15 +64,19 @@ def validate_base_points(p):
     Required: unit rows, pairwise Euclidean distance above DISTINCT_TOL, and
     at least three distinct directions up to sign (otherwise the orbit
     coordinates are not unique).
+
+    The distance test reads the gram matrix: |p_i - p_j|^2 = 2 - 2 g_ij, and
+    for every double g < 1 the computed 2 - 2g is at least 2^-52, far above
+    DISTINCT_TOL^2, so a pair fails exactly when g_ij >= 1.  Pairs closer than
+    about 1e-8, whose gram entry rounds to 1, are therefore rejected too.
     """
     p = validate_configuration(p)
     n = p.shape[0]
     if n < 3:
         raise GeometryError("base configurations need at least 3 points")
     gram = p @ p.T
-    d2 = np.maximum(2.0 - 2.0 * gram, 0.0)
-    iu = np.triu_indices(n, 1)
-    if float(np.min(d2[iu])) <= DISTINCT_TOL**2:
+    np.fill_diagonal(gram, -np.inf)
+    if float(np.max(gram)) >= 1.0:
         raise GeometryError("base points must be pairwise distinct (distance > 1e-10)")
     reps = []
     for row in p:
@@ -153,21 +158,20 @@ def _shared_rotation_term(A, d):
     return as_antisymmetric(A, d)
 
 
-def _check_equivariant(spec):
-    # Rotation equivariance zeta Z(p) = Z(zeta p) is what lets the boost
-    # equation drop the rotation; both supported specs are linear, hence fine.
-    if not isinstance(spec, (LinearWeighted, MeanField)):
+def _coupling_weights(spec, n):
+    """Weights a with Z(x) = a @ x for n particles: spec.weights, or K/N each
+    for MeanField.
+
+    Rotation equivariance zeta Z(p) = Z(zeta p) is what lets the boost
+    equation drop the rotation; both supported specs are linear, hence fine.
+    """
+    if isinstance(spec, MeanField):
+        return np.full(n, spec.coupling / n)
+    if not isinstance(spec, LinearWeighted):
         raise GeometryError(f"order parameter spec {spec!r} is not rotation-equivariant")
-
-
-def _wzeta_rhs_raw(w, zeta, base, A, spec):
-    boosted, _ = _boost(w, base, np.einsum("ij,ij->i", base, base))  # M_w(p)
-    Z0 = order_parameter(boosted, spec)  # equivariance: equals zeta^-1 Z at the configuration
-    wdot = -0.5 * (1.0 - float(w @ w)) * Z0
-    generator = -skew_pair_matrix(zeta @ w, zeta @ Z0)
-    if A is not None:
-        generator = A + generator
-    return wdot, generator @ zeta
+    if spec.weights.size != n:
+        raise GeometryError(f"{spec.weights.size} weights for {n} particles")
+    return spec.weights
 
 
 def _zzeta_rhs_raw(z, zeta, base, A, spec):
@@ -180,9 +184,29 @@ def _zzeta_rhs_raw(z, zeta, base, A, spec):
     return _generator(A, Z, z), generator @ zeta
 
 
-# Both are kept: the rotation-first integration is an independent check on
-# the boost-first one.
-_RAW_RHS = {LEFT: _wzeta_rhs_raw, RIGHT: _zzeta_rhs_raw}
+def _orbit_rhs(form, base, A, spec):
+    """(boost, zeta) -> (boost', zeta') for orbit coordinates over base in the
+    given form; A is validated.  The weights and |p_i|^2 are computed here,
+    once per run, not in every RK stage.
+
+    LEFT sums Z(M_w(p)) with the fused kernel geometry._coupling_sum; RIGHT
+    boosts the rotated points and takes their order parameter.  Both are
+    kept: the rotation-first integration is an independent check on the
+    boost-first one.
+    """
+    a = _coupling_weights(spec, base.shape[0])
+    if form == RIGHT:
+        return lambda z, zeta: _zzeta_rhs_raw(z, zeta, base, A, spec)
+    x2 = np.einsum("ij,ij->i", base, base)
+
+    def wzeta(w, zeta):
+        Z0, _ = _coupling_sum(w, base, x2, a)  # equivariance: equals zeta^-1 Z at the configuration
+        generator = -skew_pair_matrix(zeta @ w, zeta @ Z0)
+        if A is not None:
+            generator = A + generator
+        return -0.5 * (1.0 - float(w @ w)) * Z0, generator @ zeta
+
+    return wzeta
 
 
 def reduced_rhs(state, A, spec):
@@ -196,20 +220,36 @@ def reduced_rhs(state, A, spec):
     geometry.infinitesimal_generator, and zeta' = (A + skew(z, Z)) zeta, with
     Z evaluated at M_{-z}(zeta p).
     """
-    _check_equivariant(spec)
     A = _shared_rotation_term(A, state.boost.size)
     if float(np.linalg.norm(state.boost)) >= 1.0 - BOUNDARY_TOL:
         raise GeometryError("boost parameter has reached the ball boundary")
-    return _RAW_RHS[state.form](state.boost, state.zeta, state.base, A, spec)
+    return _orbit_rhs(state.form, state.base, A, spec)(state.boost, state.zeta)
 
 
 def w_rhs(w, base, weights):
     """Boost-only flow for linear coupling:
     w' = -(1 - |w|^2) sum_i a_i M_w(p_i) / 2.  The rotation drops out, so this
-    d-dimensional equation alone decides synchrony versus incoherence."""
-    w = np.asarray(w, dtype=float)
+    d-dimensional equation alone decides synchrony versus incoherence.
+
+    Validates like geometry.boost_apply: w must be a finite vector strictly
+    inside the unit ball, base must match its dimension, there must be one
+    weight per base point, and no boost denominator may fall below 1e-300 in
+    magnitude; each violation raises GeometryError.  The sum itself is the
+    fused kernel geometry._coupling_sum, the same arithmetic that integrate_w
+    and the boost-first reduced_rhs run in every RK stage.
+    """
+    w = as_ball_point(w)
+    base = np.atleast_2d(np.asarray(base, dtype=float))
+    if base.shape[1] != w.size:
+        raise GeometryError(f"dimension mismatch: boost in R^{w.size}, point in R^{base.shape[1]}")
     weights = np.asarray(weights, dtype=float)
-    return -0.5 * (1.0 - float(w @ w)) * (weights @ boost_apply(w, base))
+    if weights.shape != (base.shape[0],):
+        raise GeometryError(f"{weights.size} weights for {base.shape[0]} base points")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Z0, denom = _coupling_sum(w, base, np.einsum("ij,ij->i", base, base), weights)
+    if np.any(np.abs(denom) < 1e-300):
+        raise GeometryError("boost denominator vanished; state is corrupted")
+    return -0.5 * (1.0 - float(w @ w)) * Z0
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +282,27 @@ def integrate_reduced(state0, A, spec, h, t_end, stride=1):
     stacked into one vector.
 
     The rotation is polar-projected back to SO(d) after every step (the
-    projection residual is recorded).  The boost is the ball point of
-    dynamics._drive's stop contract: the run stops cleanly at the boundary
-    with its last accepted state recorded, and an abort raises
-    IntegrationAbort carrying the prefix.
+    projection residual is recorded); a step whose residual exceeds
+    NORM_DRIFT_LIMIT is a failed step, the abort "unstable".  The boost is
+    the ball point of dynamics._drive's stop contract: the run stops cleanly
+    at the boundary with its last accepted state recorded, and an abort
+    raises IntegrationAbort carrying the prefix.
     """
     if not isinstance(state0, ReducedState):
         raise TypeError("integrate_reduced expects orbit coordinates (ReducedState)")
-    _check_equivariant(spec)
     base, form, d = state0.base, state0.form, state0.boost.size
-    A = _shared_rotation_term(A, d)
-    raw_rhs = _RAW_RHS[form]
+    raw_rhs = _orbit_rhs(form, base, _shared_rotation_term(A, d), spec)
     eye = np.eye(d)
 
     def rhs(y):
-        pdot, zetadot = raw_rhs(y[:d], y[d:].reshape(d, d), base, A, spec)
+        pdot, zetadot = raw_rhs(y[:d], y[d:].reshape(d, d))
         return np.concatenate([pdot, zetadot.ravel()])
 
     def after_step(y):
         zeta = y[d:].reshape(d, d)
         residual = float(np.max(np.abs(zeta.T @ zeta - eye)))
+        if residual > NORM_DRIFT_LIMIT:
+            return y, residual, "unstable"
         return np.concatenate([y[:d], nearest_rotation(zeta).ravel()]), residual, None
 
     y0 = np.concatenate([state0.boost, state0.zeta.ravel()])
@@ -300,8 +341,7 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
     x2 = np.einsum("ij,ij->i", base, base)
 
     def rhs(w):  # w_rhs on the unvalidated kernel, with |base_i|^2 computed once
-        boosted, _ = _boost(w, base, x2)
-        return -0.5 * (1.0 - float(w @ w)) * (weights @ boosted)
+        return -0.5 * (1.0 - float(w @ w)) * _coupling_sum(w, base, x2, weights)[0]
 
     records, stop = _drive(rhs, w0, h, t_end, stride, w0.size)
     times, ws, _ = map(np.asarray, zip(*records))

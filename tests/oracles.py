@@ -5,8 +5,9 @@ checks: complex one-variable arithmetic for the planar boost, the simplified
 sphere-restricted boost formula, the classical angle form of the planar
 model, quadrature for the radial hyperbolic length, a plain geometric series for
 the hypergeometric spot value, a per-scalar recursive formatter for the
-trajectory serializer, and a plain RK4 loop over the public, validating boost
-flow for the boost-only integrator.
+trajectory serializer, a plain RK4 loop over the public, validating boost
+flow for the boost-only integrator, and the weighted sum of the boosted image
+array for the fused coupling-sum kernel.
 """
 import json
 
@@ -14,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from spherekuramoto.dynamics import rk4_step
-from spherekuramoto.geometry import GeometryError
+from spherekuramoto.geometry import GeometryError, boost_apply
 from spherekuramoto.reduced import w_rhs
 
 
@@ -97,6 +98,11 @@ def dumps_record_reference(obj):
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_record_reference(v) for v in obj) + "]"
     return _format_scalar_reference(obj)
+
+
+def coupling_sum_reference(w, base, a):
+    """sum_i a_i M_w(p_i) from the (N, d) array of boosted images."""
+    return np.asarray(a, dtype=float) @ boost_apply(w, base)
 
 
 def integrate_w_reference(w0, base, weights, h, n_steps, stride=1):

@@ -1,11 +1,15 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherekuramoto import geometry as geo
 
-from oracles import boost_sphere_form, mobius_disc_complex, radial_hyperbolic_length
+from oracles import (boost_sphere_form, coupling_sum_reference, mobius_disc_complex,
+                     radial_hyperbolic_length)
 
 
 def random_ball(rng, d, rmax=0.9):
@@ -95,6 +99,62 @@ def test_boost_batch_matches_single():
     batch = geo.boost_apply(w, xs)
     for i in range(6):
         assert np.allclose(batch[i], geo.boost_apply(w, xs[i]), atol=1e-15, rtol=0)
+
+
+def coupling_sum(w, base, a):
+    return geo._coupling_sum(w, base, np.einsum("ij,ij->i", base, base), a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5), st.integers(3, 200), st.floats(0.0, 0.99), st.integers(0, 2**32 - 1))
+def test_coupling_sum_matches_image_array_sum(d, n, radius, seed):
+    rng = np.random.default_rng(seed)
+    base = np.array([random_sphere(rng, d) for _ in range(n)])
+    w = radius * random_sphere(rng, d)
+    a = rng.random(n) + 1e-3
+    a /= a.sum()
+    fused, denom = coupling_sum(w, base, a)
+    assert np.max(np.abs(fused - coupling_sum_reference(w, base, a))) <= 1e-13
+    diff = base - w
+    assert np.allclose(denom, np.einsum("ij,ij->i", diff, diff), rtol=0, atol=1e-14)
+
+
+def _coupling_sum_mp(w, base, a):
+    """sum_i a_i M_w(p_i) at 40 digits from the same double inputs."""
+    with mpmath.workdps(40):
+        wm = [mpmath.mpf(float(v)) for v in w]
+        w2 = sum(v * v for v in wm)
+        total = [mpmath.mpf(0)] * len(wm)
+        for p, ai in zip(base, a):
+            pm = [mpmath.mpf(float(v)) for v in p]
+            pw = sum(x * y for x, y in zip(pm, wm))
+            p2 = sum(x * x for x in pm)
+            scale = mpmath.mpf(float(ai)) / (1 - 2 * pw + w2 * p2)
+            total = [t + scale * ((1 - w2) * x - (1 - 2 * pw + p2) * y)
+                     for t, x, y in zip(total, pm, wm)]
+        return np.array([float(t) for t in total])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("gap", [1e-3, 1e-6])
+def test_coupling_sum_error_near_a_base_point(d, gap):
+    # w at 1 - gap toward base point 0: that term's denominator |p_0 - w|^2
+    # has relative error ~eps / gap^2, which both forms share.  The fused
+    # form also rounds terms of size |q_i| (1 - |w|^2) that cancel to the
+    # image, so it may add about sqrt(n) eps times their sum S.
+    n = 40
+    rng = np.random.default_rng(900 + d)
+    base = np.array([random_sphere(rng, d) for _ in range(n)])
+    a = rng.random(n) + 0.1
+    a /= a.sum()
+    w = (1.0 - gap) * base[0]
+    exact = _coupling_sum_mp(w, base, a)
+    fused, denom = coupling_sum(w, base, a)
+    fused_err = np.max(np.abs(fused - exact))
+    image_err = np.max(np.abs(coupling_sum_reference(w, base, a) - exact))
+    c_plus_x2 = 2.0 - 2.0 * (base @ w)
+    S = float(np.abs(a / denom) @ ((1.0 - w @ w) + np.abs(c_plus_x2) * np.linalg.norm(w)))
+    assert fused_err <= 1.01 * image_err + 1e-15 + np.sqrt(n) * np.finfo(float).eps * S
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +353,18 @@ def test_cross_ratio_rejects_coincident_points():
     c = np.array([-1.0, 0.0])
     with pytest.raises(geo.GeometryError):
         geo.cross_ratio(a, b, c, a + 0.0)
+
+
+def test_cross_ratio_kernel_skips_the_sphere_check():
+    # a recorded unprojected state drifts off the sphere: the kernel still
+    # evaluates it, with the validated function's arithmetic
+    pts = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0]),
+           np.array([0.6, -0.8])]
+    assert geo._cross_ratio(*pts) == geo.cross_ratio(*pts)
+    off = [p * (1.0 + 1e-9) for p in pts]
+    with pytest.raises(geo.GeometryError, match="off the unit sphere"):
+        geo.cross_ratio(*off)
+    assert geo._cross_ratio(*off) == pytest.approx(geo.cross_ratio(*pts), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,35 @@ def test_failed_step_aborts_as_unstable(tmp_path, mode, scale):
     assert 1.0 - np.linalg.norm(last) > 0.1
 
 
+@pytest.mark.parametrize("mode", ["full", "reduced_wzeta"])
+def test_projected_step_too_large_aborts_as_unstable(tmp_path, mode):
+    # the projection would hide the wrecked step (a pre-projection defect of
+    # 40 in full, 466 in reduced_wzeta): a step needing a correction beyond
+    # NORM_DRIFT_LIMIT is a failed step, not a state to renormalize
+    out = tmp_path / f"{mode}.jsonl"
+    big = [[0.0, 500.0, 0.0], [-500.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    cfgfile = write_config(tmp_path / "c.json", mode=mode, seed=3,
+                           rotation={"kind": "explicit", "matrix": big})
+    assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out), "--quiet"]) == 3
+    summary = h.run_experiment(h.load_config(cfgfile), quiet=True)
+    assert summary.aborted and summary.stop_reason == "unstable"
+    _, records = h.read_trajectory(out)
+    assert records[0]["t"] == 0.0
+    assert summary.records == len(records)
+    assert all(r["drift"] <= 1e-3 for r in records)
+
+
+def test_compare_measures_cross_ratios_of_an_unprojected_run(tmp_path, capsys):
+    # the full run drifts off the sphere by 2e-11 without projection; that
+    # drift is part of what the cross-ratio check measures, not invalid input
+    cfgfile = write_config(tmp_path / "c.json", d=4, n=30, h=0.01, t_end=3.0, stride=20,
+                           seed=7, projection=False, rotation={"kind": "random", "scale": 0.5})
+    assert cli.main(["compare", "--config", str(cfgfile), "--quiet"]) == 0
+    report = h.compare_full_reduced(h.load_config(cfgfile), quiet=True)
+    assert np.isfinite(report.cross_ratio_drift) and report.cross_ratio_drift <= 1e-6
+    assert report.max_deviation <= 1e-5
+
+
 def test_nonfinite_run_prints_no_numpy_warnings(tmp_path, capsys):
     cfgfile = write_config(tmp_path / "c.json", h=1e12, t_end=1e12, seed=1, projection=False)
     with warnings.catch_warnings():
@@ -465,13 +494,14 @@ def test_nonfinite_run_prints_no_numpy_warnings(tmp_path, capsys):
 
 
 # sha256 of small rotated reduced runs (n = 50, d = 3, h = 0.01, t_end = 2,
-# stride 10, seed 11), as written before the line builders stopped rebuilding
-# and revalidating a reduced state per record; reduced_w (which ignores the
-# rotation) as written before its right-hand side moved to the unvalidated
-# boost kernel.
+# stride 10, seed 11).  reduced_zzeta as written before the line builders
+# stopped rebuilding and revalidating a reduced state per record; reduced_w
+# (which ignores the rotation) and reduced_wzeta as written since their
+# right-hand sides sum the coupling with the fused kernel, which moved
+# trailing digits (at most 2.2e-16 and 4.9e-15 per double).
 REDUCED_DIGESTS = {
-    "reduced_w": "8e60ca842844b647b866070b97b6f84378d213052531715a285ee9201f951257",
-    "reduced_wzeta": "57f866f543175e6c5b38177c6b60d017a297cf3332d4fc746d59782c9952d141",
+    "reduced_w": "854372d6325a608f2c41f6fe0b6122f51de5dc49374eae27604c00de976c1716",
+    "reduced_wzeta": "cda86054dced70f735e70b452eb450cd63e5d7fba1ebc6eb126e8a8c70333f0b",
     "reduced_zzeta": "1b8ffc2da667e3aaefa4445b92b11758e7eb3ef7047974436358b052234a3b38",
 }
 

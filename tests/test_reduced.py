@@ -1,3 +1,6 @@
+import collections
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +233,20 @@ def test_general_position_validation():
         red.validate_base_points(line)
 
 
+@pytest.mark.parametrize("gap, distinct", [(0.0, False), (1e-9, False), (1e-6, True)])
+def test_general_position_near_duplicates(gap, distinct):
+    # the second point is (sqrt(1 - gap^2), gap, 0): unit norm and at
+    # distance gap from the first; at 1e-9 the gram entry rounds to 1
+    base = dyn.random_configuration(20, 3, 9)
+    base[0] = [1.0, 0.0, 0.0]
+    base[7] = [np.sqrt(1.0 - gap * gap), gap, 0.0]
+    if distinct:
+        assert red.validate_base_points(base) is not None
+    else:
+        with pytest.raises(geo.GeometryError, match="pairwise distinct"):
+            red.validate_base_points(base)
+
+
 # ---------------------------------------------------------------------------
 # integration
 
@@ -324,6 +341,52 @@ def test_w_rhs_rejects_boost_off_the_open_ball(w):
     base = dyn.random_configuration(10, 3, 48)
     with pytest.raises(geo.GeometryError):
         red.w_rhs(np.array(w), base, dyn.equal_weights(10))
+
+
+def test_w_rhs_rejects_vanishing_denominator_without_warnings():
+    # x = w / |w|^2 is the point the boost sends to infinity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(geo.GeometryError, match="denominator"):
+            red.w_rhs(np.array([0.5, 0.0]), np.array([[0.0, 1.0], [2.0, 0.0]]), [0.5, 0.5])
+
+
+def test_w_rhs_rejects_a_wrong_weight_count():
+    base = dyn.random_configuration(10, 3, 48)
+    with pytest.raises(geo.GeometryError, match="9 weights for 10 base points"):
+        red.w_rhs(np.zeros(3), base, dyn.equal_weights(9))
+
+
+@pytest.mark.parametrize("run", ["integrate_w", "left_linear", "left_mean_field"])
+def test_boost_first_step_loops_call_no_validated_boost(monkeypatch, run):
+    # the boost-first right-hand sides run the fused kernel: the calls below
+    # happen at set-up only, so their number does not grow with the steps
+    x0, A, spec = make_system(30, 3, seed=60)
+    if run == "left_mean_field":
+        spec = dyn.MeanField(1.5)
+    state0 = red.initial_state(x0)
+    counts = collections.Counter()
+    for module in (geo, red):
+        for name in ("boost_apply", "_boost", "as_ball_point"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+
+    def calls(t_end):
+        counts.clear()
+        if run == "integrate_w":
+            red.integrate_w(np.zeros(3), x0, spec.weights, 0.01, t_end)
+        else:
+            red.integrate_reduced(state0, A, spec, 0.01, t_end)
+        return dict(counts)
+
+    assert calls(0.5) == calls(0.0)
+    assert calls(0.5).get("_boost", 0) == calls(0.5).get("boost_apply", 0) == 0
 
 
 def test_integrate_w_zero_time():
