@@ -24,12 +24,12 @@ from .geometry import (  # noqa: F401
 )
 from .dynamics import (  # noqa: F401
     IntegrationAbort,
-    LinearWeighted,
-    MeanField,
     SimulationError,
+    as_weights,
     equal_weights,
     full_rhs,
     integrate_full,
+    mean_field_weights,
     order_parameter,
     random_configuration,
     rk4_step,

@@ -17,14 +17,14 @@ NEAR_BOUNDARY = 0.1  # an RK stage leaves the ball as synchrony only from 1 - |y
 __all__ = [
     "SimulationError",
     "IntegrationAbort",
-    "LinearWeighted",
-    "MeanField",
     "TrajectoryPoint",
     "SyncMetrics",
     "equal_weights",
     "explicit_weights",
     "gaussian_riemann_weights",
     "majority_weights",
+    "mean_field_weights",
+    "as_weights",
     "random_configuration",
     "validate_configuration",
     "order_parameter",
@@ -54,31 +54,32 @@ class IntegrationAbort(SimulationError):
 
 
 # ---------------------------------------------------------------------------
-# order parameter specifications
+# coupling weights: the order parameter is Z = sum_i a_i x_i
 
 
-@dataclass(frozen=True)
-class LinearWeighted:
-    """Order parameter Z = sum_i a_i x_i with fixed weights a_i."""
+def as_weights(a, n):
+    """The coupling weights a of Z = sum_i a_i x_i over n points (the
+    particles, or the base points of their orbit) as a float array.
 
-    weights: np.ndarray
+    Raises GeometryError unless a is a finite 1-d array of length n.  Every
+    public function that takes weights calls this once, at entry.
+    """
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"weights must be numbers: {exc}") from exc
+    if a.ndim != 1:
+        raise GeometryError(f"weights must be a 1-d array, got shape {a.shape}")
+    if a.size != n:
+        raise GeometryError(f"{a.size} weights for {n} base points")
+    if not np.all(np.isfinite(a)):
+        raise GeometryError("weights must be finite")
+    return a
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or not np.all(np.isfinite(w)):
-            raise GeometryError("weights must be a finite 1-d array")
-        object.__setattr__(self, "weights", w)
 
-
-@dataclass(frozen=True)
-class MeanField:
-    """Order parameter Z = (K/N) sum_i x_i with coupling gain K."""
-
-    coupling: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.coupling):
-            raise GeometryError("mean-field coupling must be finite")
+def mean_field_weights(n, K):
+    """Mean-field coupling Z = (K/N) sum_i x_i as weights: K/n each."""
+    return np.full(int(n), K / int(n))
 
 
 def equal_weights(n):
@@ -87,9 +88,7 @@ def equal_weights(n):
 
 def explicit_weights(values, normalized=True):
     """Validate user-supplied weights; with normalized=True they must sum to 1."""
-    a = np.asarray(values, dtype=float)
-    if a.ndim != 1 or not np.all(np.isfinite(a)):
-        raise GeometryError("weights must be a finite 1-d array")
+    a = as_weights(values, len(values))
     if np.any(a < 0.0):
         raise GeometryError("weights must be nonnegative")
     if normalized and abs(float(a.sum()) - 1.0) > 1e-12:
@@ -149,18 +148,15 @@ def validate_configuration(x):
     return x
 
 
-def order_parameter(x, spec):
-    """Coupling vector Z of a configuration (rows of x on the sphere)."""
+def order_parameter(x, weights):
+    """Coupling vector Z = weights @ x of a configuration (rows of x on the
+    sphere).  weights is an as_weights array; only its length is checked,
+    since full_rhs calls this in every RK stage.
+    """
     x = np.asarray(x, dtype=float)
-    if isinstance(spec, LinearWeighted):
-        if spec.weights.size != x.shape[0]:
-            raise GeometryError(
-                f"{spec.weights.size} weights for {x.shape[0]} particles"
-            )
-        return spec.weights @ x
-    if isinstance(spec, MeanField):
-        return (spec.coupling / x.shape[0]) * x.sum(axis=0)
-    raise TypeError(f"unknown order parameter spec {spec!r}")
+    if weights.size != x.shape[0]:
+        raise GeometryError(f"{weights.size} weights for {x.shape[0]} particles")
+    return weights @ x
 
 
 def _validate_rotation_terms(A, n, d):
@@ -178,7 +174,7 @@ def _validate_rotation_terms(A, n, d):
     raise GeometryError(f"rotation terms must be (d, d) or (N, d, d), got shape {A.shape}")
 
 
-def full_rhs(x, A, spec):
+def full_rhs(x, A, weights):
     """Velocities x_i' = A_i x_i + Z - <Z, x_i> x_i.
 
     A may be None (no rotation term), a shared (d, d) antisymmetric matrix,
@@ -186,7 +182,7 @@ def full_rhs(x, A, spec):
     sphere at its particle.
     """
     x = np.asarray(x, dtype=float)
-    Z = order_parameter(x, spec)
+    Z = order_parameter(x, weights)
     v = Z[None, :] - (x @ Z)[:, None] * x
     if A is not None:
         A = np.asarray(A, dtype=float)
@@ -222,6 +218,8 @@ def step_count(t_end, h):
         return 0
     if h == 0.0 or t_end * h <= 0.0:
         raise GeometryError("time step must advance toward t_end (t_end * h > 0)")
+    if not np.isfinite(t_end / h):
+        raise GeometryError(f"t_end = {t_end} is not a finite number of steps of size {h}")
     n = int(round(t_end / h))
     if n < 1 or abs(n * h - t_end) > 1e-9 * max(abs(t_end), 1.0):
         raise GeometryError(f"t_end = {t_end} is not an integer number of steps of size {h}")
@@ -316,7 +314,7 @@ class TrajectoryPoint:
     drift: float
 
 
-def integrate_full(x0, A, spec, h, t_end, projection=True, stride=1):
+def integrate_full(x0, A, weights, h, t_end, projection=True, stride=1):
     """Integrate the full system with fixed-step RK4.
 
     Records every stride steps plus the initial and final states.  With
@@ -331,12 +329,14 @@ def integrate_full(x0, A, spec, h, t_end, projection=True, stride=1):
     ----------
     x0 : (N, d) array of unit rows
     A : None, (d, d) antisymmetric, or (N, d, d) stack
-    spec : LinearWeighted or MeanField
+    weights : (N,) coupling weights a of Z = sum_i a_i x_i (as_weights);
+        mean_field_weights(N, K) for mean-field coupling
     h : signed time step; t_end * h > 0 unless t_end == 0
     """
     x0 = validate_configuration(x0)
     n, d = x0.shape
     A = _validate_rotation_terms(A, n, d)
+    weights = as_weights(weights, n)
     drift = 0.0
 
     def after_step(x):
@@ -348,8 +348,8 @@ def integrate_full(x0, A, spec, h, t_end, projection=True, stride=1):
             return x / norms[:, None], drift, "unstable" if defect > NORM_DRIFT_LIMIT else None
         return x, drift, "drift" if drift > NORM_DRIFT_LIMIT else None
 
-    records, stop = _drive(lambda x: full_rhs(x, A, spec), x0, h, t_end, stride, 0, after_step)
-    return _result([TrajectoryPoint(t, x, order_parameter(x, spec), dr)
+    records, stop = _drive(lambda x: full_rhs(x, A, weights), x0, h, t_end, stride, 0, after_step)
+    return _result([TrajectoryPoint(t, x, order_parameter(x, weights), dr)
                     for t, x, dr in records], stop)
 
 
@@ -373,7 +373,7 @@ class SyncMetrics:
     dist_to_diagonal: float
 
 
-def sync_metrics(x, spec):
+def sync_metrics(x, weights):
     """Synchrony diagnostics for a configuration.
 
     Znorm is |Z| (also the distance-to-incoherence proxy); min_pair_dot is
@@ -383,7 +383,7 @@ def sync_metrics(x, spec):
     an error.
     """
     x = validate_configuration(x)
-    Z = order_parameter(x, spec)
+    Z = order_parameter(x, as_weights(weights, x.shape[0]))
     min_dot = min_pair_dot(x)
     centroid = x.mean(axis=0)
     cnorm = float(np.linalg.norm(centroid))

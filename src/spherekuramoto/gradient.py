@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import min_pair_dot
+from .dynamics import as_weights, min_pair_dot
 from .geometry import GeometryError, as_ball_point, as_sphere_point, boost_apply
 from .reduced import integrate_w, validate_base_points, w_rhs
 from .sampling import rng_from, uniform_ball
@@ -74,11 +74,9 @@ class PotentialContext:
 
     def __post_init__(self):
         base = validate_base_points(self.base)
-        a = np.asarray(self.weights, dtype=float)
-        if a.ndim != 1 or a.size != base.shape[0]:
-            raise GeometryError(f"{a.size} weights for {base.shape[0]} base points")
-        if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-            raise GeometryError("weights must be finite and strictly positive")
+        a = as_weights(self.weights, base.shape[0])
+        if np.any(a <= 0.0):
+            raise GeometryError("weights must be strictly positive")
         if abs(float(a.sum()) - 1.0) > 1e-12:
             raise GeometryError(f"weights sum to {float(a.sum()):.17g}, expected 1")
         if not self.allow_majority and float(a.max()) >= 0.5:

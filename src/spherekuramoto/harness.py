@@ -20,20 +20,20 @@ from . import __version__
 from .continuum import ContinuumState, integrate_continuum, order_parameter_closed_form
 from .dynamics import (
     IntegrationAbort,
-    LinearWeighted,
-    MeanField,
     equal_weights,
     explicit_weights,
     gaussian_riemann_weights,
     integrate_full,
     majority_weights,
+    mean_field_weights,
     min_pair_dot,
     order_parameter,
     random_configuration,
     step_count,
 )
 from .geometry import (DISTINCT_TOL, LEFT, RIGHT, GeometryError, MobiusMap, _cross_ratio,
-                       boost_apply, cross_ratio, mobius_apply, random_antisymmetric)
+                       antisymmetric_from_upper, boost_apply, cross_ratio, mobius_apply,
+                       random_antisymmetric)
 from .gradient import PotentialContext, potential
 from .reduced import ReducedState, initial_state, integrate_reduced, integrate_w
 from .sampling import rng_from, uniform_ball
@@ -92,6 +92,7 @@ _TOP_KEYS = {
 }
 _WEIGHT_KEYS = {"kind", "values", "normalized", "dominant", "index", "half_width"}
 _ROTATION_KEYS = {"kind", "scale", "matrix"}
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _require(cond, message):
@@ -99,15 +100,16 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _as_int(value, name):
+def _as_int(value, label):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field '{name}' must be an integer, got {value!r}")
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
     return value
 
 
-def _as_float(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{name}' must be a number, got {value!r}")
+def _as_float(value, label):
+    # the comparison is exact for ints and false for NaN
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+        raise ConfigError(f"{label} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -122,8 +124,8 @@ def config_from_dict(data):
     for key in ("d", "n", "mode", "h", "t_end", "seed"):
         _require(key in data, f"missing required field '{key}'")
 
-    d = _as_int(data["d"], "d")
-    n = _as_int(data["n"], "n")
+    d = _as_int(data["d"], "field 'd'")
+    n = _as_int(data["n"], "field 'n'")
     mode = data["mode"]
     _require(isinstance(mode, str) and mode in MODES,
              f"field 'mode' must be one of {MODES}, got {mode!r}")
@@ -148,18 +150,19 @@ def config_from_dict(data):
 
     coupling = data.get("coupling")
     if coupling is not None:
-        coupling = _as_float(coupling, "coupling")
+        coupling = _as_float(coupling, "field 'coupling'")
 
-    h = _as_float(data["h"], "h")
-    t_end = _as_float(data["t_end"], "t_end")
-    stride = _as_int(data.get("stride", 1), "stride")
-    seed = _as_int(data["seed"], "seed")
+    h = _as_float(data["h"], "field 'h'")
+    t_end = _as_float(data["t_end"], "field 't_end'")
+    stride = _as_int(data.get("stride", 1), "field 'stride'")
+    seed = _as_int(data["seed"], "field 'seed'")
     projection = data.get("projection", True)
     _require(isinstance(projection, bool), "field 'projection' must be true or false")
     out = data.get("out")
     _require(out is None or isinstance(out, str), "field 'out' must be a string path")
 
     _require(stride >= 1, f"field 'stride' must be >= 1, got {stride}")
+    _require(seed >= 0, f"field 'seed' must be >= 0, got {seed}")
     _require(t_end == 0.0 or h != 0.0, "field 'h' must be nonzero unless t_end is 0")
     if t_end != 0.0:
         h = -abs(h) if t_end < 0.0 else abs(h)  # sign of h follows t_end
@@ -177,26 +180,35 @@ def _validate_semantics(cfg):
         values = cfg.weights["values"]
         _require(isinstance(values, (list, tuple)) and len(values) == cfg.n,
                  f"weights 'values' must list exactly n = {cfg.n} numbers")
+        normalized = cfg.weights.get("normalized", True)
+        _require(isinstance(normalized, bool), "weights 'normalized' must be true or false")
         try:
-            explicit_weights(values, normalized=cfg.weights.get("normalized", True))
+            explicit_weights(values, normalized=normalized)
         except GeometryError as exc:
             raise ConfigError(f"weights 'values' invalid: {exc}") from exc
+    if wkind == "gaussian_riemann":
+        half_width = _as_float(cfg.weights.get("half_width", 3.0), "weights 'half_width'")
+        _require(half_width > 0.0, "weights 'half_width' must be positive")
     if wkind == "majority":
         dominant = cfg.weights.get("dominant", 0.6)
         _require(isinstance(dominant, (int, float)) and 0.0 < dominant < 1.0,
                  "weights 'dominant' must lie in (0, 1)")
+        index = _as_int(cfg.weights.get("index", 0), "weights 'index'")
+        _require(0 <= index < cfg.n, f"weights 'index' must lie in [0, n = {cfg.n}), got {index}")
     if cfg.rotation["kind"] == "explicit":
         matrix = cfg.rotation.get("matrix")
         _require(matrix is not None, "explicit rotation requires a 'matrix'")
-        arr = np.asarray(matrix, dtype=float)
+        try:
+            arr = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"rotation 'matrix' must hold numbers: {exc}") from exc
         _require(arr.shape == (cfg.d, cfg.d),
                  f"rotation 'matrix' must be {cfg.d} x {cfg.d}")
         _require(float(np.max(np.abs(arr + arr.T))) <= 1e-12,
                  "rotation 'matrix' must be antisymmetric")
-    if cfg.rotation["kind"] == "random":
-        scale = cfg.rotation.get("scale", 1.0)
-        _require(isinstance(scale, (int, float)) and scale >= 0.0,
-                 "rotation 'scale' must be a nonnegative number")
+    if cfg.rotation["kind"] in ("random", "random_per_particle"):
+        scale = _as_float(cfg.rotation.get("scale", 1.0), "rotation 'scale'")
+        _require(scale >= 0.0, "rotation 'scale' must be a nonnegative number")
     if cfg.mode.startswith("reduced") or cfg.mode == "continuum":
         _require(cfg.rotation["kind"] != "random_per_particle",
                  f"mode '{cfg.mode}' requires one shared rotation term")
@@ -279,6 +291,9 @@ def preset_config(name, seed=None, out=None):
 
 
 def resolve_weights(cfg):
+    """The coupling weights of cfg: K/n each when 'coupling' K is set."""
+    if cfg.coupling is not None:
+        return mean_field_weights(cfg.n, cfg.coupling)
     kind = cfg.weights["kind"]
     if kind == "equal":
         return equal_weights(cfg.n)
@@ -291,19 +306,12 @@ def resolve_weights(cfg):
                             cfg.weights.get("index", 0))
 
 
-def resolve_spec(cfg):
-    if cfg.coupling is not None:
-        return MeanField(cfg.coupling)
-    return LinearWeighted(resolve_weights(cfg))
-
-
 def resolve_rotation(cfg):
     kind = cfg.rotation["kind"]
     if kind == "zero":
         return None
     if kind == "explicit":
-        arr = np.asarray(cfg.rotation["matrix"], dtype=float)
-        return np.triu(arr, 1) - np.triu(arr, 1).T  # exact antisymmetry
+        return antisymmetric_from_upper(cfg.rotation["matrix"])
     scale = cfg.rotation.get("scale", 1.0)
     if kind == "random":
         return random_antisymmetric(cfg.d, rng_from(cfg.seed, 1), scale)
@@ -458,23 +466,23 @@ def _full_rows(records, x0, cfg):
 
 
 def _w_rows(traj, base, cfg):
-    spec, ctx = resolve_spec(cfg), _potential_context(cfg, base)
+    a, ctx = resolve_weights(cfg), _potential_context(cfg, base)
     rows = []
     for t, w in zip(traj.times, traj.ws):
         x = boost_apply(w, base)  # rotation factor does not affect these metrics
-        rows.append((t, {"w": w}, np.linalg.norm(order_parameter(x, spec)), min_pair_dot(x),
+        rows.append((t, {"w": w}, np.linalg.norm(order_parameter(x, a)), min_pair_dot(x),
                      _try_potential(w, ctx), None))
     return rows
 
 
 def _reduced_rows(records, state0, cfg):
     # the state key names the form's boost; phi is the potential of w, so LEFT only
-    form, base, spec = state0.form, state0.base, resolve_spec(cfg)
+    form, base, a = state0.form, state0.base, resolve_weights(cfg)
     key, ctx = ("w", _potential_context(cfg, base)) if form == LEFT else ("z", None)
     rows = []
     for r in records:
         x = mobius_apply(MobiusMap(r.zeta, r.boost, form), base)
-        rows.append((r.t, {key: r.boost, "zeta": r.zeta}, np.linalg.norm(order_parameter(x, spec)),
+        rows.append((r.t, {key: r.boost, "zeta": r.zeta}, np.linalg.norm(order_parameter(x, a)),
                      min_pair_dot(x), _try_potential(r.boost, ctx), r.ortho_residual))
     return rows
 
@@ -489,7 +497,7 @@ def _reduced_mode(form):
     """Mode-table entry of a reduced run in the given form, from boost 0 and zeta = I."""
     return (
         lambda cfg: ReducedState(np.zeros(cfg.d), np.eye(cfg.d), initial_configuration(cfg), form),
-        lambda state0, cfg: integrate_reduced(state0, resolve_rotation(cfg), resolve_spec(cfg),
+        lambda state0, cfg: integrate_reduced(state0, resolve_rotation(cfg), resolve_weights(cfg),
                                               cfg.h, cfg.t_end, cfg.stride),
         _reduced_rows,
     )
@@ -499,7 +507,7 @@ def _reduced_mode(form):
 _MODE_TABLE = {
     "full": (
         initial_configuration,
-        lambda x0, cfg: integrate_full(x0, resolve_rotation(cfg), resolve_spec(cfg), cfg.h,
+        lambda x0, cfg: integrate_full(x0, resolve_rotation(cfg), resolve_weights(cfg), cfg.h,
                                        cfg.t_end, projection=cfg.projection, stride=cfg.stride),
         _full_rows,
     ),
@@ -611,19 +619,19 @@ def _cross_ratio_tuples(n, seed, count=5):
 def compare_full_reduced(cfg, quiet=False):
     """Run the full and the reduced integrations from the same initial state
     and report their pointwise deviation, cross-ratio drift, and wall times."""
-    spec = resolve_spec(cfg)
+    a = resolve_weights(cfg)
     rotation = resolve_rotation(cfg)
     if rotation is not None and np.asarray(rotation).ndim == 3:
         raise ConfigError("comparison requires one shared rotation term")
     x0 = initial_configuration(cfg)
 
     t0 = time.perf_counter()
-    full = integrate_full(x0, rotation, spec, cfg.h, cfg.t_end,
+    full = integrate_full(x0, rotation, a, cfg.h, cfg.t_end,
                           projection=cfg.projection, stride=cfg.stride)
     wall_full = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    reduced = integrate_reduced(initial_state(x0), rotation, spec,
+    reduced = integrate_reduced(initial_state(x0), rotation, a,
                                 cfg.h, cfg.t_end, cfg.stride)
     wall_reduced = time.perf_counter() - t0
 

@@ -18,11 +18,9 @@ import numpy as np
 from .dynamics import (
     BOUNDARY_TOL,
     NORM_DRIFT_LIMIT,
-    LinearWeighted,
-    MeanField,
     _drive,
     _result,
-    order_parameter,
+    as_weights,
     validate_configuration,
 )
 from .geometry import (
@@ -61,14 +59,15 @@ __all__ = [
 def validate_base_points(p):
     """Check that a base configuration is in general position.
 
-    Required: unit rows, pairwise Euclidean distance above DISTINCT_TOL, and
-    at least three distinct directions up to sign (otherwise the orbit
-    coordinates are not unique).
+    Required: unit rows, pairwise distinct points, and at least three
+    distinct directions up to sign (otherwise the orbit coordinates are not
+    unique).
 
     The distance test reads the gram matrix: |p_i - p_j|^2 = 2 - 2 g_ij, and
     for every double g < 1 the computed 2 - 2g is at least 2^-52, far above
-    DISTINCT_TOL^2, so a pair fails exactly when g_ij >= 1.  Pairs closer than
-    about 1e-8, whose gram entry rounds to 1, are therefore rejected too.
+    DISTINCT_TOL^2, so a pair fails exactly when g_ij >= 1.  Its resolution
+    is therefore about 1e-8: closer pairs have a gram entry that rounds to 1
+    and are rejected.
     """
     p = validate_configuration(p)
     n = p.shape[0]
@@ -77,7 +76,8 @@ def validate_base_points(p):
     gram = p @ p.T
     np.fill_diagonal(gram, -np.inf)
     if float(np.max(gram)) >= 1.0:
-        raise GeometryError("base points must be pairwise distinct (distance > 1e-10)")
+        raise GeometryError("base points must be pairwise distinct: "
+                            "no two closer than about 1e-8")
     reps = []
     for row in p:
         if all(abs(float(row @ r)) < 1.0 - 1e-10 for r in reps):
@@ -158,49 +158,33 @@ def _shared_rotation_term(A, d):
     return as_antisymmetric(A, d)
 
 
-def _coupling_weights(spec, n):
-    """Weights a with Z(x) = a @ x for n particles: spec.weights, or K/N each
-    for MeanField.
-
-    Rotation equivariance zeta Z(p) = Z(zeta p) is what lets the boost
-    equation drop the rotation; both supported specs are linear, hence fine.
-    """
-    if isinstance(spec, MeanField):
-        return np.full(n, spec.coupling / n)
-    if not isinstance(spec, LinearWeighted):
-        raise GeometryError(f"order parameter spec {spec!r} is not rotation-equivariant")
-    if spec.weights.size != n:
-        raise GeometryError(f"{spec.weights.size} weights for {n} particles")
-    return spec.weights
-
-
-def _zzeta_rhs_raw(z, zeta, base, A, spec):
+def _zzeta_rhs_raw(z, zeta, base, A, a):
     x = base @ zeta.T
     x, _ = _boost(-z, x, np.einsum("ij,ij->i", x, x))  # M_{-z}(zeta p)
-    Z = order_parameter(x, spec)
+    Z = a @ x
     generator = skew_pair_matrix(z, Z)
     if A is not None:
         generator = A + generator
     return _generator(A, Z, z), generator @ zeta
 
 
-def _orbit_rhs(form, base, A, spec):
+def _orbit_rhs(form, base, A, weights):
     """(boost, zeta) -> (boost', zeta') for orbit coordinates over base in the
-    given form; A is validated.  The weights and |p_i|^2 are computed here,
-    once per run, not in every RK stage.
+    given form; A is validated.  The weights are checked and |p_i|^2 is
+    computed here, once per run, not in every RK stage.
 
     LEFT sums Z(M_w(p)) with the fused kernel geometry._coupling_sum; RIGHT
     boosts the rotated points and takes their order parameter.  Both are
     kept: the rotation-first integration is an independent check on the
     boost-first one.
     """
-    a = _coupling_weights(spec, base.shape[0])
+    a = as_weights(weights, base.shape[0])
     if form == RIGHT:
-        return lambda z, zeta: _zzeta_rhs_raw(z, zeta, base, A, spec)
+        return lambda z, zeta: _zzeta_rhs_raw(z, zeta, base, A, a)
     x2 = np.einsum("ij,ij->i", base, base)
 
     def wzeta(w, zeta):
-        Z0, _ = _coupling_sum(w, base, x2, a)  # equivariance: equals zeta^-1 Z at the configuration
+        Z0, _ = _coupling_sum(w, base, x2, a)  # Z is linear: equals zeta^-1 Z at the configuration
         generator = -skew_pair_matrix(zeta @ w, zeta @ Z0)
         if A is not None:
             generator = A + generator
@@ -209,13 +193,14 @@ def _orbit_rhs(form, base, A, spec):
     return wzeta
 
 
-def reduced_rhs(state, A, spec):
-    """Time derivatives (boost', zeta') of orbit coordinates in either form.
+def reduced_rhs(state, A, weights):
+    """Time derivatives (boost', zeta') of orbit coordinates in either form,
+    with Z = sum_i a_i x_i for the weights a.
 
     LEFT: w' = -(1 - |w|^2) Z(M_w(p)) / 2 and zeta' = (A - skew(zeta w,
-    zeta Z(M_w(p)))) zeta.  The coupling vector at the configuration
-    zeta M_w(p) is zeta Z(M_w(p)) for the rotation-equivariant specs
-    supported here, so w' never touches zeta; it is the arithmetic of w_rhs.
+    zeta Z(M_w(p)))) zeta.  Z is linear, so the coupling vector at the
+    configuration zeta M_w(p) is zeta Z(M_w(p)) and w' never touches zeta;
+    it is the arithmetic of w_rhs.
     RIGHT: z' = A z + (1 + |z|^2) Z / 2 - <Z, z> z, the Mobius generator of
     geometry.infinitesimal_generator, and zeta' = (A + skew(z, Z)) zeta, with
     Z evaluated at M_{-z}(zeta p).
@@ -223,7 +208,7 @@ def reduced_rhs(state, A, spec):
     A = _shared_rotation_term(A, state.boost.size)
     if float(np.linalg.norm(state.boost)) >= 1.0 - BOUNDARY_TOL:
         raise GeometryError("boost parameter has reached the ball boundary")
-    return _orbit_rhs(state.form, state.base, A, spec)(state.boost, state.zeta)
+    return _orbit_rhs(state.form, state.base, A, weights)(state.boost, state.zeta)
 
 
 def w_rhs(w, base, weights):
@@ -232,8 +217,8 @@ def w_rhs(w, base, weights):
     d-dimensional equation alone decides synchrony versus incoherence.
 
     Validates like geometry.boost_apply: w must be a finite vector strictly
-    inside the unit ball, base must match its dimension, there must be one
-    weight per base point, and no boost denominator may fall below 1e-300 in
+    inside the unit ball, base must match its dimension, the weights must
+    pass dynamics.as_weights, and no boost denominator may fall below 1e-300 in
     magnitude; each violation raises GeometryError.  The sum itself is the
     fused kernel geometry._coupling_sum, the same arithmetic that integrate_w
     and the boost-first reduced_rhs run in every RK stage.
@@ -242,9 +227,7 @@ def w_rhs(w, base, weights):
     base = np.atleast_2d(np.asarray(base, dtype=float))
     if base.shape[1] != w.size:
         raise GeometryError(f"dimension mismatch: boost in R^{w.size}, point in R^{base.shape[1]}")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (base.shape[0],):
-        raise GeometryError(f"{weights.size} weights for {base.shape[0]} base points")
+    weights = as_weights(weights, base.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         Z0, denom = _coupling_sum(w, base, np.einsum("ij,ij->i", base, base), weights)
     if np.any(np.abs(denom) < 1e-300):
@@ -277,7 +260,7 @@ class ReducedPoint:
     ortho_residual: float
 
 
-def integrate_reduced(state0, A, spec, h, t_end, stride=1):
+def integrate_reduced(state0, A, weights, h, t_end, stride=1):
     """RK4 on the orbit coordinates (boost, zeta) of state0, in its form,
     stacked into one vector.
 
@@ -291,7 +274,7 @@ def integrate_reduced(state0, A, spec, h, t_end, stride=1):
     if not isinstance(state0, ReducedState):
         raise TypeError("integrate_reduced expects orbit coordinates (ReducedState)")
     base, form, d = state0.base, state0.form, state0.boost.size
-    raw_rhs = _orbit_rhs(form, base, _shared_rotation_term(A, d), spec)
+    raw_rhs = _orbit_rhs(form, base, _shared_rotation_term(A, d), weights)
     eye = np.eye(d)
 
     def rhs(y):
@@ -335,9 +318,7 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
     """
     base = validate_configuration(base)
     w0 = as_ball_point(w0, base.shape[1])
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != base.shape[0]:
-        raise GeometryError(f"{weights.size} weights for {base.shape[0]} base points")
+    weights = as_weights(weights, base.shape[0])
     x2 = np.einsum("ij,ij->i", base, base)
 
     def rhs(w):  # w_rhs on the unvalidated kernel, with |base_i|^2 computed once

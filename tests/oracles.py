@@ -6,8 +6,9 @@ sphere-restricted boost formula, the classical angle form of the planar
 model, quadrature for the radial hyperbolic length, a plain geometric series for
 the hypergeometric spot value, a per-scalar recursive formatter for the
 trajectory serializer, a plain RK4 loop over the public, validating boost
-flow for the boost-only integrator, and the weighted sum of the boosted image
-array for the fused coupling-sum kernel.
+flow for the boost-only integrator, the weighted sum of the boosted image
+array for the fused coupling-sum kernel, and the scaled plain sum of the
+positions for the mean-field order parameter.
 """
 import json
 
@@ -103,6 +104,12 @@ def dumps_record_reference(obj):
 def coupling_sum_reference(w, base, a):
     """sum_i a_i M_w(p_i) from the (N, d) array of boosted images."""
     return np.asarray(a, dtype=float) @ boost_apply(w, base)
+
+
+def mean_field_order_parameter(x, K):
+    """Z = (K/N) sum_i x_i, summed over the rows of x."""
+    x = np.asarray(x, dtype=float)
+    return (K / x.shape[0]) * x.sum(axis=0)
 
 
 def integrate_w_reference(w0, base, weights, h, n_steps, stride=1):

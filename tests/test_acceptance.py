@@ -29,7 +29,7 @@ def check(name, passed, detail):
 
 def test_criterion_01_sphere_invariance():
     x0 = dyn.random_configuration(100, 3, 2024)
-    spec = dyn.LinearWeighted(dyn.equal_weights(100))
+    spec = dyn.equal_weights(100)
     recs = dyn.integrate_full(x0, None, spec, 0.01, 40.0, projection=False, stride=400)
     drift = recs[-1].drift
     check("criterion 1 sphere invariance", drift <= 1e-6,
@@ -51,7 +51,7 @@ def orbit_runs():
         A = geo.random_antisymmetric(d, rng)
         a = rng.random(n)
         a /= a.sum()
-        spec = dyn.LinearWeighted(a)
+        spec = a
         full = dyn.integrate_full(x0, A, spec, hstep, t_end, projection=False, stride=500)
         reduced = red.integrate_reduced(red.initial_state(x0), A, spec, hstep, t_end, stride=500)
         runs[d] = (x0, full, reduced)
@@ -133,7 +133,7 @@ def test_criterion_05_potential_monotone():
 
 
 def test_criterion_06_forward_synchronization():
-    spec = dyn.LinearWeighted(dyn.equal_weights(100))
+    spec = dyn.equal_weights(100)
     worst_z, worst_dot = 1.0, 1.0
     for seed in range(10):
         x0 = dyn.random_configuration(100, 3, seed)
@@ -180,7 +180,7 @@ def test_criterion_07_backward_incoherence():
 
 def test_criterion_08_majority_cluster():
     cfg = h.preset_config("fig3")
-    spec = h.resolve_spec(cfg)
+    spec = h.resolve_weights(cfg)
     x0 = h.initial_configuration(cfg)
     recs = dyn.integrate_full(x0, None, spec, cfg.h, cfg.t_end,
                               projection=cfg.projection, stride=4000)
@@ -248,7 +248,7 @@ def test_criterion_11_continuum_shadowing():
     x0 = cont.sample_pushforward(z0, 10**4, seed=1100)
     times, zs, _ = cont.integrate_continuum(cont.ContinuumState(z0, K, None),
                                             0.01, 5.0, stride=25)
-    recs = dyn.integrate_full(x0, None, dyn.MeanField(K), 0.01, 5.0, stride=25)
+    recs = dyn.integrate_full(x0, None, dyn.mean_field_weights(len(x0), K), 0.01, 5.0, stride=25)
     worst = 0.0
     for (t, z), rec in zip(zip(times, zs), recs):
         assert abs(t - rec.t) < 1e-12
@@ -316,7 +316,7 @@ def test_criterion_13_complex_case():
     xr = np.column_stack([np.cos(theta0), np.sin(theta0)])
     A_c = np.array([[1j * omega]])
     A_r = np.array([[0.0, -omega], [omega, 0.0]])
-    spec = dyn.LinearWeighted(weights)
+    spec = weights
     for _ in range(int(round(10.0 / hstep))):
         xc = dyn.rk4_step(lambda v: cb.complex_flow_rhs(v, A_c, 0.5 * (weights @ v)), xc, hstep)
         xr = dyn.rk4_step(lambda v: dyn.full_rhs(v, A_r, spec), xr, hstep)

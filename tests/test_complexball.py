@@ -135,7 +135,7 @@ def test_single_variable_flow_matches_planar_real_model():
 
     xr = np.column_stack([np.cos(theta0), np.sin(theta0)])
     A_r = np.array([[0.0, -omega], [omega, 0.0]])
-    spec = dyn.LinearWeighted(weights)
+    spec = weights
 
     def rhs_real(x):
         return dyn.full_rhs(x, A_r, spec)

@@ -4,12 +4,14 @@ from scipy.linalg import expm
 
 from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
+from spherekuramoto import gradient as gr
+from spherekuramoto import reduced as red
 
-from oracles import angles_to_plane, integrate_angles
+from oracles import angles_to_plane, integrate_angles, mean_field_order_parameter
 
 
 def equal_spec(n):
-    return dyn.LinearWeighted(dyn.equal_weights(n))
+    return dyn.equal_weights(n)
 
 
 # ---------------------------------------------------------------------------
@@ -44,14 +46,27 @@ def test_order_parameter_synchronized():
 
 def test_order_parameter_weighted_sum():
     x = np.eye(3)
-    spec = dyn.LinearWeighted(np.array([0.5, 0.25, 0.25]))
+    spec = np.array([0.5, 0.25, 0.25])
     assert np.allclose(dyn.order_parameter(x, spec), [0.5, 0.25, 0.25], atol=0)
 
 
 def test_order_parameter_mean_field():
     x = np.eye(3)
-    Z = dyn.order_parameter(x, dyn.MeanField(2.0))
+    Z = dyn.order_parameter(x, dyn.mean_field_weights(3, 2.0))
     assert np.allclose(Z, 2.0 / 3.0, atol=1e-16)
+
+
+def test_order_parameter_mean_field_weights_match_the_plain_sum():
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for draw in range(200):
+        n, d = int(rng.integers(3, 3001)), int(rng.integers(2, 6))
+        K = float(rng.uniform(0.1, 10.0))
+        x = dyn.random_configuration(n, d, seed=draw)
+        expected = mean_field_order_parameter(x, K)
+        got = dyn.order_parameter(x, dyn.mean_field_weights(n, K))
+        worst = max(worst, float(np.linalg.norm(got - expected) / np.linalg.norm(expected)))
+    assert worst <= 1e-13
 
 
 def test_order_parameter_magnitude_of_random_cloud():
@@ -60,6 +75,33 @@ def test_order_parameter_magnitude_of_random_cloud():
     Z = dyn.order_parameter(x, spec)
     assert np.array_equal(Z, dyn.equal_weights(100) @ x)  # direct-sum oracle
     assert np.linalg.norm(Z) < 5.0 / np.sqrt(100)  # O(N^-1/2) for uniform points
+
+
+def _weight_entries():
+    x0 = dyn.random_configuration(6, 3, 5)
+    state = red.initial_state(x0)
+    return {
+        "integrate_full": lambda a: dyn.integrate_full(x0, None, a, 0.01, 0.1),
+        "sync_metrics": lambda a: dyn.sync_metrics(x0, a),
+        "reduced_rhs": lambda a: red.reduced_rhs(state, None, a),
+        "integrate_reduced": lambda a: red.integrate_reduced(state, None, a, 0.01, 0.1),
+        "w_rhs": lambda a: red.w_rhs(np.zeros(3), x0, a),
+        "integrate_w": lambda a: red.integrate_w(np.zeros(3), x0, a, 0.01, 0.1),
+        "PotentialContext": lambda a: gr.PotentialContext(x0, a),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_weight_entries()))
+@pytest.mark.parametrize("bad", [
+    np.array([np.nan, 0.2, 0.2, 0.2, 0.2, 0.2]),
+    np.full((1, 6), 1.0 / 6.0),
+    dyn.equal_weights(5),
+], ids=["nan", "2d", "wrong_length"])
+def test_weight_entries_reject_malformed_weights(entry, bad):
+    call = _weight_entries()[entry]
+    call(dyn.equal_weights(6))  # the well-formed vector is accepted
+    with pytest.raises(geo.GeometryError, match="weights"):
+        call(bad)
 
 
 def test_order_parameter_length_mismatch():
@@ -105,7 +147,7 @@ def test_rhs_d2_matches_angle_form():
     a /= a.sum()
     x = angles_to_plane(theta)
     A = np.array([[0.0, -omega], [omega, 0.0]])
-    v = dyn.full_rhs(x, A, dyn.LinearWeighted(a))
+    v = dyn.full_rhs(x, A, a)
     theta_dot = omega + np.sin(theta[None, :] - theta[:, None]) @ a
     tangent = np.column_stack([-np.sin(theta), np.cos(theta)])
     assert np.max(np.abs(v - theta_dot[:, None] * tangent)) <= 1e-13
@@ -166,6 +208,13 @@ def test_step_count_validation():
         dyn.step_count(1.0, 0.0)
 
 
+@pytest.mark.parametrize("t_end, h", [(1e10, 1e-300), (float("nan"), 0.01)])
+def test_step_count_rejects_a_count_that_is_not_finite(t_end, h):
+    # t_end / h overflows or is NaN: a validation error, not an OverflowError
+    with pytest.raises(geo.GeometryError, match="finite number of steps"):
+        dyn.step_count(t_end, h)
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -197,7 +246,7 @@ def test_trajectory_d2_matches_angle_integrator():
     a = rng.random(n)
     a /= a.sum()
     A = np.array([[0.0, -omega], [omega, 0.0]])
-    recs = dyn.integrate_full(angles_to_plane(theta0), A, dyn.LinearWeighted(a),
+    recs = dyn.integrate_full(angles_to_plane(theta0), A, a,
                               h, t_end, projection=False, stride=10_000)
     theta = integrate_angles(theta0, omega, a, h, t_end)
     assert np.max(np.abs(recs[-1].x - angles_to_plane(theta))) <= 1e-8

@@ -539,6 +539,26 @@ def test_cli_simulate_validation_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"weights": {"kind": "majority", "index": 7}}, "weights 'index'"),
+    ({"weights": {"kind": "majority", "index": 1.5}}, "weights 'index'"),
+    ({"weights": {"kind": "gaussian_riemann", "half_width": "x"}}, "weights 'half_width'"),
+    ({"weights": {"kind": "explicit", "values": [0.2] * 5, "normalized": "no"}},
+     "weights 'normalized'"),
+    ({"rotation": {"kind": "random_per_particle", "scale": "x"}}, "rotation 'scale'"),
+    ({"rotation": {"kind": "random_per_particle", "scale": -1.0}}, "rotation 'scale'"),
+    ({"h": float("nan")}, "field 'h'"),
+    ({"t_end": float("nan")}, "field 't_end'"),
+    ({"t_end": float("inf")}, "field 't_end'"),
+    ({"seed": -1}, "field 'seed'"),
+])
+def test_cli_malformed_field_is_validation_error(tmp_path, capsys, overrides, field):
+    cfgfile = write_config(tmp_path / "c.json", n=5, **overrides)
+    assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and field in errors[0]
+
+
 def test_cli_missing_file_is_validation_error(tmp_path):
     code = cli.main(["simulate", "--config", str(tmp_path / "absent.json"), "--quiet"])
     assert code == 2

@@ -19,7 +19,7 @@ def make_system(n=10, d=3, seed=42, with_rotation=True):
     A = geo.random_antisymmetric(d, rng) if with_rotation else None
     a = rng.random(n)
     a /= a.sum()
-    return x0, A, dyn.LinearWeighted(a)
+    return x0, A, a
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_w_equation_is_rotation_free_component_bitwise():
     x0, A, spec = make_system()
     rng = np.random.default_rng(3)
     w = np.array([0.2, -0.3, 0.1])
-    reference = red.w_rhs(w, x0, spec.weights)
+    reference = red.w_rhs(w, x0, spec)
     for _ in range(5):
         zeta = geo.random_rotation(3, rng)
         wdot, _ = red.reduced_rhs(red.ReducedState(w, zeta, x0), A, spec)
@@ -88,8 +88,8 @@ def test_w_equation_is_rotation_free_component_bitwise():
 
 def test_w_rhs_at_origin():
     x0, _, spec = make_system()
-    out = red.w_rhs(np.zeros(3), x0, spec.weights)
-    assert np.allclose(out, -0.5 * spec.weights @ x0, atol=1e-15)
+    out = red.w_rhs(np.zeros(3), x0, spec)
+    assert np.allclose(out, -0.5 * spec @ x0, atol=1e-15)
 
 
 def test_zzeta_consistent_with_wzeta_by_product_rule():
@@ -245,6 +245,9 @@ def test_general_position_near_duplicates(gap, distinct):
     else:
         with pytest.raises(geo.GeometryError, match="pairwise distinct"):
             red.validate_base_points(base)
+        if gap:  # the message states the resolution that rejects this pair
+            with pytest.raises(geo.GeometryError, match="closer than about 1e-8"):
+                red.validate_base_points(base)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +366,7 @@ def test_boost_first_step_loops_call_no_validated_boost(monkeypatch, run):
     # happen at set-up only, so their number does not grow with the steps
     x0, A, spec = make_system(30, 3, seed=60)
     if run == "left_mean_field":
-        spec = dyn.MeanField(1.5)
+        spec = dyn.mean_field_weights(30, 1.5)
     state0 = red.initial_state(x0)
     counts = collections.Counter()
     for module in (geo, red):
@@ -380,7 +383,7 @@ def test_boost_first_step_loops_call_no_validated_boost(monkeypatch, run):
     def calls(t_end):
         counts.clear()
         if run == "integrate_w":
-            red.integrate_w(np.zeros(3), x0, spec.weights, 0.01, t_end)
+            red.integrate_w(np.zeros(3), x0, spec, 0.01, t_end)
         else:
             red.integrate_reduced(state0, A, spec, 0.01, t_end)
         return dict(counts)
