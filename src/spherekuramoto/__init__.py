@@ -25,6 +25,7 @@ from .geometry import (  # noqa: F401
 from .dynamics import (  # noqa: F401
     IntegrationAbort,
     SimulationError,
+    Trajectory,
     as_weights,
     equal_weights,
     full_rhs,

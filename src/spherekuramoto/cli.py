@@ -52,9 +52,7 @@ def _common_flags(parser):
 
 
 def _load(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = load_config(args.config, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
     return cfg
@@ -76,7 +74,13 @@ def _cmd_compare(args):
     return EXIT_OK
 
 
+def _at_least(value, low, flag):
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
 def _cmd_fixedpoint(args):
+    _at_least(args.seeds, 1, "--seeds")
     cfg = _load(args)
     if cfg.coupling is not None:
         raise ConfigError("fixedpoint requires a linear weighted order parameter")
@@ -98,6 +102,7 @@ def _cmd_fixedpoint(args):
 
 
 def _cmd_potential_check(args):
+    _at_least(args.samples, 1, "--samples")
     cfg = _load(args)
     if cfg.coupling is not None:
         raise ConfigError("potential-check requires a linear weighted order parameter")
@@ -130,7 +135,7 @@ def _cmd_potential_check(args):
 
     w0 = uniform_ball(ctx.d, rng, radius=0.5)
     traj = integrate_w(w0, ctx.base, ctx.weights, 0.01, 10.0)
-    values = [potential(w, ctx) for w in traj.ws]
+    values = [potential(w, ctx) for w in traj.states]
     slack = max(
         (values[i + 1] - values[i]) - (1e-12 * abs(values[i]) + 1e-14)
         for i in range(len(values) - 1)
@@ -148,6 +153,8 @@ def _report(label, value, tol, quiet):
 
 
 def _cmd_continuum_check(args):
+    _at_least(args.d, 2, "--d")
+    _at_least(args.seed, 0, "--seed")
     z = np.zeros(args.d)
     z[0] = args.radius
     closed = order_parameter_closed_form(z, args.coupling)

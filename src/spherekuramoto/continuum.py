@@ -15,7 +15,7 @@ import numpy as np
 
 # rk4_step stays importable from here: perfbench/selftest.py checks that the
 # tracer rebinds it in every module that holds it.
-from .dynamics import _drive, _result, rk4_step  # noqa: F401
+from .dynamics import _drive, rk4_step  # noqa: F401
 from .geometry import GeometryError, _generator, as_antisymmetric, as_ball_point, boost_apply
 from .sampling import rng_from, uniform_sphere
 
@@ -285,13 +285,10 @@ def integrate_continuum(state0, h, t_end, stride=1):
     """RK4 on the mean-field coordinate z, the ball point of dynamics._drive's
     stop contract; a boundary stop records the last accepted state.
 
-    Returns (times, zs, boundary_reached).
+    Returns the dynamics.Trajectory of the (d,) points z.
     """
     if not isinstance(state0, ContinuumState):
         raise TypeError("integrate_continuum expects a ContinuumState")
     A = state0.rotation
     K = state0.coupling
-    records, stop = _drive(lambda z: _continuum_field(z, A, K), state0.z, h, t_end, stride,
-                           state0.z.size)
-    times, zs, _ = map(np.asarray, zip(*records))
-    return _result((times, zs, stop[0] == "boundary"), stop)
+    return _drive(lambda z: _continuum_field(z, A, K), state0.z, h, t_end, stride, slice(None))

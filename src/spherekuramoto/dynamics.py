@@ -17,7 +17,7 @@ NEAR_BOUNDARY = 0.1  # an RK stage leaves the ball as synchrony only from 1 - |y
 __all__ = [
     "SimulationError",
     "IntegrationAbort",
-    "TrajectoryPoint",
+    "Trajectory",
     "SyncMetrics",
     "equal_weights",
     "explicit_weights",
@@ -40,17 +40,40 @@ class SimulationError(RuntimeError):
     """Integration failed (non-finite state, norm drift or an unstable step)."""
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """The records of one run of any integrator.
+
+    states[j], the state at times[j], has the integrator's own shape: (N, d)
+    in integrate_full, (d,) in integrate_w and integrate_continuum, (d + 1, d)
+    in integrate_reduced (row 0 the boost, rows 1..d the rotation).  info[j]
+    is the worst drift so far in integrate_full, the pre-projection
+    orthogonality residual in integrate_reduced, 0 elsewhere.  stop is "end",
+    "boundary" (a clean stop at the ball boundary) or the abort "drift",
+    "nonfinite" or "unstable".
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    info: np.ndarray
+    stop: str
+
+    @property
+    def final(self):
+        return self.states[-1]
+
+
 class IntegrationAbort(SimulationError):
     """Integration failure that still carries the valid prefix of the run.
 
-    trajectory has the integrator's return type, cut at the last accepted
-    state; reason is "drift", "nonfinite" or "unstable".
+    trajectory is the Trajectory cut at the last accepted state; reason is
+    its stop, "drift", "nonfinite" or "unstable".
     """
 
-    def __init__(self, message, trajectory, reason):
+    def __init__(self, message, trajectory):
         super().__init__(message)
         self.trajectory = trajectory
-        self.reason = reason
+        self.reason = trajectory.stop
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +253,20 @@ class _LeftBall(Exception):
     """An RK stage left the open unit ball."""
 
 
-def _drive(rhs, y0, h, t_end, stride, ball, after_step=lambda y: (y, 0.0, None)):
+def _drive(rhs, y0, h, t_end, stride, ball=None, after_step=lambda y: (y, 0.0, None)):
     """Fixed-step RK4 from y0 under the stop contract of every integrator.
 
-    The first ball coordinates of the state are a point of the open unit
-    ball (ball = 0: none); no other integration code tests it.  A step that
+    y[ball] is the part of the state that is a point of the open unit ball
+    (ball None: none); no other integration code tests it.  A step that
     lands within BOUNDARY_TOL of the sphere stops at "boundary" (synchrony),
     as does an RK stage leaving the ball from an accepted state within
     NEAR_BOUNDARY of the sphere; from farther inside, that stage is a failed
     step, "unstable".  A non-finite step stops at "nonfinite".  Otherwise
     after_step(y) returns (y, info, stop): the state as accepted (projected),
     a value recorded with it, and None, "drift" or "unstable" to stop.
-    Returns (records, (reason, t)): (t, y, info) at t = 0, every stride
-    steps, the last step and, after an early stop, the last accepted state;
-    reason is "end" or the stop reason, t the time of the last or the
-    rejected step.
+    Returns the Trajectory of t = 0, every stride steps, the last step and,
+    after an early stop, the last accepted state; an abort raises
+    IntegrationAbort carrying it instead.
     """
     n_steps = step_count(t_end, h)
     if int(stride) < 1:
@@ -252,36 +274,43 @@ def _drive(rhs, y0, h, t_end, stride, ball, after_step=lambda y: (y, 0.0, None))
     stride = int(stride)
 
     def inside(y):  # v.dot(v) >= 1 is exactly norm(v) >= 1
-        if y[:ball].dot(y[:ball]) >= 1.0:
+        p = y[ball]
+        if p.dot(p) >= 1.0:
             raise _LeftBall
         return rhs(y)
 
     y, info, last = y0, 0.0, 0
-    records = [(0.0, y.copy(), info)]
+    records = [(0.0, y, info)]  # no step writes into a state; np.stack copies each once
     # a run that overflows ends as "nonfinite", not with numpy warnings on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             try:
-                y_next = rk4_step(inside if ball else rhs, y, h)
+                y_next = rk4_step(rhs if ball is None else inside, y, h)
             except _LeftBall:
-                near = 1.0 - float(np.linalg.norm(y[:ball])) <= NEAR_BOUNDARY
+                near = 1.0 - float(np.linalg.norm(y[ball])) <= NEAR_BOUNDARY
                 reason = "boundary" if near else "unstable"
             except SimulationError:
                 reason = "nonfinite"
             else:
-                if ball and float(np.linalg.norm(y_next[:ball])) >= 1.0 - BOUNDARY_TOL:
+                if ball is not None and float(np.linalg.norm(y_next[ball])) >= 1.0 - BOUNDARY_TOL:
                     reason = "boundary"
                 else:
                     y_next, info_next, reason = after_step(y_next)
             if reason is not None:
                 if last < k - 1:
-                    records.append(((k - 1) * h, y.copy(), info))
-                return records, (reason, k * h)
+                    records.append(((k - 1) * h, y, info))
+                break
             y, info = y_next, info_next
             if k % stride == 0 or k == n_steps:
-                records.append((k * h, y.copy(), info))
+                records.append((k * h, y, info))
                 last = k
-    return records, ("end", n_steps * h)
+        else:
+            reason = "end"
+    times, states, infos = zip(*records)
+    traj = Trajectory(np.array(times), np.stack(states), np.array(infos), reason)
+    if reason in _ABORTS:
+        raise IntegrationAbort(f"{_ABORTS[reason]} at t = {k * h:.6g}", traj)
+    return traj
 
 
 _ABORTS = {
@@ -292,30 +321,9 @@ _ABORTS = {
 }
 
 
-def _result(value, stop):
-    """value, or IntegrationAbort carrying it when the run stopped on a failure."""
-    reason, t = stop
-    if reason in _ABORTS:
-        raise IntegrationAbort(f"{_ABORTS[reason]} at t = {t:.6g}", value, reason)
-    return value
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """One recorded instant of a full-system run.
-
-    drift is the maximum | |x_i| - 1 | seen since t = 0, measured before any
-    renormalization.
-    """
-
-    t: float
-    x: np.ndarray
-    Z: np.ndarray
-    drift: float
-
-
 def integrate_full(x0, A, weights, h, t_end, projection=True, stride=1):
-    """Integrate the full system with fixed-step RK4.
+    """Integrate the full system with fixed-step RK4; returns a Trajectory
+    of (N, d) states whose info is the worst drift so far.
 
     Records every stride steps plus the initial and final states.  With
     projection on, every particle is renormalized to unit length after each
@@ -348,9 +356,7 @@ def integrate_full(x0, A, weights, h, t_end, projection=True, stride=1):
             return x / norms[:, None], drift, "unstable" if defect > NORM_DRIFT_LIMIT else None
         return x, drift, "drift" if drift > NORM_DRIFT_LIMIT else None
 
-    records, stop = _drive(lambda x: full_rhs(x, A, weights), x0, h, t_end, stride, 0, after_step)
-    return _result([TrajectoryPoint(t, x, order_parameter(x, weights), dr)
-                    for t, x, dr in records], stop)
+    return _drive(lambda x: full_rhs(x, A, weights), x0, h, t_end, stride, after_step=after_step)
 
 
 # ---------------------------------------------------------------------------

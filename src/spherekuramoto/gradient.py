@@ -403,7 +403,7 @@ def classify_limits(ctx, direction, seed=0, horizon=40.0):
         "Z_residual": z_res,
         "min_pair_dot": min_pair,
         "max_dominant_dot": float(np.max(dom_dots)),
-        "boundary_reached": bool(traj.boundary_reached),
+        "boundary_reached": traj.stop == "boundary",
     }
 
     if direction == "forward":

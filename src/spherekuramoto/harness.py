@@ -10,6 +10,7 @@ the file.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -29,7 +30,6 @@ from .dynamics import (
     min_pair_dot,
     order_parameter,
     random_configuration,
-    step_count,
 )
 from .geometry import (DISTINCT_TOL, LEFT, RIGHT, GeometryError, MobiusMap, _cross_ratio,
                        antisymmetric_from_upper, boost_apply, cross_ratio, mobius_apply,
@@ -240,13 +240,16 @@ def config_to_dict(cfg):
     }
 
 
-def load_config(path):
-    """Parse and validate a JSON configuration file."""
+def load_config(path, seed=None):
+    """Parse and validate a JSON configuration file; a seed given here
+    replaces the file's before validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
+    if seed is not None and isinstance(data, dict):
+        data = {**data, "seed": seed}
     return config_from_dict(data)
 
 
@@ -278,9 +281,8 @@ PRESETS = {
 def preset_config(name, seed=None, out=None):
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    cfg = config_from_dict(PRESETS[name])
-    if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
+    data = PRESETS[name] if seed is None else {**PRESETS[name], "seed": int(seed)}
+    cfg = config_from_dict(data)
     if out is not None:
         cfg = replace(cfg, out=str(out))
     return cfg
@@ -426,14 +428,14 @@ def _try_potential(w, ctx):
 
 @dataclass
 class RunSummary:
-    """steps is round(t / h) at the last record.  stop_reason is "end",
-    "boundary" (a clean early stop at the ball boundary), or the abort
-    "drift", "nonfinite" or "unstable" (an RK stage thrown out of the ball
-    from far inside it, or a step whose pre-projection defect exceeds
-    NORM_DRIFT_LIMIT), which also sets aborted.  phases holds the
-    seconds spent in "setup", "integrate", "diagnostics" (the record
-    builders) and "serialize" (writing the file); they sum to at most
-    wall_time."""
+    """steps is round(t / h) at the last record.  stop_reason is the
+    integrator's Trajectory.stop: "end", "boundary" (a clean early stop at
+    the ball boundary), or the abort "drift", "nonfinite" or "unstable" (an
+    RK stage thrown out of the ball from far inside it, or a step whose
+    pre-projection defect exceeds NORM_DRIFT_LIMIT), which also sets
+    aborted.  phases holds the seconds spent in "setup", "integrate",
+    "diagnostics" (the record builders) and "serialize" (writing the file);
+    they sum to at most wall_time."""
 
     mode: str
     steps: int
@@ -455,42 +457,52 @@ def _potential_context(cfg, base):
         return None
 
 
-# Line builders: integrator result, initial state, cfg -> record rows
+def _norm(v):
+    """|v| as np.linalg.norm gives it, or by math.hypot where the squares
+    np.linalg.norm sums overflowed (|v| above about 1e154)."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    return n if np.isfinite(n) else math.hypot(*v)
+
+
+# Line builders: Trajectory, initial state, cfg -> record rows
 # (t, state, Znorm, min_pair_dot, phi, drift).  The reduced builder
 # reconstructs from the record arrays: the base was validated once, when the
 # run's initial state was built.
 
 
-def _full_rows(records, x0, cfg):
-    return [(r.t, r.x, np.linalg.norm(r.Z), min_pair_dot(r.x), None, r.drift) for r in records]
+def _full_rows(traj, x0, cfg):
+    a = resolve_weights(cfg)
+    return [(t, x, _norm(order_parameter(x, a)), min_pair_dot(x), None, drift)
+            for t, x, drift in zip(traj.times, traj.states, traj.info)]
 
 
 def _w_rows(traj, base, cfg):
     a, ctx = resolve_weights(cfg), _potential_context(cfg, base)
     rows = []
-    for t, w in zip(traj.times, traj.ws):
+    for t, w in zip(traj.times, traj.states):
         x = boost_apply(w, base)  # rotation factor does not affect these metrics
-        rows.append((t, {"w": w}, np.linalg.norm(order_parameter(x, a)), min_pair_dot(x),
+        rows.append((t, {"w": w}, _norm(order_parameter(x, a)), min_pair_dot(x),
                      _try_potential(w, ctx), None))
     return rows
 
 
-def _reduced_rows(records, state0, cfg):
+def _reduced_rows(traj, state0, cfg):
     # the state key names the form's boost; phi is the potential of w, so LEFT only
     form, base, a = state0.form, state0.base, resolve_weights(cfg)
     key, ctx = ("w", _potential_context(cfg, base)) if form == LEFT else ("z", None)
     rows = []
-    for r in records:
-        x = mobius_apply(MobiusMap(r.zeta, r.boost, form), base)
-        rows.append((r.t, {key: r.boost, "zeta": r.zeta}, np.linalg.norm(order_parameter(x, a)),
-                     min_pair_dot(x), _try_potential(r.boost, ctx), r.ortho_residual))
+    for t, s, residual in zip(traj.times, traj.states, traj.info):
+        boost, zeta = s[0], s[1:]
+        x = mobius_apply(MobiusMap(zeta, boost, form), base)
+        rows.append((t, {key: boost, "zeta": zeta}, _norm(order_parameter(x, a)),
+                     min_pair_dot(x), _try_potential(boost, ctx), residual))
     return rows
 
 
-def _continuum_rows(result, state0, cfg):
-    times, zs, _ = result
-    return [(t, {"z": z}, np.linalg.norm(order_parameter_closed_form(z, cfg.coupling)),
-             None, None, None) for t, z in zip(times, zs)]
+def _continuum_rows(traj, state0, cfg):
+    return [(t, {"z": z}, _norm(order_parameter_closed_form(z, cfg.coupling)), None, None, None)
+            for t, z in zip(traj.times, traj.states)]
 
 
 def _reduced_mode(form):
@@ -539,15 +551,13 @@ def run_experiment(cfg, quiet=False):
     state0 = initial(cfg)
     marks.append(time.perf_counter())
     try:
-        result, stop_reason, aborted = integrate(state0, cfg), None, False
+        traj, aborted = integrate(state0, cfg), False
     except IntegrationAbort as exc:
-        result, stop_reason, aborted = exc.trajectory, exc.reason, True
+        traj, aborted = exc.trajectory, True
     marks.append(time.perf_counter())
-    lines = [_header(cfg)] + [_record(*row) for row in rows(result, state0, cfg)]
+    lines = [_header(cfg)] + [_record(*row) for row in rows(traj, state0, cfg)]
     last_t = lines[-1]["t"]
     steps = round(last_t / cfg.h) if last_t else 0
-    if stop_reason is None:  # a clean run reaches t_end or stops at the ball boundary
-        stop_reason = "end" if steps == step_count(cfg.t_end, cfg.h) else "boundary"
 
     marks.append(time.perf_counter())
     if cfg.out is not None:
@@ -557,7 +567,7 @@ def run_experiment(cfg, quiet=False):
               zip(("setup", "integrate", "diagnostics", "serialize"), marks, marks[1:])}
     final = {k: v for k, v in lines[-1].items() if k not in ("type", "state")}
     summary = RunSummary(cfg.mode, steps, len(lines) - 1, final, marks[-1] - marks[0], cfg.out,
-                         aborted, stop_reason, phases)
+                         aborted, traj.stop, phases)
     if not quiet:
         print(f"mode={summary.mode} steps={summary.steps} records={summary.records} "
               f"wall={summary.wall_time:.3f}s aborted={summary.aborted} "
@@ -635,23 +645,23 @@ def compare_full_reduced(cfg, quiet=False):
                                 cfg.h, cfg.t_end, cfg.stride)
     wall_reduced = time.perf_counter() - t0
 
-    reduced_at = {rrec.t: rrec for rrec in reduced}
+    reduced_at = dict(zip(reduced.times, reduced.states))
     deviation = 0.0
-    for frec in full:
-        rrec = reduced_at.get(frec.t)
-        if rrec is not None:
-            x_rec = mobius_apply(MobiusMap(rrec.zeta, rrec.boost), x0)
-            deviation = max(deviation, float(np.max(np.abs(frec.x - x_rec))))
+    for t, x in zip(full.times, full.states):
+        s = reduced_at.get(t)
+        if s is not None:
+            x_rec = mobius_apply(MobiusMap(s[1:], s[0]), x0)
+            deviation = max(deviation, float(np.max(np.abs(x - x_rec))))
 
     drift = 0.0
     tuples = _cross_ratio_tuples(cfg.n, cfg.seed)
     if tuples:
-        reference = [cross_ratio(*full[0].x[list(tpl)]) for tpl in tuples]
+        reference = [cross_ratio(*full.states[0][list(tpl)]) for tpl in tuples]
         # later records are not revalidated: without projection they drift
         # off the sphere, which is part of what this measures
-        for frec in full[1:]:
+        for x in full.states[1:]:
             for ref, tpl in zip(reference, tuples):
-                pts = frec.x[list(tpl)]
+                pts = x[list(tpl)]
                 if _distinct(pts):
                     drift = max(drift, abs(_cross_ratio(*pts) - ref))
 

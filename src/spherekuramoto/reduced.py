@@ -19,7 +19,6 @@ from .dynamics import (
     BOUNDARY_TOL,
     NORM_DRIFT_LIMIT,
     _drive,
-    _result,
     as_weights,
     validate_configuration,
 )
@@ -40,8 +39,6 @@ from .geometry import (
 
 __all__ = [
     "ReducedState",
-    "ReducedPoint",
-    "WTrajectory",
     "validate_base_points",
     "initial_state",
     "skew_pair_apply",
@@ -246,30 +243,17 @@ def reconstruct(state):
     return mobius_apply(MobiusMap(state.zeta, state.boost, state.form), state.base)
 
 
-@dataclass(frozen=True)
-class ReducedPoint:
-    """One recorded instant of a reduced run, in the form of its initial state.
-
-    ortho_residual is the pre-projection orthogonality defect of the rotation
-    at this step (zero at t = 0).
-    """
-
-    t: float
-    boost: np.ndarray
-    zeta: np.ndarray
-    ortho_residual: float
-
-
 def integrate_reduced(state0, A, weights, h, t_end, stride=1):
-    """RK4 on the orbit coordinates (boost, zeta) of state0, in its form,
-    stacked into one vector.
+    """RK4 on the orbit coordinates of state0, in its form, stacked into one
+    (d + 1, d) state: row 0 the boost, rows 1..d the rotation zeta.  Returns
+    the dynamics.Trajectory of these states.
 
-    The rotation is polar-projected back to SO(d) after every step (the
-    projection residual is recorded); a step whose residual exceeds
-    NORM_DRIFT_LIMIT is a failed step, the abort "unstable".  The boost is
-    the ball point of dynamics._drive's stop contract: the run stops cleanly
-    at the boundary with its last accepted state recorded, and an abort
-    raises IntegrationAbort carrying the prefix.
+    The rotation is polar-projected back to SO(d) after every step; the
+    projection residual is the Trajectory's info, and a step whose residual
+    exceeds NORM_DRIFT_LIMIT is a failed step, the abort "unstable".  The
+    boost is the ball point of dynamics._drive's stop contract: the run
+    stops cleanly at the boundary with its last accepted state recorded, and
+    an abort raises IntegrationAbort carrying the prefix.
     """
     if not isinstance(state0, ReducedState):
         raise TypeError("integrate_reduced expects orbit coordinates (ReducedState)")
@@ -278,43 +262,28 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
     eye = np.eye(d)
 
     def rhs(y):
-        pdot, zetadot = raw_rhs(y[:d], y[d:].reshape(d, d))
-        return np.concatenate([pdot, zetadot.ravel()])
+        pdot, zetadot = raw_rhs(y[0], y[1:])
+        return np.vstack([pdot, zetadot])
 
     def after_step(y):
-        zeta = y[d:].reshape(d, d)
+        zeta = y[1:]
         residual = float(np.max(np.abs(zeta.T @ zeta - eye)))
         if residual > NORM_DRIFT_LIMIT:
             return y, residual, "unstable"
-        return np.concatenate([y[:d], nearest_rotation(zeta).ravel()]), residual, None
+        return np.vstack([y[0], nearest_rotation(zeta)]), residual, None
 
-    y0 = np.concatenate([state0.boost, state0.zeta.ravel()])
-    records, stop = _drive(rhs, y0, h, t_end, stride, d, after_step)
-    return _result([ReducedPoint(t, y[:d], y[d:].reshape(d, d), residual)
-                    for t, y, residual in records], stop)
-
-
-@dataclass(frozen=True)
-class WTrajectory:
-    """Recorded boost-only flow: times (k,), ws (k, d), and whether the run
-    stopped at the ball boundary (the numerical signature of synchronization)."""
-
-    times: np.ndarray
-    ws: np.ndarray
-    boundary_reached: bool
-
-    @property
-    def final(self):
-        return self.ws[-1]
+    y0 = np.vstack([state0.boost, state0.zeta])
+    return _drive(rhs, y0, h, t_end, stride, 0, after_step)
 
 
 def integrate_w(w0, base, weights, h, t_end, stride=1):
-    """Integrate the boost-only flow with RK4.
+    """Integrate the boost-only flow with RK4; returns the
+    dynamics.Trajectory of the (d,) boosts w.
 
     w is the ball point of dynamics._drive's stop contract.  Forward time
     drives it to the boundary in finite numerical time once the population
-    synchronizes, so that stop is an expected exit, not an error.  The last
-    accepted state is always recorded.
+    synchronizes, so that stop ("boundary") is an expected exit, not an
+    error.  The last accepted state is always recorded.
     """
     base = validate_configuration(base)
     w0 = as_ball_point(w0, base.shape[1])
@@ -324,9 +293,7 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
     def rhs(w):  # w_rhs on the unvalidated kernel, with |base_i|^2 computed once
         return -0.5 * (1.0 - float(w @ w)) * _coupling_sum(w, base, x2, weights)[0]
 
-    records, stop = _drive(rhs, w0, h, t_end, stride, w0.size)
-    times, ws, _ = map(np.asarray, zip(*records))
-    return _result(WTrajectory(times, ws, stop[0] == "boundary"), stop)
+    return _drive(rhs, w0, h, t_end, stride, slice(None))
 
 
 # ---------------------------------------------------------------------------

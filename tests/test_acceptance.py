@@ -31,7 +31,7 @@ def test_criterion_01_sphere_invariance():
     x0 = dyn.random_configuration(100, 3, 2024)
     spec = dyn.equal_weights(100)
     recs = dyn.integrate_full(x0, None, spec, 0.01, 40.0, projection=False, stride=400)
-    drift = recs[-1].drift
+    drift = recs.info[-1]
     check("criterion 1 sphere invariance", drift <= 1e-6,
           f"max | |x_i| - 1 | = {drift:.3e} over t in [0, 40] (tol 1e-6)")
 
@@ -61,9 +61,9 @@ def orbit_runs():
 def test_criterion_02_group_orbit_reduction(orbit_runs):
     worst = 0.0
     for d, (x0, full, reduced) in orbit_runs.items():
-        for fr, rr in zip(full, reduced):
-            x = red.reconstruct(red.ReducedState(rr.boost, rr.zeta, x0))
-            worst = max(worst, float(np.max(np.abs(fr.x - x))))
+        for fr, rr in zip(full.states, reduced.states):
+            x = red.reconstruct(red.ReducedState(rr[0], rr[1:], x0))
+            worst = max(worst, float(np.max(np.abs(fr - x))))
     check("criterion 2 group-orbit reduction", worst <= 1e-5,
           f"sup-norm deviation = {worst:.3e} for d in {{2,3,4}} (tol 1e-5)")
 
@@ -73,9 +73,9 @@ def test_criterion_03_cross_ratio_conservation(orbit_runs):
     tuples = [(0, 1, 2, 3), (1, 4, 6, 9), (2, 3, 5, 8), (0, 4, 5, 7)]
     for d, (x0, full, _) in orbit_runs.items():
         for tpl in tuples:
-            ref = geo.cross_ratio(*full[0].x[list(tpl)])
-            for fr in full[1:]:
-                worst = max(worst, abs(geo.cross_ratio(*fr.x[list(tpl)]) - ref))
+            ref = geo.cross_ratio(*full.states[0][list(tpl)])
+            for fr in full.states[1:]:
+                worst = max(worst, abs(geo.cross_ratio(*fr[list(tpl)]) - ref))
     check("criterion 3 cross-ratio conservation", worst <= 1e-6,
           f"max drift = {worst:.3e} along the criterion-2 runs (tol 1e-6)")
 
@@ -121,7 +121,7 @@ def test_criterion_05_potential_monotone():
                               dyn.equal_weights(30))
     w0 = uniform_ball(3, rng_from(6001, 0), 0.5)
     traj = red.integrate_w(w0, ctx.base, ctx.weights, 0.01, 25.0)
-    values = np.array([gr.potential(w, ctx) for w in traj.ws])
+    values = np.array([gr.potential(w, ctx) for w in traj.states])
     slack = 1e-12 * np.abs(values[:-1]) + 1e-14
     violation = float(np.max(np.diff(values) - slack))
     check("criterion 5 potential monotonicity", violation <= 0.0,
@@ -138,7 +138,7 @@ def test_criterion_06_forward_synchronization():
     for seed in range(10):
         x0 = dyn.random_configuration(100, 3, seed)
         recs = dyn.integrate_full(x0, None, spec, 0.01, 40.0, stride=4000)
-        m = dyn.sync_metrics(recs[-1].x, spec)
+        m = dyn.sync_metrics(recs.states[-1], spec)
         worst_z = min(worst_z, m.Znorm)
         worst_dot = min(worst_dot, m.min_pair_dot)
     check("criterion 6 synchronization", worst_z >= 0.999 and worst_dot >= 0.999,
@@ -184,7 +184,7 @@ def test_criterion_08_majority_cluster():
     x0 = h.initial_configuration(cfg)
     recs = dyn.integrate_full(x0, None, spec, cfg.h, cfg.t_end,
                               projection=cfg.projection, stride=4000)
-    dots = recs[-1].x[1:] @ recs[-1].x[0]
+    dots = recs.states[-1][1:] @ recs.states[-1][0]
     worst = float(np.max(dots))
     check("criterion 8 majority cluster", worst <= -0.999,
           f"max_j <x_1, x_j> = {worst:.6f} at t = -40 (threshold -0.999)")
@@ -246,13 +246,13 @@ def test_criterion_11_continuum_shadowing():
     K = 1.0
     z0 = np.array([0.3, -0.1, 0.2])
     x0 = cont.sample_pushforward(z0, 10**4, seed=1100)
-    times, zs, _ = cont.integrate_continuum(cont.ContinuumState(z0, K, None),
-                                            0.01, 5.0, stride=25)
+    traj = cont.integrate_continuum(cont.ContinuumState(z0, K, None), 0.01, 5.0, stride=25)
+    times, zs = traj.times, traj.states
     recs = dyn.integrate_full(x0, None, dyn.mean_field_weights(len(x0), K), 0.01, 5.0, stride=25)
     worst = 0.0
-    for (t, z), rec in zip(zip(times, zs), recs):
-        assert abs(t - rec.t) < 1e-12
-        centroid = K * rec.x.mean(axis=0)
+    for (t, z), (rec_t, rec_x) in zip(zip(times, zs), zip(recs.times, recs.states)):
+        assert abs(t - rec_t) < 1e-12
+        centroid = K * rec_x.mean(axis=0)
         worst = max(worst, float(np.linalg.norm(
             centroid - cont.order_parameter_closed_form(z, K))))
     check("criterion 11 continuum shadowing", worst <= 2e-2,

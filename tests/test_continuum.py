@@ -323,7 +323,8 @@ def test_continuum_rhs_zero_at_origin():
 
 def test_integrate_continuum_records_and_guard():
     state = cont.ContinuumState(np.array([0.3, 0.0, 0.0]), 1.0, None)
-    times, zs, boundary = cont.integrate_continuum(state, 0.01, 2.0, stride=50)
+    traj = cont.integrate_continuum(state, 0.01, 2.0, stride=50)
+    times, zs, boundary = traj.times, traj.states, traj.stop == "boundary"
     assert times[0] == 0.0 and times[-1] == pytest.approx(2.0)
     norms = np.linalg.norm(zs, axis=1)
     assert np.all(np.diff(norms) > 0.0)  # positive coupling pushes outward
@@ -339,7 +340,8 @@ def test_nonfinite_stage_aborts_as_nonfinite():
     with pytest.raises(dyn.IntegrationAbort) as info:
         cont.integrate_continuum(state, 0.01, 1.0)
     assert info.value.reason == "nonfinite"
-    times, zs, boundary = info.value.trajectory
+    traj = info.value.trajectory
+    times, zs, boundary = traj.times, traj.states, traj.stop == "boundary"
     assert list(times) == [0.0] and np.array_equal(zs[0], state.z) and not boundary
 
 

@@ -222,21 +222,21 @@ def test_step_count_rejects_a_count_that_is_not_finite(t_end, h):
 def test_integrate_zero_time_returns_initial():
     x0 = dyn.random_configuration(5, 3, 7)
     recs = dyn.integrate_full(x0, None, equal_spec(5), 0.01, 0.0)
-    assert len(recs) == 1
-    assert np.array_equal(recs[0].x, x0)
+    assert len(recs.times) == 1
+    assert np.array_equal(recs.states[0], x0)
 
 
 def test_integrate_records_respect_stride():
     x0 = dyn.random_configuration(4, 3, 8)
     recs = dyn.integrate_full(x0, None, equal_spec(4), 0.01, 0.1, stride=4)
-    assert [round(r.t, 10) for r in recs] == [0.0, 0.04, 0.08, 0.1]
+    assert [round(t, 10) for t in recs.times] == [0.0, 0.04, 0.08, 0.1]
 
 
 def test_norm_conservation_without_projection():
     x0 = dyn.random_configuration(100, 3, 9)
     recs = dyn.integrate_full(x0, None, equal_spec(100), 0.01, 40.0,
                               projection=False, stride=400)
-    assert recs[-1].drift <= 1e-6
+    assert recs.info[-1] <= 1e-6
 
 
 def test_trajectory_d2_matches_angle_integrator():
@@ -249,7 +249,7 @@ def test_trajectory_d2_matches_angle_integrator():
     recs = dyn.integrate_full(angles_to_plane(theta0), A, a,
                               h, t_end, projection=False, stride=10_000)
     theta = integrate_angles(theta0, omega, a, h, t_end)
-    assert np.max(np.abs(recs[-1].x - angles_to_plane(theta))) <= 1e-8
+    assert np.max(np.abs(recs.states[-1] - angles_to_plane(theta))) <= 1e-8
 
 
 def test_determinism_bit_identical():
@@ -257,8 +257,8 @@ def test_determinism_bit_identical():
                            equal_spec(20), 0.01, 1.0, stride=10)
     b = dyn.integrate_full(dyn.random_configuration(20, 3, 11), None,
                            equal_spec(20), 0.01, 1.0, stride=10)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.x, rb.x) and ra.t == rb.t
+    for ra_t, ra_x, rb_t, rb_x in zip(a.times, a.states, b.times, b.states):
+        assert np.array_equal(ra_x, rb_x) and ra_t == rb_t
 
 
 def test_unprojected_abort_on_drift():
@@ -266,7 +266,7 @@ def test_unprojected_abort_on_drift():
     x0 = dyn.random_configuration(10, 3, 12)
     with pytest.raises(dyn.IntegrationAbort) as info:
         dyn.integrate_full(x0, None, equal_spec(10), 2.5, 250.0, projection=False)
-    assert len(info.value.trajectory) >= 1
+    assert len(info.value.trajectory.times) >= 1
 
 
 def test_drift_abort_records_last_accepted_state():
@@ -276,8 +276,8 @@ def test_drift_abort_records_last_accepted_state():
         dyn.integrate_full(x0, None, equal_spec(10), 0.5, 500.0, projection=False, stride=1000)
     assert info.value.reason == "drift"
     traj = info.value.trajectory
-    assert [p.t for p in traj] == [0.0, 3.0]
-    assert traj[-1].drift <= dyn.NORM_DRIFT_LIMIT
+    assert list(traj.times) == [0.0, 3.0]
+    assert traj.info[-1] <= dyn.NORM_DRIFT_LIMIT
 
 
 # ---------------------------------------------------------------------------

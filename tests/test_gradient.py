@@ -144,7 +144,7 @@ def test_potential_decreases_along_trajectories():
     ctx = make_ctx(n=20, seed=12)
     w0 = uniform_ball(3, rng_from(13, 0), 0.5)
     traj = red.integrate_w(w0, ctx.base, ctx.weights, 0.01, 20.0)
-    values = np.array([gr.potential(w, ctx) for w in traj.ws])
+    values = np.array([gr.potential(w, ctx) for w in traj.states])
     slack = 1e-12 * np.abs(values[:-1]) + 1e-14
     assert np.all(np.diff(values) <= slack)
 

@@ -12,7 +12,11 @@ from hypothesis.extra import numpy as hnp
 from oracles import dumps_record_reference
 
 from spherekuramoto import cli
+from spherekuramoto import continuum as cont
+from spherekuramoto import dynamics as dyn
 from spherekuramoto import harness as h
+from spherekuramoto import reduced as red
+from spherekuramoto.geometry import LEFT, RIGHT
 
 
 def write_config(path, **overrides):
@@ -493,6 +497,79 @@ def test_nonfinite_run_prints_no_numpy_warnings(tmp_path, capsys):
     assert "Warning" not in capsys.readouterr().err
 
 
+def _integrate(cfg):
+    """The public integrator of cfg.mode on the inputs run_experiment builds."""
+    a, A, x0 = h.resolve_weights(cfg), h.resolve_rotation(cfg), h.initial_configuration(cfg)
+    steps = (cfg.h, cfg.t_end, cfg.stride)
+    if cfg.mode == "full":
+        return dyn.integrate_full(x0, A, a, cfg.h, cfg.t_end, cfg.projection, cfg.stride)
+    if cfg.mode == "reduced_w":
+        return red.integrate_w(np.zeros(cfg.d), x0, a, *steps)
+    if cfg.mode == "continuum":
+        state0 = cont.ContinuumState(h.initial_continuum_z(cfg), cfg.coupling, A)
+        return cont.integrate_continuum(state0, *steps)
+    form = LEFT if cfg.mode == "reduced_wzeta" else RIGHT
+    state0 = red.ReducedState(np.zeros(cfg.d), np.eye(cfg.d), x0, form)
+    return red.integrate_reduced(state0, A, a, *steps)
+
+
+_STIFF = {"kind": "explicit", "matrix": [[0.0, 500.0, 0.0], [-500.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+_SYNC = {"t_end": 40.0, "seed": 21}  # equal weights synchronize well before t = 40
+_CONTINUUM = {"n": 3, "coupling": 1.0}
+
+
+@pytest.mark.parametrize("mode, overrides, stop", [
+    ("full", {}, "end"),
+    ("full", {"h": 2.5, "t_end": 250.0, "seed": 12, "projection": False}, "drift"),
+    ("reduced_w", {}, "end"),
+    ("reduced_w", _SYNC, "boundary"),
+    ("reduced_w", {"h": 0.8, "t_end": 40.0, "weights": {
+        "kind": "explicit", "values": [30.0] * 10, "normalized": False}}, "unstable"),
+    ("reduced_wzeta", {}, "end"),
+    ("reduced_wzeta", _SYNC, "boundary"),
+    ("reduced_wzeta", {"seed": 3, "rotation": _STIFF}, "unstable"),
+    ("reduced_zzeta", {}, "end"),
+    ("reduced_zzeta", _SYNC, "boundary"),
+    ("reduced_zzeta", {"seed": 3, "rotation": _STIFF}, "unstable"),
+    ("continuum", _CONTINUUM, "end"),
+    ("continuum", {**_CONTINUUM, "h": 0.05, "t_end": 40.0}, "boundary"),
+    ("continuum", {**_CONTINUUM, "seed": 3, "rotation": _STIFF}, "unstable"),
+])
+def test_stop_reason_is_one_word_in_every_mode(tmp_path, mode, overrides, stop):
+    # the integrator's Trajectory.stop, the abort's reason and the run
+    # summary's stop_reason of the same config are one and the same word
+    cfg = h.load_config(write_config(tmp_path / "c.json", mode=mode, **overrides))
+    try:
+        traj = _integrate(cfg)
+    except dyn.IntegrationAbort as exc:
+        assert exc.reason == exc.trajectory.stop
+        traj = exc.trajectory
+    else:
+        assert stop in ("end", "boundary")
+    summary = h.run_experiment(cfg, quiet=True)
+    assert traj.stop == summary.stop_reason == stop
+    assert summary.aborted == (stop not in ("end", "boundary"))
+    assert summary.records == len(traj.times) == len(traj.states) == len(traj.info)
+    assert summary.steps == round(traj.times[-1] / cfg.h)
+
+
+@pytest.mark.parametrize("mode, stop", [("full", "nonfinite"), ("continuum", "unstable")])
+def test_huge_coupling_writes_a_finite_znorm(tmp_path, capsys, mode, stop):
+    # |Z| is about 3e307: the squares np.linalg.norm sums overflow, the norm does not
+    out = tmp_path / f"{mode}.jsonl"
+    cfgfile = write_config(tmp_path / "c.json", d=3, n=5, mode=mode, seed=1, h=0.01,
+                           t_end=0.1, coupling=1e308, out=str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", str(cfgfile)]) == 3
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    assert f"stop_reason={stop}" in captured.out
+    _, records = h.read_trajectory(out)
+    znorms = [r["Znorm"] for r in records]
+    assert znorms and all(np.isfinite(z) and z > 1e307 for z in znorms)
+
+
 # sha256 of small rotated reduced runs (n = 50, d = 3, h = 0.01, t_end = 2,
 # stride 10, seed 11).  reduced_zzeta as written before the line builders
 # stopped rebuilding and revalidating a reduced state per record; reduced_w
@@ -557,6 +634,24 @@ def test_cli_malformed_field_is_validation_error(tmp_path, capsys, overrides, fi
     assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and field in errors[0]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["preset", "fig1", "--seed", "-1"], "field 'seed'"),
+    (["simulate", "--config", "{config}", "--seed", "-1"], "field 'seed'"),
+    (["fixedpoint", "--config", "{config}", "--seeds", "0"], "--seeds"),
+    (["potential-check", "--config", "{config}", "--samples", "0"], "--samples"),
+    (["continuum-check", "--d", "0"], "--d"),
+    (["continuum-check", "--seed", "-1"], "--seed"),
+])
+def test_cli_flag_below_its_range_is_validation_error(tmp_path, capsys, argv, flag):
+    config = str(write_config(tmp_path / "c.json", n=12))
+    argv = [arg.format(config=config) for arg in argv]
+    assert cli.main(argv + ["--quiet"]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and flag in errors[0]
+    assert "ok" not in captured.out
 
 
 def test_cli_missing_file_is_validation_error(tmp_path):

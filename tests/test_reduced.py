@@ -123,12 +123,12 @@ def test_zzeta_radial_growth_identity_along_trajectory():
     recs = red.integrate_reduced(
         red.ReducedState(np.zeros(3), np.eye(3), x0, geo.RIGHT), A, spec, 0.01, 5.0, stride=50
     )
-    for rec in recs:
-        state = red.ReducedState(rec.boost, rec.zeta, x0, geo.RIGHT)
+    for rec in recs.states:
+        state = red.ReducedState(rec[0], rec[1:], x0, geo.RIGHT)
         zdot, _ = red.reduced_rhs(state, A, spec)
         Z = dyn.order_parameter(red.reconstruct(state), spec)
-        lhs = zdot @ rec.boost
-        rhs = 0.5 * (1.0 - rec.boost @ rec.boost) * (Z @ rec.boost)
+        lhs = zdot @ rec[0]
+        rhs = 0.5 * (1.0 - rec[0] @ rec[0]) * (Z @ rec[0])
         assert abs(lhs - rhs) <= 1e-10
 
 
@@ -272,9 +272,9 @@ def test_integrate_reduced_zero_time():
     x0, A, spec = make_system()
     s0 = red.initial_state(x0)
     recs = red.integrate_reduced(s0, A, spec, 0.01, 0.0)
-    assert len(recs) == 1
-    assert np.array_equal(recs[0].boost, s0.boost)
-    assert np.array_equal(recs[0].zeta, s0.zeta)
+    assert len(recs.times) == 1
+    assert np.array_equal(recs.states[0, 0], s0.boost)
+    assert np.array_equal(recs.states[0, 1:], s0.zeta)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -284,9 +284,9 @@ def test_reduction_reconstructs_full_trajectory(d):
     full = dyn.integrate_full(x0, A, spec, h, t_end, projection=False, stride=500)
     reduced = red.integrate_reduced(red.initial_state(x0), A, spec, h, t_end, stride=500)
     worst = 0.0
-    for fr, rr in zip(full, reduced):
-        x = red.reconstruct(red.ReducedState(rr.boost, rr.zeta, x0))
-        worst = max(worst, float(np.max(np.abs(fr.x - x))))
+    for fr, rr in zip(full.states, reduced.states):
+        x = red.reconstruct(red.ReducedState(rr[0], rr[1:], x0))
+        worst = max(worst, float(np.max(np.abs(fr - x))))
     assert worst <= 1e-5
 
 
@@ -297,9 +297,9 @@ def test_zzeta_integration_matches_wzeta_reconstruction():
     z_recs = red.integrate_reduced(
         red.ReducedState(np.zeros(3), np.eye(3), x0, geo.RIGHT), A, spec, h, t_end, stride=250
     )
-    for wr, zr in zip(w_recs, z_recs):
-        xw = red.reconstruct(red.ReducedState(wr.boost, wr.zeta, x0))
-        xz = red.reconstruct(red.ReducedState(zr.boost, zr.zeta, x0, geo.RIGHT))
+    for wr, zr in zip(w_recs.states, z_recs.states):
+        xw = red.reconstruct(red.ReducedState(wr[0], wr[1:], x0))
+        xz = red.reconstruct(red.ReducedState(zr[0], zr[1:], x0, geo.RIGHT))
         assert np.max(np.abs(xw - xz)) <= 1e-9
 
 
@@ -307,18 +307,18 @@ def test_rotation_stays_orthogonal_along_reduced_run():
     x0, A, spec = make_system(6, 3, seed=300)
     recs = red.integrate_reduced(red.initial_state(x0), A, spec, 0.01, 10.0, stride=100)
     eye = np.eye(3)
-    for rec in recs:
-        assert np.max(np.abs(rec.zeta.T @ rec.zeta - eye)) <= 1e-9
+    for rec in recs.states:
+        assert np.max(np.abs(rec[1:].T @ rec[1:] - eye)) <= 1e-9
 
 
 def test_boost_norm_grows_monotonically_toward_synchrony():
     x0 = dyn.random_configuration(50, 3, 44)
     weights = dyn.equal_weights(50)
     traj = red.integrate_w(np.zeros(3), x0, weights, 0.01, 40.0, stride=10)
-    norms = np.linalg.norm(traj.ws, axis=1)
+    norms = np.linalg.norm(traj.states, axis=1)
     settled = norms[5:]  # skip the flat start at w = 0
     assert np.all(np.diff(settled) >= -1e-12)
-    assert traj.boundary_reached or norms[-1] >= 1.0 - 1e-3
+    assert traj.stop == "boundary" or norms[-1] >= 1.0 - 1e-3
 
 
 @pytest.mark.parametrize("h, n_steps, stride", [
@@ -334,9 +334,9 @@ def test_integrate_w_matches_plain_rk4_on_public_w_rhs(h, n_steps, stride):
     w0 = np.array([0.2, -0.3, 0.1])
     traj = red.integrate_w(w0, base, weights, h, n_steps * h, stride)
     times, ws, boundary = integrate_w_reference(w0, base, weights, h, n_steps, stride)
-    assert traj.boundary_reached == boundary == (h > 0 and stride == 1)
+    assert (traj.stop == "boundary") == boundary == (h > 0 and stride == 1)
     assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.ws, ws)
+    assert np.array_equal(traj.states, ws)
 
 
 @pytest.mark.parametrize("w", [[1.0, 0.0, 0.0], [0.0, -1.5, 0.0], [np.nan, 0.0, 0.0]])
@@ -396,7 +396,7 @@ def test_integrate_w_zero_time():
     x0 = dyn.random_configuration(5, 3, 45)
     traj = red.integrate_w(np.zeros(3), x0, dyn.equal_weights(5), 0.01, 0.0)
     assert traj.times.shape == (1,)
-    assert np.array_equal(traj.ws[0], np.zeros(3))
+    assert np.array_equal(traj.states[0], np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
