@@ -74,9 +74,13 @@ def _cmd_compare(args):
     return EXIT_OK
 
 
+def _check_flag(ok, flag, rule, value):
+    if not ok:
+        raise ConfigError(f"{flag} must be {rule}, got {value}")
+
+
 def _at_least(value, low, flag):
-    if value < low:
-        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    _check_flag(value >= low, flag, f">= {low}", value)
 
 
 def _cmd_fixedpoint(args):
@@ -155,14 +159,22 @@ def _report(label, value, tol, quiet):
 def _cmd_continuum_check(args):
     _at_least(args.d, 2, "--d")
     _at_least(args.seed, 0, "--seed")
+    _at_least(args.samples, 1, "--samples")
+    _check_flag(abs(args.radius) < 1.0, "--radius", "in (-1, 1)", args.radius)
+    _check_flag(np.isfinite(args.coupling), "--coupling", "finite", args.coupling)
+    _check_flag(0.0 < args.tol < np.inf, "--tol", "finite and > 0", args.tol)
     z = np.zeros(args.d)
     z[0] = args.radius
-    closed = order_parameter_closed_form(z, args.coupling)
-    mc = poisson_integral_mc(lambda x: args.coupling * x, z, args.samples, args.seed)
+    # both sides are linear in the coupling: compare them at coupling 1, so
+    # that no coupling, however large, overflows the error
+    closed = order_parameter_closed_form(z)
+    mc = poisson_integral_mc(lambda x: x, z, args.samples, args.seed)
     rel = float(np.linalg.norm(closed - mc.value) / max(np.linalg.norm(closed), 1e-300))
     if not args.quiet:
-        print(f"closed form  {closed.tolist()}")
-        print(f"monte carlo  {np.asarray(mc.value).tolist()}  (stderr {np.max(mc.stderr):.2e})")
+        k = args.coupling
+        print(f"closed form  {(k * closed).tolist()}")
+        print(f"monte carlo  {(k * np.asarray(mc.value)).tolist()}  "
+              f"(stderr {abs(k) * np.max(mc.stderr):.2e})")
         print(f"relative error {rel:.3e} (tolerance {args.tol:g})")
     return EXIT_OK if rel <= args.tol else EXIT_CHECK_FAILED
 

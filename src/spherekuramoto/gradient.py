@@ -18,12 +18,10 @@ from .reduced import integrate_w, validate_base_points, w_rhs
 from .sampling import rng_from, uniform_ball
 
 SINGULAR_TOL = 1e-12  # the potential is singular at the base points
-FLOW_STEP = 0.01  # RK4 step of the boost-flow runs that settle and classify
-SETTLE_TIME = 10.0  # backward time between flow-speed checks of the settle loop
-SETTLE_MAX_TIME = 400.0
-VELOCITY_TOL = 1e-8  # flow speed at which the settle loop hands over to Newton
-NEWTON_TOL = 1e-12
+FLOW_STEP = 0.01  # RK4 step of the classification runs
+NEWTON_TOL = 1e-12  # |sum_i a_i M_w(p_i)| at which the fixed-point search stops
 MAX_NEWTON = 50
+NEWTON_STEP_CAP = 0.5  # largest boost |u| of one Newton step in the recentred frame
 JACOBIAN_STEP = 1e-5  # central-difference step of semiscaled_jacobian
 
 FORWARD_SYNC = "forward_sync"
@@ -176,21 +174,21 @@ def linearization_T(base, weights):
     return T
 
 
-def _weighted_centroid(w, ctx):
-    return ctx.weights @ boost_apply(w, ctx.base)
-
-
 def find_fixed_point(ctx, seed=0):
     """Locate the unique interior equilibrium of the boost flow.
 
-    Backward-time integration (globally convergent for admissible weights)
-    settles a seeded interior point near the equilibrium until the flow speed
-    drops below VELOCITY_TOL; Newton iterations on the weighted centroid map
-    then polish it.  The linearization is reported after recentring the base
-    so the fixed point sits at the origin.
+    The equilibrium is the conformal barycenter of the base (Douady and
+    Earle): the w at which g = sum_i a_i M_w(p_i) vanishes.  A damped Newton
+    iteration from a seeded interior point works in the recentred frame
+    x_i = M_w(p_i), where T = sum_i a_i x_i x_i^T and the Jacobian of g under
+    a further boost by u is -2(I - T) at u = 0.  Since tr T = 1, I - T is
+    positive definite unless the points collapse onto a +/- pair.  The step
+    u = (I - T)^{-1} g / 2, capped at |u| <= NEWTON_STEP_CAP, moves the
+    iterate to M_{-w}(u), the point that the composed boost carries to the
+    origin.  The linearization is reported from the last recentred base.
 
     Raises GradientError when no interior fixed point exists (a dominant
-    weight) or the search fails to converge.
+    weight) or the search leaves the ball or fails to converge.
     """
     if float(ctx.weights.max()) >= 0.5:
         raise GradientError(
@@ -198,41 +196,25 @@ def find_fixed_point(ctx, seed=0):
             f"{float(ctx.weights.max()):.17g} >= 1/2 keeps the centroid away from zero"
         )
     w = uniform_ball(ctx.d, rng_from(seed, 11), radius=0.5)
-    elapsed = 0.0
-    settled = False
-    while elapsed < SETTLE_MAX_TIME:
-        traj = integrate_w(w, ctx.base, ctx.weights, -FLOW_STEP, -SETTLE_TIME)
-        w = traj.final.copy()
-        elapsed += SETTLE_TIME
-        if float(np.linalg.norm(flow_rhs(w, ctx))) < VELOCITY_TOL:
-            settled = True
-            break
-    if not settled:
-        raise GradientError(
-            "backward flow did not settle; the weight hypotheses are likely violated"
-        )
-
-    fd = 1e-7
-    converged = False
+    eye = np.eye(ctx.d)
     for _ in range(MAX_NEWTON):
-        g = _weighted_centroid(w, ctx)
+        x = boost_apply(w, ctx.base)
+        x = x / np.linalg.norm(x, axis=1)[:, None]
+        g = ctx.weights @ x
         if float(np.linalg.norm(g)) <= NEWTON_TOL:
-            converged = True
             break
-        jac = np.empty((ctx.d, ctx.d))
-        for j in range(ctx.d):
-            e = np.zeros(ctx.d)
-            e[j] = fd
-            jac[:, j] = (_weighted_centroid(w + e, ctx) - _weighted_centroid(w - e, ctx)) / (2.0 * fd)
-        w = w - np.linalg.solve(jac, g)
-        if float(np.linalg.norm(w)) >= 1.0:
-            raise GradientError("Newton polish left the ball; no interior fixed point")
-    if not converged:
-        raise GradientError(f"Newton polish did not reach |Z| <= {NEWTON_TOL:g}")
+        T = (ctx.weights[:, None] * x).T @ x
+        u = 0.5 * np.linalg.solve(eye - T, g)
+        size = float(np.linalg.norm(u))
+        if size > NEWTON_STEP_CAP:
+            u *= NEWTON_STEP_CAP / size
+        w = boost_apply(-w, u)
+        if not float(np.linalg.norm(w)) < 1.0:
+            raise GradientError("Newton left the ball; no interior fixed point")
+    else:
+        raise GradientError(f"Newton did not reach |Z| <= {NEWTON_TOL:g} in {MAX_NEWTON} steps")
 
-    recentred = boost_apply(w, ctx.base)
-    recentred = recentred / np.linalg.norm(recentred, axis=1)[:, None]
-    T = linearization_T(recentred, ctx.weights)
+    T = linearization_T(x, ctx.weights)
     mu = np.linalg.eigvalsh(T)
     return LinearizationReport(
         w_star=w,
@@ -240,7 +222,7 @@ def find_fixed_point(ctx, seed=0):
         mu=mu,
         lam=1.0 - mu,
         T_norm=float(np.max(np.abs(mu))),
-        base_recentred=recentred,
+        base_recentred=x,
     )
 
 

@@ -7,8 +7,9 @@ model, quadrature for the radial hyperbolic length, a plain geometric series for
 the hypergeometric spot value, a per-scalar recursive formatter for the
 trajectory serializer, a plain RK4 loop over the public, validating boost
 flow for the boost-only integrator, the weighted sum of the boosted image
-array for the fused coupling-sum kernel, and the scaled plain sum of the
-positions for the mean-field order parameter.
+array for the fused coupling-sum kernel, the scaled plain sum of the
+positions for the mean-field order parameter, and backward-flow settling with
+a finite-difference Newton polish for the interior fixed point.
 """
 import json
 
@@ -17,7 +18,8 @@ from scipy.integrate import quad
 
 from spherekuramoto.dynamics import rk4_step
 from spherekuramoto.geometry import GeometryError, boost_apply
-from spherekuramoto.reduced import w_rhs
+from spherekuramoto.reduced import integrate_w, w_rhs
+from spherekuramoto.sampling import rng_from, uniform_ball
 
 
 def mobius_disc_complex(w, x):
@@ -147,3 +149,38 @@ def integrate_w_reference(w0, base, weights, h, n_steps, stride=1):
             ws.append(w)
             last = k
     return np.array(times), np.array(ws), False
+
+
+def fixed_point_reference(ctx, seed=0, settle_time=10.0, max_time=400.0, fd=1e-7):
+    """Interior equilibrium of the boost flow of a PotentialContext, by flow.
+
+    Integrates the flow backward (the equilibrium repels, so it attracts in
+    backward time) in chunks of settle_time from the same seeded start as
+    find_fixed_point until the flow speed drops below 1e-8, then polishes
+    with Newton on sum_i a_i M_w(p_i) and a central-difference Jacobian until
+    that centroid is below 1e-12.  Returns w_star; raises RuntimeError when
+    the flow does not settle or Newton does not converge.
+    """
+    def centroid(w):
+        return ctx.weights @ boost_apply(w, ctx.base)
+
+    w = uniform_ball(ctx.d, rng_from(seed, 11), radius=0.5)
+    elapsed = 0.0
+    while True:
+        if elapsed >= max_time:
+            raise RuntimeError("backward flow did not settle")
+        w = integrate_w(w, ctx.base, ctx.weights, -0.01, -settle_time).final.copy()
+        elapsed += settle_time
+        if np.linalg.norm(w_rhs(w, ctx.base, ctx.weights)) < 1e-8:
+            break
+    for _ in range(50):
+        g = centroid(w)
+        if np.linalg.norm(g) <= 1e-12:
+            return w
+        jac = np.empty((ctx.d, ctx.d))
+        for j in range(ctx.d):
+            e = np.zeros(ctx.d)
+            e[j] = fd
+            jac[:, j] = (centroid(w + e) - centroid(w - e)) / (2.0 * fd)
+        w = w - np.linalg.solve(jac, g)
+    raise RuntimeError("Newton polish did not converge")

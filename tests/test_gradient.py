@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import fixed_point_reference
 from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
 from spherekuramoto import gradient as gr
@@ -185,6 +186,56 @@ def test_fixed_point_unique_across_seeds():
     ctx = make_ctx(n=12, seed=15)
     stars = np.stack([gr.find_fixed_point(ctx, seed=s).w_star for s in range(8)])
     assert np.max(np.linalg.norm(stars - stars[0], axis=1)) <= 1e-7
+
+
+def random_admissible_ctx(seed, d=3, max_weight=0.45):
+    """A random base with random weights, every one below max_weight."""
+    while True:
+        rng = rng_from(18, seed, d)
+        n = int(rng.integers(3, 12))
+        raw = rng.random(n) + 0.05
+        weights = raw / raw.sum()
+        if weights.max() < max_weight:
+            return gr.PotentialContext(dyn.random_configuration(n, d, 3000 + seed), weights)
+        seed += 1000
+
+
+@pytest.mark.parametrize("seed,d", [(1, 2), (2, 3), (3, 3), (4, 4), (5, 5)])
+def test_fixed_point_agrees_with_backward_flow_oracle(seed, d):
+    ctx = random_admissible_ctx(seed, d)
+    rep = gr.find_fixed_point(ctx, seed=seed)
+    assert np.max(np.abs(rep.w_star - fixed_point_reference(ctx, seed=seed))) <= 1e-10
+
+
+def test_fixed_point_integrates_no_flow(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_fixed_point integrated the boost flow")
+
+    monkeypatch.setattr(gr, "integrate_w", refuse)
+    rep = gr.find_fixed_point(make_ctx(n=15, seed=14), seed=2)
+    assert rep.T_norm < 1.0
+
+
+def test_fixed_point_reports_an_unfinished_search(monkeypatch):
+    monkeypatch.setattr(gr, "MAX_NEWTON", 1)
+    with pytest.raises(gr.GradientError, match="did not reach"):
+        gr.find_fixed_point(make_ctx(n=15, seed=14), seed=2)
+
+
+@pytest.mark.parametrize("n", [3, 5, 40])
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+@pytest.mark.parametrize("dominant", [0.49, 0.499])
+def test_fixed_point_near_critical_weight(dominant, d, n):
+    # the equilibrium sits close to the sphere, next to the dominant point
+    # (|w*| up to 0.998 here), where the backward flow is slow to settle
+    for seed in range(3):
+        ctx = gr.PotentialContext(dyn.random_configuration(n, d, seed),
+                                  dyn.majority_weights(n, dominant))
+        rep = gr.find_fixed_point(ctx, seed=seed)
+        assert np.linalg.norm(ctx.weights @ geo.boost_apply(rep.w_star, ctx.base)) <= 1e-10
+        assert np.linalg.norm(ctx.weights @ rep.base_recentred) <= 1e-10
+        assert rep.T_norm < 1.0
+        assert np.all(rep.lam > 0.0)
 
 
 def test_fixed_point_requires_subcritical_weights():

@@ -654,6 +654,55 @@ def test_cli_flag_below_its_range_is_validation_error(tmp_path, capsys, argv, fl
     assert "ok" not in captured.out
 
 
+# every numeric flag of every verb, with its out-of-range values
+NUMERIC_FLAGS = [
+    (["simulate", "--config", "{config}"], "--seed", ["-1"]),
+    (["preset", "fig1"], "--seed", ["-1"]),
+    (["compare", "--config", "{config}"], "--seed", ["-1"]),
+    (["fixedpoint", "--config", "{config}"], "--seeds", ["0"]),
+    (["fixedpoint", "--config", "{config}"], "--seed", ["-1"]),
+    (["potential-check", "--config", "{config}"], "--samples", ["0"]),
+    (["potential-check", "--config", "{config}"], "--seed", ["-1"]),
+    (["continuum-check"], "--d", ["1"]),
+    (["continuum-check"], "--radius", ["1", "-1"]),
+    (["continuum-check"], "--coupling", []),
+    (["continuum-check"], "--samples", ["0"]),
+    (["continuum-check"], "--tol", ["0", "-1"]),
+    (["continuum-check"], "--seed", ["-1"]),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    pytest.param(argv, flag, value, id=f"{argv[0]}{flag}={value}")
+    for argv, flag, out_of_range in NUMERIC_FLAGS
+    for value in ["nan", "inf", "-inf", *out_of_range]
+])
+def test_cli_bad_numeric_flag_is_validation_error(tmp_path, capsys, argv, flag, value):
+    config = str(write_config(tmp_path / "c.json", n=12))
+    argv = [arg.format(config=config) for arg in argv]
+    argv += [f"{flag}={value}", "--quiet"]
+    if argv[0] in ("simulate", "preset"):
+        argv += ["--out", str(tmp_path / "out.jsonl")]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a value its type cannot parse
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag.lstrip("-") in errors[0]
+    assert "Warning" not in captured.err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_cli_continuum_check_takes_a_huge_coupling(capsys):
+    argv = ["continuum-check", "--radius", "0.99", "--samples", "20000", "--coupling", "1e308"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    assert "relative error" in captured.out and "nan" not in captured.out
+
+
 def test_cli_missing_file_is_validation_error(tmp_path):
     code = cli.main(["simulate", "--config", str(tmp_path / "absent.json"), "--quiet"])
     assert code == 2

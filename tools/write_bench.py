@@ -1,0 +1,165 @@
+"""Write a BENCH_<n>.json file: the benchmark's end-to-end medians for two
+checkouts side by side.
+
+Run from the repository root, for example
+
+    python3 tools/write_bench.py --out BENCH_11.json --seed 11 \\
+        --side parent=/path/to/parent/checkout --side change=. \\
+        --pairs 3 boost_ensemble=10
+
+For every workload that BENCHMARK.json lists, each pair runs each side's own,
+unchanged ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` once, in a fresh process, alternating which side goes first.  The
+file keeps every run's end-to-end metrics, each side's median and quartiles,
+how many pairs the second side won (ties count for neither), and the
+environment line perfbench printed.
+
+``fixedpoint --seeds 5`` runs in no workload, so it is timed as its own entry:
+each pair times ``cli.main(["fixedpoint", ...])`` on the criterion-7 system
+(N = 100, d = 3, equal weights, base seed 7000) in a fresh process per side,
+after one untimed call, and records the median of --fixedpoint-repeats calls.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FIXEDPOINT_CHILD = r"""
+import contextlib, io, json, os, sys, tempfile, time
+sys.path.insert(0, os.path.join(sys.argv[1], "src"))
+from spherekuramoto import cli
+repeats = int(sys.argv[2])
+with tempfile.TemporaryDirectory() as tmp:
+    config = os.path.join(tmp, "criterion7.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({"d": 3, "n": 100, "mode": "full", "weights": {"kind": "equal"},
+                   "h": 0.01, "t_end": 1.0, "seed": 7000}, fh)
+    argv = ["fixedpoint", "--config", config, "--seeds", "5", "--quiet"]
+    seconds = []
+    for k in range(repeats + 1):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"fixedpoint exited {code}")
+        if k:
+            seconds.append(time.perf_counter() - start)
+print(json.dumps(seconds))
+"""
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
+    parser.add_argument("--side", action="append", required=True, metavar="NAME=PATH",
+                        help="a checkout to measure; give two, the baseline first")
+    parser.add_argument("--seed", type=int, default=11, help="perfbench workload seed")
+    parser.add_argument("--seconds", type=float, default=32.0, help="perfbench --seconds")
+    parser.add_argument("--pairs", nargs="+", default=["3"], metavar="N|WORKLOAD=N",
+                        help="pairs per workload: a default count, then per-workload counts")
+    parser.add_argument("--fixedpoint-repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    args.side = [tuple(item.split("=", 1)) for item in args.side]
+    if len(args.side) != 2 or any(len(item) != 2 for item in args.side):
+        parser.error("give exactly two --side NAME=PATH")
+    default, counts = 3, {}
+    for item in args.pairs:
+        name, _, count = item.rpartition("=")
+        if name:
+            counts[name] = int(count)
+        else:
+            default = int(count)
+    args.pairs = lambda workload: counts.get(workload, default)
+    return args
+
+
+def run_perfbench(path, workload, args):
+    """(end-to-end metric values, environment, failed operations) of one run."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=path, capture_output=True, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    env = next(json.loads(line.split(" ", 1)[1]) for line in lines
+               if line.startswith("environment "))
+    result = json.loads(lines[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    return values, env, result["failed"]
+
+
+def run_fixedpoint(path, args):
+    proc = subprocess.run([sys.executable, "-c", FIXEDPOINT_CHILD, str(Path(path).resolve()),
+                           str(args.fixedpoint_repeats)],
+                          capture_output=True, text=True, check=True)
+    return {"wall_s": statistics.median(json.loads(proc.stdout))}, None, 0
+
+
+def summary(values):
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def measure(name, n_pairs, run, args, specs):
+    """Alternate the two sides n_pairs times; return the workload's entry."""
+    (base, base_path), (new, new_path) = args.side
+    runs = {base: [], new: []}
+    env, failed = {}, {base: 0, new: 0}
+    for k in range(n_pairs):
+        order = [(base, base_path), (new, new_path)]
+        for side, path in order if k % 2 == 0 else order[::-1]:
+            values, side_env, side_failed = run(path)
+            runs[side].append(values)
+            failed[side] += side_failed
+            env.setdefault(side, side_env)
+            print(f"{name} pair {k + 1}/{n_pairs} {side}: wall_s {values['wall_s']:.4g}",
+                  flush=True)
+    metrics = {}
+    for metric in runs[base][0]:
+        spec = specs.get(metric, {"unit": "s", "better": "lower"})
+        sign = 1.0 if spec["better"] == "lower" else -1.0
+        a = [r[metric] for r in runs[base]]
+        b = [r[metric] for r in runs[new]]
+        metrics[metric] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            base: summary(a),
+            new: summary(b),
+            f"{new}_wins": sum(sign * (y - x) < 0 for x, y in zip(a, b)),
+        }
+    entry = {"pairs": n_pairs, "failed_operations": failed, "metrics": metrics}
+    if any(env.values()):
+        entry["environment"] = env
+    return entry
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    specs = {m["name"]: m for m in bench["end_to_end"]}
+    out = {
+        "sides": [name for name, _ in args.side],
+        "perfbench": {"seed": args.seed, "seconds": args.seconds, "trace": 0},
+        "workloads": {},
+    }
+    for w in bench["workloads"]:
+        name = w["name"]
+        out["workloads"][name] = measure(
+            name, args.pairs(name), lambda path, name=name: run_perfbench(path, name, args),
+            args, specs)
+    out["workloads"]["fixedpoint --seeds 5"] = measure(
+        "fixedpoint --seeds 5", args.pairs("fixedpoint"),
+        lambda path: run_fixedpoint(path, args), args, specs)
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
