@@ -15,8 +15,8 @@ import numpy as np
 
 # rk4_step stays importable from here: perfbench/selftest.py checks that the
 # tracer rebinds it in every module that holds it.
-from .dynamics import _drive, rk4_step  # noqa: F401
-from .geometry import GeometryError, _generator, as_antisymmetric, as_ball_point, boost_apply
+from .dynamics import _drive, as_rotation_terms, rk4_step  # noqa: F401
+from .geometry import GeometryError, _generator, as_ball_point, boost_apply
 from .sampling import rng_from, uniform_sphere
 
 __all__ = [
@@ -185,31 +185,25 @@ def poisson_kernel_hyperbolic(z, x):
     """((1 - |z|^2) / |z - x|^2)^(d-1): density of the boosted uniform sphere
     measure at parameter z against the uniform measure.  x may be a single
     sphere point or a batch of rows."""
-    z = as_ball_point(z)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != z.size:
-        raise GeometryError("dimension mismatch between z and x")
-    d = z.size
-    diff2 = np.einsum("ij,ij->i", pts - z, pts - z)
-    vals = ((1.0 - float(z @ z)) / diff2) ** (d - 1)
-    return float(vals[0]) if single else vals
+    return _kernel(z, x, lambda s, diff2, d: (s / diff2) ** (d - 1))
 
 
 def poisson_kernel_euclidean(z, x):
     """(1 - |z|^2) / |z - x|^d: the classical kernel of the flat Laplacian.
     Agrees with the hyperbolic kernel only when d = 2."""
+    return _kernel(z, x, lambda s, diff2, d: s / diff2 ** (d / 2.0))
+
+
+def _kernel(z, x, formula):
+    """formula(1 - |z|^2, |z - x|^2, d) at a single point x (a float) or at
+    each row of x, after checking z and the dimension."""
     z = as_ball_point(z)
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     pts = np.atleast_2d(x)
     if pts.shape[1] != z.size:
         raise GeometryError("dimension mismatch between z and x")
-    d = z.size
-    diff2 = np.einsum("ij,ij->i", pts - z, pts - z)
-    vals = (1.0 - float(z @ z)) / diff2 ** (d / 2.0)
-    return float(vals[0]) if single else vals
+    vals = formula(1.0 - float(z @ z), np.einsum("ij,ij->i", pts - z, pts - z), z.size)
+    return float(vals[0]) if x.ndim == 1 else vals
 
 
 @dataclass(frozen=True)
@@ -255,7 +249,8 @@ def sample_pushforward(z, n_samples, seed, stream=0):
 @dataclass(frozen=True)
 class ContinuumState:
     """Mean-field ensemble coordinate: the boost parameter z of a boosted
-    uniform measure, its coupling gain, and the shared rotation term."""
+    uniform measure, its finite coupling gain, and the rotation term, None
+    or one shared (d, d) term (dynamics.as_rotation_terms)."""
 
     z: np.ndarray
     coupling: float
@@ -263,7 +258,7 @@ class ContinuumState:
 
     def __post_init__(self):
         z = as_ball_point(self.z)
-        rotation = None if self.rotation is None else as_antisymmetric(self.rotation, z.size)
+        rotation = as_rotation_terms(self.rotation, z.size)
         if not np.isfinite(self.coupling):
             raise GeometryError("coupling must be finite")
         object.__setattr__(self, "z", z)
@@ -271,9 +266,12 @@ class ContinuumState:
 
 
 def continuum_rhs(z, A, coupling):
-    """z' = A z + (1 + |z|^2) Z(z) / 2 - <Z(z), z> z with the closed-form Z."""
-    A = None if A is None else np.asarray(A, dtype=float)
-    return _continuum_field(as_ball_point(z), A, coupling)
+    """z' = A z + (1 + |z|^2) Z(z) / 2 - <Z(z), z> z with the closed-form Z.
+
+    z, A and coupling are checked as a ContinuumState is.
+    """
+    state = ContinuumState(z, coupling, A)
+    return _continuum_field(state.z, state.rotation, state.coupling)
 
 
 def _continuum_field(z, A, coupling):

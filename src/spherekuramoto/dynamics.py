@@ -25,6 +25,7 @@ __all__ = [
     "majority_weights",
     "mean_field_weights",
     "as_weights",
+    "as_rotation_terms",
     "random_configuration",
     "validate_configuration",
     "order_parameter",
@@ -182,19 +183,26 @@ def order_parameter(x, weights):
     return weights @ x
 
 
-def _validate_rotation_terms(A, n, d):
+def as_rotation_terms(A, d, n=None):
+    """The rotation term of x_i' = A_i x_i + ... in dimension d: None, one
+    exactly antisymmetric (d, d) term, or, only when n is given, an (n, d, d)
+    stack of per-particle terms (they leave the group orbit, so the reduced
+    and mean-field equations take none).  Raises GeometryError otherwise.
+    Every public function that takes a rotation term calls this once, at entry.
+    """
     if A is None:
         return None
     A = np.asarray(A, dtype=float)
-    if A.ndim == 2:
+    if A.ndim != 3:
         return as_antisymmetric(A, d)
-    if A.ndim == 3:
-        if A.shape[0] != n:
-            raise GeometryError(f"{A.shape[0]} rotation terms for {n} particles")
-        for i in range(A.shape[0]):
-            as_antisymmetric(A[i], d)
-        return A
-    raise GeometryError(f"rotation terms must be (d, d) or (N, d, d), got shape {A.shape}")
+    if n is None:
+        raise GeometryError("one shared rotation term is required; "
+                            "per-particle terms do not stay on a group orbit")
+    if A.shape[0] != n:
+        raise GeometryError(f"{A.shape[0]} rotation terms for {n} particles")
+    for term in A:
+        as_antisymmetric(term, d)
+    return A
 
 
 def full_rhs(x, A, weights):
@@ -336,14 +344,14 @@ def integrate_full(x0, A, weights, h, t_end, projection=True, stride=1):
     Parameters
     ----------
     x0 : (N, d) array of unit rows
-    A : None, (d, d) antisymmetric, or (N, d, d) stack
+    A : None, (d, d) antisymmetric, or (N, d, d) stack (as_rotation_terms)
     weights : (N,) coupling weights a of Z = sum_i a_i x_i (as_weights);
         mean_field_weights(N, K) for mean-field coupling
     h : signed time step; t_end * h > 0 unless t_end == 0
     """
     x0 = validate_configuration(x0)
     n, d = x0.shape
-    A = _validate_rotation_terms(A, n, d)
+    A = as_rotation_terms(A, d, n)
     weights = as_weights(weights, n)
     drift = 0.0
 

@@ -7,6 +7,7 @@ mutated after construction, so the whole module is safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -343,11 +344,14 @@ def cross_ratio(a, b, c, e):
     each violation raises GeometryError.
     """
     pts = [as_sphere_point(p) for p in (a, b, c, e)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if float(np.linalg.norm(pts[i] - pts[j])) <= DISTINCT_TOL:
-                raise GeometryError("cross-ratio requires four pairwise distinct points")
+    if not _distinct(pts):
+        raise GeometryError("cross-ratio requires four pairwise distinct points")
     return _cross_ratio(*pts)
+
+
+def _distinct(pts):
+    """Whether no two of the points lie within DISTINCT_TOL of each other."""
+    return all(float(np.linalg.norm(p - q)) > DISTINCT_TOL for p, q in combinations(pts, 2))
 
 
 def _cross_ratio(a, b, c, e):

@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
-from itertools import combinations
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from . import __version__
 from .continuum import ContinuumState, integrate_continuum, order_parameter_closed_form
 from .dynamics import (
     IntegrationAbort,
+    as_rotation_terms,
     equal_weights,
     explicit_weights,
     gaussian_riemann_weights,
@@ -31,7 +31,7 @@ from .dynamics import (
     order_parameter,
     random_configuration,
 )
-from .geometry import (DISTINCT_TOL, LEFT, RIGHT, GeometryError, MobiusMap, _cross_ratio,
+from .geometry import (LEFT, RIGHT, GeometryError, MobiusMap, _cross_ratio, _distinct,
                        antisymmetric_from_upper, boost_apply, cross_ratio, mobius_apply,
                        random_antisymmetric)
 from .gradient import PotentialContext, potential
@@ -86,10 +86,7 @@ class ExperimentConfig:
     out: str | None = None
 
 
-_TOP_KEYS = {
-    "d", "n", "mode", "weights", "rotation", "coupling", "h", "t_end",
-    "stride", "seed", "projection", "out",
-}
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 _WEIGHT_KEYS = {"kind", "values", "normalized", "dominant", "index", "half_width"}
 _ROTATION_KEYS = {"kind", "scale", "matrix"}
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -224,20 +221,10 @@ def _validate_semantics(cfg):
 
 
 def config_to_dict(cfg):
-    """Fully resolved configuration in fixed field order (for file headers)."""
-    return {
-        "d": cfg.d,
-        "n": cfg.n,
-        "mode": cfg.mode,
-        "weights": {k: cfg.weights[k] for k in sorted(cfg.weights)},
-        "rotation": {k: cfg.rotation[k] for k in sorted(cfg.rotation)},
-        "coupling": cfg.coupling,
-        "h": cfg.h,
-        "t_end": cfg.t_end,
-        "stride": cfg.stride,
-        "seed": cfg.seed,
-        "projection": cfg.projection,
-    }
+    """Fully resolved configuration for file headers: every field but 'out',
+    in field order, with the weights and rotation keys sorted."""
+    header = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "out"}
+    return {k: dict(sorted(v.items())) if isinstance(v, dict) else v for k, v in header.items()}
 
 
 def load_config(path, seed=None):
@@ -613,12 +600,6 @@ class CompareReport:
         )
 
 
-def _distinct(pts):
-    """_cross_ratio's precondition, as cross_ratio checks it: no two points
-    within DISTINCT_TOL."""
-    return all(float(np.linalg.norm(a - b)) > DISTINCT_TOL for a, b in combinations(pts, 2))
-
-
 def _cross_ratio_tuples(n, seed, count=5):
     if n < 4:
         return []
@@ -628,11 +609,12 @@ def _cross_ratio_tuples(n, seed, count=5):
 
 def compare_full_reduced(cfg, quiet=False):
     """Run the full and the reduced integrations from the same initial state
-    and report their pointwise deviation, cross-ratio drift, and wall times."""
+    and report their pointwise deviation, cross-ratio drift, and wall times.
+
+    The rotation term must be one shared term (dynamics.as_rotation_terms
+    without a particle count), checked before either run starts."""
     a = resolve_weights(cfg)
-    rotation = resolve_rotation(cfg)
-    if rotation is not None and np.asarray(rotation).ndim == 3:
-        raise ConfigError("comparison requires one shared rotation term")
+    rotation = as_rotation_terms(resolve_rotation(cfg), cfg.d)
     x0 = initial_configuration(cfg)
 
     t0 = time.perf_counter()

@@ -19,6 +19,7 @@ from .dynamics import (
     BOUNDARY_TOL,
     NORM_DRIFT_LIMIT,
     _drive,
+    as_rotation_terms,
     as_weights,
     validate_configuration,
 )
@@ -30,7 +31,6 @@ from .geometry import (
     _boost,
     _coupling_sum,
     _generator,
-    as_antisymmetric,
     as_ball_point,
     boost_apply,  # noqa: F401  (unused here; perfbench/tracing.py rebinds reduced.boost_apply)
     mobius_apply,
@@ -41,7 +41,6 @@ __all__ = [
     "ReducedState",
     "validate_base_points",
     "initial_state",
-    "skew_pair_apply",
     "skew_pair_matrix",
     "reduced_rhs",
     "w_rhs",
@@ -125,34 +124,13 @@ def initial_state(x0):
 # right-hand sides
 
 
-def skew_pair_apply(y1, y2, y):
-    """<y1, y> y2 - <y2, y> y1: the antisymmetric operator spanned by a pair.
-
-    Always orthogonal to y; identically zero when y1 and y2 are parallel.
-    """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(y1 @ y) * y2 - float(y2 @ y) * y1
-
-
 def skew_pair_matrix(y1, y2):
-    """Matrix of skew_pair_apply(y1, y2, .): y2 y1^T - y1 y2^T."""
+    """y2 y1^T - y1 y2^T, the antisymmetric operator y -> <y1, y> y2 - <y2, y> y1
+    spanned by a pair: its image is orthogonal to y, and it is zero when y1
+    and y2 are parallel."""
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     return np.outer(y2, y1) - np.outer(y1, y2)
-
-
-def _shared_rotation_term(A, d):
-    if A is None:
-        return None
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise GeometryError(
-            "the reduced equations require one shared rotation term; "
-            "per-particle terms do not stay on a group orbit"
-        )
-    return as_antisymmetric(A, d)
 
 
 def _zzeta_rhs_raw(z, zeta, base, A, a):
@@ -200,9 +178,10 @@ def reduced_rhs(state, A, weights):
     it is the arithmetic of w_rhs.
     RIGHT: z' = A z + (1 + |z|^2) Z / 2 - <Z, z> z, the Mobius generator of
     geometry.infinitesimal_generator, and zeta' = (A + skew(z, Z)) zeta, with
-    Z evaluated at M_{-z}(zeta p).
+    Z evaluated at M_{-z}(zeta p).  A is None or one shared (d, d) term
+    (dynamics.as_rotation_terms without a particle count).
     """
-    A = _shared_rotation_term(A, state.boost.size)
+    A = as_rotation_terms(A, state.boost.size)
     if float(np.linalg.norm(state.boost)) >= 1.0 - BOUNDARY_TOL:
         raise GeometryError("boost parameter has reached the ball boundary")
     return _orbit_rhs(state.form, state.base, A, weights)(state.boost, state.zeta)
@@ -246,7 +225,8 @@ def reconstruct(state):
 def integrate_reduced(state0, A, weights, h, t_end, stride=1):
     """RK4 on the orbit coordinates of state0, in its form, stacked into one
     (d + 1, d) state: row 0 the boost, rows 1..d the rotation zeta.  Returns
-    the dynamics.Trajectory of these states.
+    the dynamics.Trajectory of these states.  A is None or one shared (d, d)
+    rotation term, checked by dynamics.as_rotation_terms.
 
     The rotation is polar-projected back to SO(d) after every step; the
     projection residual is the Trajectory's info, and a step whose residual
@@ -258,7 +238,7 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
     if not isinstance(state0, ReducedState):
         raise TypeError("integrate_reduced expects orbit coordinates (ReducedState)")
     base, form, d = state0.base, state0.form, state0.boost.size
-    raw_rhs = _orbit_rhs(form, base, _shared_rotation_term(A, d), weights)
+    raw_rhs = _orbit_rhs(form, base, as_rotation_terms(A, d), weights)
     eye = np.eye(d)
 
     def rhs(y):
@@ -313,13 +293,10 @@ def basepoint_change(w, mobius):
 
 def recover_rotation(source, target):
     """Rotation R in SO(d) minimizing sum_i |R s_i - t_i|^2 (orthogonal
-    Procrustes with the determinant constraint)."""
+    Procrustes with the determinant constraint): the polar factor of
+    target^T source, geometry.nearest_rotation."""
     s = np.asarray(source, dtype=float)
     t = np.asarray(target, dtype=float)
     if s.shape != t.shape or s.ndim != 2:
         raise GeometryError("source and target must be matching (N, d) arrays")
-    u, _, vt = np.linalg.svd(s.T @ t)
-    fix = np.ones(s.shape[1])
-    if float(np.linalg.det(u) * np.linalg.det(vt)) < 0.0:
-        fix[-1] = -1.0
-    return (vt.T * fix) @ u.T
+    return nearest_rotation(t.T @ s)

@@ -8,8 +8,9 @@ the hypergeometric spot value, a per-scalar recursive formatter for the
 trajectory serializer, a plain RK4 loop over the public, validating boost
 flow for the boost-only integrator, the weighted sum of the boosted image
 array for the fused coupling-sum kernel, the scaled plain sum of the
-positions for the mean-field order parameter, and backward-flow settling with
-a finite-difference Newton polish for the interior fixed point.
+positions for the mean-field order parameter, backward-flow settling with
+a finite-difference Newton polish for the interior fixed point, and the
+pair formula itself for the skew-pair matrix.
 """
 import json
 
@@ -101,6 +102,13 @@ def dumps_record_reference(obj):
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_record_reference(v) for v in obj) + "]"
     return _format_scalar_reference(obj)
+
+
+def skew_pair_apply(y1, y2, y):
+    """<y1, y> y2 - <y2, y> y1: the antisymmetric operator spanned by a pair,
+    applied to y without forming its matrix."""
+    y1, y2, y = (np.asarray(v, dtype=float) for v in (y1, y2, y))
+    return float(y1 @ y) * y2 - float(y2 @ y) * y1
 
 
 def coupling_sum_reference(w, base, a):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ from oracles import dumps_record_reference
 from spherekuramoto import cli
 from spherekuramoto import continuum as cont
 from spherekuramoto import dynamics as dyn
+from spherekuramoto import geometry as geo
 from spherekuramoto import harness as h
 from spherekuramoto import reduced as red
 from spherekuramoto.geometry import LEFT, RIGHT
@@ -664,7 +666,7 @@ NUMERIC_FLAGS = [
     (["potential-check", "--config", "{config}"], "--samples", ["0"]),
     (["potential-check", "--config", "{config}"], "--seed", ["-1"]),
     (["continuum-check"], "--d", ["1"]),
-    (["continuum-check"], "--radius", ["1", "-1"]),
+    (["continuum-check"], "--radius", ["1", "-1", "0"]),
     (["continuum-check"], "--coupling", []),
     (["continuum-check"], "--samples", ["0"]),
     (["continuum-check"], "--tol", ["0", "-1"]),
@@ -723,6 +725,66 @@ def test_cli_compare(tmp_path):
     cfgfile = write_config(tmp_path / "c.json", t_end=0.5,
                            rotation={"kind": "random", "scale": 0.5})
     assert cli.main(["compare", "--config", str(cfgfile), "--quiet"]) == 0
+
+
+def test_cli_fixedpoint_residual_near_critical_weight(tmp_path, capsys):
+    # |Z| is read in the frame the solver stopped in; boosting the base again
+    # by w* (|w*| = 0.99977) would add about 3e-9 of cancellation error
+    cfgfile = write_config(tmp_path / "c.json", d=2, n=100, seed=202,
+                           weights={"kind": "majority", "dominant": 0.4999})
+    assert cli.main(["fixedpoint", "--config", str(cfgfile), "--seeds", "1"]) == 0
+    residual = re.search(r"\|Z\(M_w\*\(p\)\)\| = (\S+)", capsys.readouterr().out)
+    assert float(residual.group(1)) <= 1e-11
+
+
+_ROTATION_ENTRIES = {
+    "integrate_full": lambda x0, A: dyn.integrate_full(x0, A, dyn.equal_weights(len(x0)), 0.01, 0.01),
+    "integrate_reduced": lambda x0, A: red.integrate_reduced(
+        red.initial_state(x0), A, dyn.equal_weights(len(x0)), 0.01, 0.01),
+    "reduced_rhs": lambda x0, A: red.reduced_rhs(red.initial_state(x0), A, dyn.equal_weights(len(x0))),
+    "ContinuumState": lambda x0, A: cont.ContinuumState(np.zeros(x0.shape[1]), 1.0, A),
+    "continuum_rhs": lambda x0, A: cont.continuum_rhs(np.zeros(x0.shape[1]), A, 1.0),
+}
+
+
+def _bad_rotation_terms(n=10, d=3):
+    rng = np.random.default_rng(8)
+    stack = np.stack([geo.random_antisymmetric(d, rng) for _ in range(n)])
+    nonfinite = np.zeros((d, d))
+    nonfinite[0, 1], nonfinite[1, 0] = np.inf, -np.inf
+    return {
+        "symmetric": np.ones((d, d)) - np.eye(d),
+        "wrong_dimension": geo.random_antisymmetric(d + 1, rng),
+        "nonfinite": nonfinite,
+        "stack_for_shared": stack,
+        "stack_wrong_length": stack[1:],
+    }
+
+
+@pytest.mark.parametrize("entry, case", [
+    pytest.param(entry, case, id=f"{entry}-{case}")
+    for entry in _ROTATION_ENTRIES
+    for case in _bad_rotation_terms()
+    if not (entry == "integrate_full" and case == "stack_for_shared")  # full takes a stack
+])
+def test_malformed_rotation_terms_are_rejected_at_entry(entry, case):
+    x0 = dyn.random_configuration(10, 3, 7)
+    with pytest.raises(geo.GeometryError):
+        _ROTATION_ENTRIES[entry](x0, _bad_rotation_terms()[case])
+
+
+@pytest.mark.parametrize("case", list(_bad_rotation_terms()))
+def test_cli_compare_rejects_malformed_rotation_terms(tmp_path, capsys, monkeypatch, case):
+    cfgfile = write_config(tmp_path / "c.json", t_end=0.5)
+    monkeypatch.setattr(h, "resolve_rotation", lambda cfg: _bad_rotation_terms()[case])
+    assert cli.main(["compare", "--config", str(cfgfile), "--quiet"]) == 2
+    assert len([line for line in capsys.readouterr().err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("coupling", [np.nan, np.inf])
+def test_continuum_rhs_rejects_nonfinite_coupling(coupling):
+    with pytest.raises(geo.GeometryError):
+        cont.continuum_rhs(np.zeros(3), None, coupling)
 
 
 def test_cli_entry_point_runs():

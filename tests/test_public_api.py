@@ -35,3 +35,29 @@ def test_root_reexports_only_public_names():
     assert not private, f"spherekuramoto/__init__ imports names outside __all__: {private}"
     for _, name in imports:
         assert hasattr(spherekuramoto, name)
+
+
+def _callers(tree, name):
+    """Enclosing function of every call to `name` in a module (None at top level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.append(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_rotation_terms_are_checked_in_one_place():
+    # a new entry point must take its rotation term through
+    # dynamics.as_rotation_terms, not grow its own check
+    owners = {(name, owner) for name in MODULES if name != "geometry"
+              for owner in _callers(ast.parse((INIT.parent / f"{name}.py").read_text(encoding="utf-8")),
+                                    "as_antisymmetric")}
+    assert owners == {("dynamics", "as_rotation_terms")}
