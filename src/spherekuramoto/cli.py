@@ -4,8 +4,8 @@ Verbs: simulate, compare, fixedpoint, potential-check, continuum-check, and
 preset (fig1 | fig2 | fig3).  Exit codes: 0 success (a clean stop at the
 ball boundary included), 1 a numerical check failed, 2 validation error,
 3 integrator abort (norm drift, a non-finite state or an unstable step: an
-RK stage thrown out of the ball, or a step that needs a projection beyond
-1e-3).
+RK stage thrown out of the ball, or a step off the sphere, or in reduced
+modes a rotation step off SO(d), by more than 1e-3).
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ import numpy as np
 from .geometry import GeometryError, as_antisymmetric
 from .sampling import rng_from, uniform_sphere
 
-NORM_DRIFT_LIMIT = 1e-3  # largest drift of an unprojected run, or defect a projection may correct
+NORM_DRIFT_LIMIT = 1e-3  # largest sphere or SO(d) defect a step may leave or a projection correct
 BOUNDARY_TOL = 1e-12  # a ball coordinate with |y| >= 1 - BOUNDARY_TOL has reached the boundary
 NEAR_BOUNDARY = 0.1  # an RK stage leaves the ball as synchrony only from 1 - |y| <= this
 
@@ -48,10 +48,10 @@ class Trajectory:
     states[j], the state at times[j], has the integrator's own shape: (N, d)
     in integrate_full, (d,) in integrate_w and integrate_continuum, (d + 1, d)
     in integrate_reduced (row 0 the boost, rows 1..d the rotation).  info[j]
-    is the worst drift so far in integrate_full, the pre-projection
-    orthogonality residual in integrate_reduced, 0 elsewhere.  stop is "end",
-    "boundary" (a clean stop at the ball boundary) or the abort "drift",
-    "nonfinite" or "unstable".
+    is the worst drift so far in integrate_full, the rotation's defect
+    max |zeta^T zeta - I| in integrate_reduced (never projected), 0 elsewhere.
+    stop is "end", "boundary" (a clean stop at the ball boundary) or the
+    abort "drift", "nonfinite" or "unstable".
     """
 
     times: np.ndarray
@@ -101,13 +101,25 @@ def as_weights(a, n):
     return a
 
 
+def _number(value, name, low=-np.inf, high=np.inf, kinds=(float, np.floating)):
+    """value if it is an int or one of kinds, not a bool, with low < value <
+    high; otherwise a GeometryError that names the parameter."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer, *kinds))
+            or not low < value < high):
+        raise GeometryError(f"'{name}' must be {'a number' if kinds else 'an integer'} "
+                            f"in ({low:g}, {high:g}), got {value!r}")
+    return value
+
+
 def mean_field_weights(n, K):
     """Mean-field coupling Z = (K/N) sum_i x_i as weights: K/n each."""
-    return np.full(int(n), K / int(n))
+    n = _number(n, "n", 0, kinds=())
+    return np.full(n, _number(K, "K") / n)
 
 
 def equal_weights(n):
-    return np.full(int(n), 1.0 / int(n))
+    n = _number(n, "n", 0, kinds=())
+    return np.full(n, 1.0 / n)
 
 
 def explicit_weights(values, normalized=True):
@@ -127,9 +139,7 @@ def gaussian_riemann_weights(n, half_width=3.0):
     each weight is the density at the midpoint times the subinterval length,
     normalized so the total is 1.
     """
-    n = int(n)
-    if n < 1:
-        raise GeometryError("need at least one weight")
+    n, half_width = _number(n, "n", 0, kinds=()), _number(half_width, "half_width", 0.0)
     edges = np.linspace(-half_width, half_width, n + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     w = np.exp(-0.5 * mids**2) * (edges[1] - edges[0])
@@ -138,13 +148,9 @@ def gaussian_riemann_weights(n, half_width=3.0):
 
 def majority_weights(n, dominant=0.6, index=0):
     """One particle carries weight dominant, the rest split the remainder evenly."""
-    n = int(n)
-    if n < 2:
-        raise GeometryError("majority weights need at least two particles")
-    if not 0.0 < dominant < 1.0:
-        raise GeometryError("dominant weight must lie in (0, 1)")
+    n, dominant = _number(n, "n", 1, kinds=()), _number(dominant, "dominant", 0.0, 1.0)
     w = np.full(n, (1.0 - dominant) / (n - 1))
-    w[int(index)] = dominant
+    w[_number(index, "index", -1, n, kinds=())] = dominant
     return w
 
 
@@ -271,7 +277,7 @@ def _drive(rhs, y0, h, t_end, stride, ball=None, after_step=lambda y: (y, 0.0, N
     NEAR_BOUNDARY of the sphere; from farther inside, that stage is a failed
     step, "unstable".  A non-finite step stops at "nonfinite".  Otherwise
     after_step(y) returns (y, info, stop): the state as accepted (projected),
-    a value recorded with it, and None, "drift" or "unstable" to stop.
+    a value recorded with it, and None or an abort of _ABORTS to stop.
     Returns the Trajectory of t = 0, every stride steps, the last step and,
     after an early stop, the last accepted state; an abort raises
     IntegrationAbort carrying it instead.
@@ -324,8 +330,8 @@ def _drive(rhs, y0, h, t_end, stride, ball=None, after_step=lambda y: (y, 0.0, N
 _ABORTS = {
     "drift": f"norm drift exceeded {NORM_DRIFT_LIMIT:g} with projection off (integrator failure)",
     "nonfinite": "non-finite state after RK4 step",
-    "unstable": "step too large: an RK stage left the unit ball from far inside it, "
-                f"or a step needed a projection beyond {NORM_DRIFT_LIMIT:g}",
+    "unstable": "step too large: an RK stage left the unit ball from far inside it, or a "
+                f"step left the sphere, or its rotation SO(d), by more than {NORM_DRIFT_LIMIT:g}",
 }
 
 

@@ -183,15 +183,11 @@ def _validate_semantics(cfg):
             explicit_weights(values, normalized=normalized)
         except GeometryError as exc:
             raise ConfigError(f"weights 'values' invalid: {exc}") from exc
-    if wkind == "gaussian_riemann":
-        half_width = _as_float(cfg.weights.get("half_width", 3.0), "weights 'half_width'")
-        _require(half_width > 0.0, "weights 'half_width' must be positive")
-    if wkind == "majority":
-        dominant = cfg.weights.get("dominant", 0.6)
-        _require(isinstance(dominant, (int, float)) and 0.0 < dominant < 1.0,
-                 "weights 'dominant' must lie in (0, 1)")
-        index = _as_int(cfg.weights.get("index", 0), "weights 'index'")
-        _require(0 <= index < cfg.n, f"weights 'index' must lie in [0, n = {cfg.n}), got {index}")
+    if wkind in ("gaussian_riemann", "majority"):
+        try:
+            resolve_weights(cfg)
+        except GeometryError as exc:  # its message names the field: "majority weights 'index' ..."
+            raise ConfigError(f"{wkind} weights {exc}") from exc
     if cfg.rotation["kind"] == "explicit":
         matrix = cfg.rotation.get("matrix")
         _require(matrix is not None, "explicit rotation requires a 'matrix'")
@@ -418,11 +414,11 @@ class RunSummary:
     """steps is round(t / h) at the last record.  stop_reason is the
     integrator's Trajectory.stop: "end", "boundary" (a clean early stop at
     the ball boundary), or the abort "drift", "nonfinite" or "unstable" (an
-    RK stage thrown out of the ball from far inside it, or a step whose
-    pre-projection defect exceeds NORM_DRIFT_LIMIT), which also sets
-    aborted.  phases holds the seconds spent in "setup", "integrate",
-    "diagnostics" (the record builders) and "serialize" (writing the file);
-    they sum to at most wall_time."""
+    RK stage thrown out of the ball from far inside it, or a step off the
+    sphere, or in reduced modes a rotation step off SO(d), by more than
+    NORM_DRIFT_LIMIT), which also sets aborted.  phases holds the seconds
+    spent in "setup", "integrate", "diagnostics" (the record builders) and
+    "serialize" (writing the file); they sum to at most wall_time."""
 
     mode: str
     steps: int

@@ -11,13 +11,14 @@ synchrony, and handles base-point changes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import (
     BOUNDARY_TOL,
     NORM_DRIFT_LIMIT,
+    IntegrationAbort,
     _drive,
     as_rotation_terms,
     as_weights,
@@ -25,7 +26,6 @@ from .dynamics import (
 )
 from .geometry import (
     LEFT,
-    RIGHT,
     GeometryError,
     MobiusMap,
     _boost,
@@ -133,58 +133,38 @@ def skew_pair_matrix(y1, y2):
     return np.outer(y2, y1) - np.outer(y1, y2)
 
 
-def _zzeta_rhs_raw(z, zeta, base, A, a):
-    x = base @ zeta.T
-    x, _ = _boost(-z, x, np.einsum("ij,ij->i", x, x))  # M_{-z}(zeta p)
-    Z = a @ x
-    generator = skew_pair_matrix(z, Z)
-    if A is not None:
-        generator = A + generator
-    return _generator(A, Z, z), generator @ zeta
-
-
-def _orbit_rhs(form, base, A, weights):
-    """(boost, zeta) -> (boost', zeta') for orbit coordinates over base in the
-    given form; A is validated.  The weights are checked and |p_i|^2 is
-    computed here, once per run, not in every RK stage.
-
-    LEFT sums Z(M_w(p)) with the fused kernel geometry._coupling_sum; RIGHT
-    boosts the rotated points and takes their order parameter.  Both are
-    kept: the rotation-first integration is an independent check on the
-    boost-first one.
-    """
-    a = as_weights(weights, base.shape[0])
-    if form == RIGHT:
-        return lambda z, zeta: _zzeta_rhs_raw(z, zeta, base, A, a)
-    x2 = np.einsum("ij,ij->i", base, base)
-
-    def wzeta(w, zeta):
-        Z0, _ = _coupling_sum(w, base, x2, a)  # Z is linear: equals zeta^-1 Z at the configuration
-        generator = -skew_pair_matrix(zeta @ w, zeta @ Z0)
-        if A is not None:
-            generator = A + generator
-        return -0.5 * (1.0 - float(w @ w)) * Z0, generator @ zeta
-
-    return wzeta
+def _boost_flow(w, base, x2, a):
+    """Unvalidated (w', B) of reduced_rhs in LEFT form, with x2 = |base_i|^2."""
+    Z0, _ = _coupling_sum(w, base, x2, a)
+    return -0.5 * (1.0 - float(w @ w)) * Z0, skew_pair_matrix(Z0, w)
 
 
 def reduced_rhs(state, A, weights):
     """Time derivatives (boost', zeta') of orbit coordinates in either form,
     with Z = sum_i a_i x_i for the weights a.
 
-    LEFT: w' = -(1 - |w|^2) Z(M_w(p)) / 2 and zeta' = (A - skew(zeta w,
-    zeta Z(M_w(p)))) zeta.  Z is linear, so the coupling vector at the
-    configuration zeta M_w(p) is zeta Z(M_w(p)) and w' never touches zeta;
-    it is the arithmetic of w_rhs.
+    LEFT: w' = -(1 - |w|^2) Z0 / 2 and zeta' = A zeta + zeta (w Z0^T - Z0 w^T)
+    with Z0 = Z(M_w(p)).  Z is linear, so the coupling vector at the
+    configuration zeta M_w(p) is zeta Z0 and w' never touches zeta; it is
+    the arithmetic of w_rhs.
     RIGHT: z' = A z + (1 + |z|^2) Z / 2 - <Z, z> z, the Mobius generator of
     geometry.infinitesimal_generator, and zeta' = (A + skew(z, Z)) zeta, with
     Z evaluated at M_{-z}(zeta p).  A is None or one shared (d, d) term
     (dynamics.as_rotation_terms without a particle count).
     """
-    A = as_rotation_terms(A, state.boost.size)
-    if float(np.linalg.norm(state.boost)) >= 1.0 - BOUNDARY_TOL:
+    boost, zeta, base = state.boost, state.zeta, state.base
+    A = as_rotation_terms(A, boost.size)
+    if float(np.linalg.norm(boost)) >= 1.0 - BOUNDARY_TOL:
         raise GeometryError("boost parameter has reached the ball boundary")
-    return _orbit_rhs(state.form, state.base, A, weights)(state.boost, state.zeta)
+    a = as_weights(weights, base.shape[0])
+    if state.form == LEFT:
+        wdot, B = _boost_flow(boost, base, np.einsum("ij,ij->i", base, base), a)
+        return wdot, zeta @ B if A is None else A @ zeta + zeta @ B
+    x = base @ zeta.T
+    x, _ = _boost(-boost, x, np.einsum("ij,ij->i", x, x))  # M_{-z}(zeta p)
+    Z = a @ x
+    generator = skew_pair_matrix(boost, Z) if A is None else A + skew_pair_matrix(boost, Z)
+    return _generator(A, Z, boost), generator @ zeta
 
 
 def w_rhs(w, base, weights):
@@ -223,37 +203,54 @@ def reconstruct(state):
 
 
 def integrate_reduced(state0, A, weights, h, t_end, stride=1):
-    """RK4 on the orbit coordinates of state0, in its form, stacked into one
-    (d + 1, d) state: row 0 the boost, rows 1..d the rotation zeta.  Returns
-    the dynamics.Trajectory of these states.  A is None or one shared (d, d)
-    rotation term, checked by dynamics.as_rotation_terms.
-
-    The rotation is polar-projected back to SO(d) after every step; the
-    projection residual is the Trajectory's info, and a step whose residual
-    exceeds NORM_DRIFT_LIMIT is a failed step, the abort "unstable".  The
-    boost is the ball point of dynamics._drive's stop contract: the run
-    stops cleanly at the boundary with its last accepted state recorded, and
-    an abort raises IntegrationAbort carrying the prefix.
-    """
+    """RK4 on the orbit coordinates of state0 as a skew product on the Mobius
+    group: a dynamics.Trajectory of (d + 1, d) states (boost; zeta) in the
+    form of state0, for A None or one shared (d, d) term.  Both forms run
+    boost-first (RIGHT enters as w = -zeta^T z, leaves as z = -zeta w).  w
+    takes integrate_w's RK4 steps bit for bit, the ball point of _drive, and
+    zeta <- E zeta cay(Omega): cay the Cayley map, Omega the RK-Munthe-Kaas
+    increment of Omega' = (I + Omega/2) B (I - Omega/2), B as in reduced_rhs,
+    on w's stages (whose rows 1..d hold zeta + Omega), and E the polar factor
+    of RK4's rotation step I + hA + ... + (hA)^4/24.  If that is off SO(d)
+    by over NORM_DRIFT_LIMIT, or overflows, the first step is the abort
+    "unstable", or "nonfinite".  Nothing is projected: info is the defect
+    max |zeta^T zeta - I|."""
     if not isinstance(state0, ReducedState):
         raise TypeError("integrate_reduced expects orbit coordinates (ReducedState)")
-    base, form, d = state0.base, state0.form, state0.boost.size
-    raw_rhs = _orbit_rhs(form, base, as_rotation_terms(A, d), weights)
+    base, zeta, d = state0.base, state0.zeta, state0.boost.size
+    A = as_rotation_terms(A, d)
+    a = as_weights(weights, base.shape[0])
+    x2 = np.einsum("ij,ij->i", base, base)
     eye = np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hA = np.zeros((d, d)) if A is None else h * A
+        poly = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0)
+        defect = float(np.max(np.abs(poly.T @ poly - eye)))
+    fail = None if defect <= NORM_DRIFT_LIMIT else "unstable" if defect < np.inf else "nonfinite"
+    E = eye if fail else nearest_rotation(poly)
 
     def rhs(y):
-        pdot, zetadot = raw_rhs(y[0], y[1:])
-        return np.vstack([pdot, zetadot])
+        wdot, B = _boost_flow(y[0], base, x2, a)
+        half = 0.5 * (y[1:] - zeta)
+        return np.vstack([wdot, (eye + half) @ B @ (eye - half)])
 
     def after_step(y):
-        zeta = y[1:]
-        residual = float(np.max(np.abs(zeta.T @ zeta - eye)))
-        if residual > NORM_DRIFT_LIMIT:
-            return y, residual, "unstable"
-        return np.vstack([y[0], nearest_rotation(zeta)]), residual, None
+        nonlocal zeta
+        half = 0.5 * (y[1:] - zeta)
+        zeta = E @ zeta @ np.linalg.solve(eye - half, eye + half)
+        return np.vstack([y[0], zeta]), float(np.max(np.abs(zeta.T @ zeta - eye))), fail
 
-    y0 = np.vstack([state0.boost, state0.zeta])
-    return _drive(rhs, y0, h, t_end, stride, 0, after_step)
+    def in_form(traj):  # records leave in the form of state0: z = (-zeta) w, never -0
+        s = traj.states.copy()
+        s[:, 0] = np.einsum("kij,kj->ki", -s[:, 1:], s[:, 0])
+        return traj if state0.form == LEFT else replace(traj, states=s)
+
+    w0 = state0.boost if state0.form == LEFT else -(zeta.T @ state0.boost)
+    try:
+        return in_form(_drive(rhs, np.vstack([w0, zeta]), h, t_end, stride, 0, after_step))
+    except IntegrationAbort as exc:
+        exc.trajectory = in_form(exc.trajectory)
+        raise
 
 
 def integrate_w(w0, base, weights, h, t_end, stride=1):

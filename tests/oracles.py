@@ -6,20 +6,23 @@ sphere-restricted boost formula, the classical angle form of the planar
 model, quadrature for the radial hyperbolic length, a plain geometric series for
 the hypergeometric spot value, a per-scalar recursive formatter for the
 trajectory serializer, a plain RK4 loop over the public, validating boost
-flow for the boost-only integrator, the weighted sum of the boosted image
-array for the fused coupling-sum kernel, the scaled plain sum of the
-positions for the mean-field order parameter, backward-flow settling with
-a finite-difference Newton polish for the interior fixed point, and the
-pair formula itself for the skew-pair matrix.
+flow for the boost-only integrator, plain RK4 over the public rotation-first
+reduced_rhs with a polar projection after each step for the boost-first
+skew-product integrator, the weighted sum of the boosted image array for the
+fused coupling-sum kernel, the scaled plain sum of the positions for the
+mean-field order parameter, backward-flow settling with a finite-difference
+Newton polish for the interior fixed point, and the pair formula itself for
+the skew-pair matrix.
 """
 import json
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
 
 from spherekuramoto.dynamics import rk4_step
-from spherekuramoto.geometry import GeometryError, boost_apply
-from spherekuramoto.reduced import integrate_w, w_rhs
+from spherekuramoto.geometry import RIGHT, GeometryError, boost_apply, nearest_rotation
+from spherekuramoto.reduced import integrate_w, reduced_rhs, w_rhs
 from spherekuramoto.sampling import rng_from, uniform_ball
 
 
@@ -157,6 +160,33 @@ def integrate_w_reference(w0, base, weights, h, n_steps, stride=1):
             ws.append(w)
             last = k
     return np.array(times), np.array(ws), False
+
+
+def integrate_reduced_right_reference(state0, A, weights, h, n_steps):
+    """Rotation-first orbit coordinates (z, zeta) at every step, t = 0 first.
+
+    Classical RK4 on the public reduced_rhs in RIGHT form, one stage at a
+    time, with zeta replaced by its polar factor (nearest_rotation) after
+    every step.  An RK stage's zeta is off SO(d), so a stage is passed as a
+    plain namespace, not a validated ReducedState.  No stop contract: the run
+    must stay well inside the ball.
+    """
+    def f(z, zeta):
+        stage = SimpleNamespace(boost=z, zeta=zeta, base=state0.base, form=RIGHT)
+        return reduced_rhs(stage, A, weights)
+
+    z, zeta = state0.boost, state0.zeta
+    out = [(z, zeta)]
+    for _ in range(n_steps):
+        k1 = f(z, zeta)
+        k2 = f(z + (0.5 * h) * k1[0], zeta + (0.5 * h) * k1[1])
+        k3 = f(z + (0.5 * h) * k2[0], zeta + (0.5 * h) * k2[1])
+        k4 = f(z + h * k3[0], zeta + h * k3[1])
+        z, zeta = (v + (h / 6.0) * (a + 2.0 * (b + c) + e)
+                   for v, a, b, c, e in zip((z, zeta), k1, k2, k3, k4))
+        zeta = nearest_rotation(zeta)
+        out.append((z, zeta))
+    return out
 
 
 def fixed_point_reference(ctx, seed=0, settle_time=10.0, max_time=400.0, fd=1e-7):

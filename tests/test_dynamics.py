@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -30,6 +32,28 @@ def test_weight_builders():
     with pytest.raises(geo.GeometryError):
         dyn.explicit_weights([0.4, 0.5])  # sums to 0.9
     dyn.explicit_weights([0.4, 0.5], normalized=False)
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (dyn.gaussian_riemann_weights, (5, 0.0), "half_width"),  # NaN weights with a warning
+    (dyn.gaussian_riemann_weights, (5, -3.0), "half_width"),  # silently equal to 3
+    (dyn.gaussian_riemann_weights, (5, np.inf), "half_width"),
+    (dyn.gaussian_riemann_weights, (5, "3"), "half_width"),
+    (dyn.gaussian_riemann_weights, (0,), "n"),
+    (dyn.majority_weights, (5, 0.6, -1), "index"),  # silently the last particle
+    (dyn.majority_weights, (5, 0.6, 1.5), "index"),  # silently truncated to 1
+    (dyn.majority_weights, (5, 0.6, 7), "index"),  # IndexError
+    (dyn.majority_weights, (5, 1.0), "dominant"),
+    (dyn.majority_weights, (1, 0.6), "n"),
+    (dyn.mean_field_weights, (0, 1.0), "n"),  # ZeroDivisionError
+    (dyn.mean_field_weights, (5, np.nan), "K"),  # NaN weights
+    (dyn.equal_weights, (0,), "n"),
+])
+def test_weight_constructors_reject_out_of_range_arguments(build, args, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(geo.GeometryError, match=f"'{name}'"):
+            build(*args)
 
 
 def test_order_parameter_antipodal_cancellation():

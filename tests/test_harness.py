@@ -283,6 +283,29 @@ def test_compare_pairs_records_by_time():
     assert np.isfinite(report.cross_ratio_drift)
 
 
+@pytest.mark.parametrize("seed, scale, t_end, stop", [
+    (7, 0.5, 30.0, "end"),  # rotation-first once stopped at "boundary", t = 14.53
+    (21, 3.0, 40.0, "boundary"),  # both at t = 30.11; rotation-first once at 10.37
+])
+def test_both_reduced_forms_stop_alike(tmp_path, seed, scale, t_end, stop):
+    # |z| = |w| for one group element, so the two forms must stop at the same
+    # step: an RK stage z + (h/2) A z near the sphere must not read as synchrony
+    runs = {}
+    for mode in ("reduced_wzeta", "reduced_zzeta"):
+        out = tmp_path / f"{mode}.jsonl"
+        cfgfile = write_config(tmp_path / "c.json", n=50, mode=mode, seed=seed, t_end=t_end,
+                               rotation={"kind": "random", "scale": scale}, out=str(out))
+        runs[mode] = h.run_experiment(h.load_config(cfgfile), quiet=True), h.read_trajectory(out)[1]
+    (left, left_records), (right, right_records) = runs["reduced_wzeta"], runs["reduced_zzeta"]
+    assert left.stop_reason == right.stop_reason == stop
+    assert left.steps == right.steps
+    assert [r["t"] for r in left_records] == [r["t"] for r in right_records]
+    for lr, rr in zip(left_records, right_records):
+        zeta, w = np.array(lr["state"]["zeta"]), np.array(lr["state"]["w"])
+        assert np.array_equal(np.array(rr["state"]["zeta"]), zeta)
+        assert np.max(np.abs(np.array(rr["state"]["z"]) + zeta @ w)) <= 1e-15
+
+
 def test_compare_small_system():
     cfg = h.config_from_dict({
         "d": 3, "n": 10, "mode": "full",
@@ -573,15 +596,17 @@ def test_huge_coupling_writes_a_finite_znorm(tmp_path, capsys, mode, stop):
 
 
 # sha256 of small rotated reduced runs (n = 50, d = 3, h = 0.01, t_end = 2,
-# stride 10, seed 11).  reduced_zzeta as written before the line builders
-# stopped rebuilding and revalidating a reduced state per record; reduced_w
-# (which ignores the rotation) and reduced_wzeta as written since their
-# right-hand sides sum the coupling with the fused kernel, which moved
-# trailing digits (at most 2.2e-16 and 4.9e-15 per double).
+# stride 10, seed 11).  reduced_w (which ignores the rotation) as written
+# since its right-hand side sums the coupling with the fused kernel (at most
+# 2.2e-16 per double).  reduced_wzeta and reduced_zzeta as written since both
+# forms integrate the rotation as a boost-first skew product (Cayley steps
+# times the polar factor of RK4's rotation step, no per-step projection):
+# this moved wzeta states by at most 5.5e-13 per double, and zzeta states,
+# now derived from the boost-first run, by at most 5.5e-10.
 REDUCED_DIGESTS = {
     "reduced_w": "854372d6325a608f2c41f6fe0b6122f51de5dc49374eae27604c00de976c1716",
-    "reduced_wzeta": "cda86054dced70f735e70b452eb450cd63e5d7fba1ebc6eb126e8a8c70333f0b",
-    "reduced_zzeta": "1b8ffc2da667e3aaefa4445b92b11758e7eb3ef7047974436358b052234a3b38",
+    "reduced_wzeta": "0cc66b28d3120390e6281340d98e62e8585b0d0e241a2331fd18ecb30471d983",
+    "reduced_zzeta": "cadca50bcb2bdd53422b0092809e58d7b988cf0e02d32e3da059d8e8c84f75e4",
 }
 
 

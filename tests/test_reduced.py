@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import integrate_w_reference, skew_pair_apply
+from oracles import integrate_reduced_right_reference, integrate_w_reference, skew_pair_apply
 
 from spherekuramoto import continuum as cont
 from spherekuramoto import dynamics as dyn
@@ -312,6 +312,45 @@ def test_rotation_stays_orthogonal_along_reduced_run():
         assert np.max(np.abs(rec[1:].T @ rec[1:] - eye)) <= 1e-9
 
 
+def test_right_form_matches_plain_projected_rotation_first_rk4():
+    # the oracle integrates the rotation-first equations themselves, with a
+    # polar projection each step; the integrator runs the boost-first skew
+    # product from w = -zeta^T z and hands back z = -zeta w
+    x0, A, spec = make_system(8, 3, seed=210)
+    rng = np.random.default_rng(211)
+    state0 = red.ReducedState(np.array([0.2, -0.1, 0.15]), geo.random_rotation(3, rng), x0, geo.RIGHT)
+    h, n_steps = 1e-3, 1000
+    traj = red.integrate_reduced(state0, A, spec, h, n_steps * h, stride=100)
+    reference = integrate_reduced_right_reference(state0, A, spec, h, n_steps)
+    assert traj.stop == "end" and len(traj.times) == 11
+    worst = 0.0
+    for t, s in zip(traj.times, traj.states):
+        z, zeta = reference[round(t / h)]
+        assert np.linalg.norm(z) < 0.9  # well inside the ball
+        x = red.reconstruct(red.ReducedState(s[0], s[1:], x0, geo.RIGHT))
+        x_ref = red.reconstruct(red.ReducedState(z, zeta, x0, geo.RIGHT))
+        worst = max(worst, float(np.max(np.abs(x - x_ref))))
+    assert worst <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 10_000), st.booleans(),
+       st.sampled_from([0.01, -0.01]), st.sampled_from([1, 7]))
+def test_boost_first_run_is_integrate_w_with_an_unprojected_rotation(d, seed, rotated, h, stride):
+    # the boost rows take integrate_w's steps bit for bit, forward and
+    # backward, with and without a rotation term; the rotation is never
+    # projected, and info is its monitored defect
+    x0, A, spec = make_system(12, d, seed=seed, with_rotation=rotated)
+    traj = red.integrate_reduced(red.initial_state(x0), A, spec, h, 300 * h, stride)
+    boosts = red.integrate_w(np.zeros(d), x0, spec, h, 300 * h, stride)
+    assert traj.stop == boosts.stop
+    assert np.array_equal(traj.times, boosts.times)
+    assert np.array_equal(traj.states[:, 0], boosts.states)
+    defects = [float(np.max(np.abs(s[1:].T @ s[1:] - np.eye(d)))) for s in traj.states]
+    assert np.array_equal(traj.info, defects)
+    assert max(defects) <= 1e-12
+
+
 def test_boost_norm_grows_monotonically_toward_synchrony():
     x0 = dyn.random_configuration(50, 3, 44)
     weights = dyn.equal_weights(50)
@@ -391,6 +430,25 @@ def test_boost_first_step_loops_call_no_validated_boost(monkeypatch, run):
 
     assert calls(0.5) == calls(0.0)
     assert calls(0.5).get("_boost", 0) == calls(0.5).get("boost_apply", 0) == 0
+
+
+@pytest.mark.parametrize("form", [geo.LEFT, geo.RIGHT])
+def test_reduced_step_loop_calls_no_projection(monkeypatch, form):
+    # the polar factor of RK4's rotation step is taken once per run; no step
+    # projects the rotation
+    x0, A, spec = make_system(30, 3, seed=61)
+    state0 = red.ReducedState(np.zeros(3), np.eye(3), x0, form)
+    calls = []
+    for module in (geo, red):
+        original = module.nearest_rotation
+        monkeypatch.setattr(module, "nearest_rotation", lambda m, _f=original: calls.append(1) or _f(m))
+
+    def count(t_end):
+        calls.clear()
+        red.integrate_reduced(state0, A, spec, 0.01, t_end)
+        return len(calls)
+
+    assert count(0.5) == count(0.0) == 1
 
 
 def test_integrate_w_zero_time():
