@@ -43,6 +43,7 @@ def _is_nonpositive_int(x):
 
 
 _BLOCK = 4096
+_MC_ROWS = 2**14  # Monte Carlo samples drawn, boosted and averaged at a time
 
 
 def hypergeom_f(a, b, c, t, rtol=1e-15, max_terms=2_000_000):
@@ -217,21 +218,37 @@ def poisson_integral_mc(f, z, n_samples, seed, stream=0):
     """Monte Carlo boundary integral of f against the boosted uniform measure.
 
     Averages f(M_{-z}(x_k)) over uniform sphere samples x_k, which realizes
-    the pushforward measure directly.  f must accept an (n, d) array and
-    return (n,) or (n, m) values.  Per-component standard errors accompany
-    the estimate.
+    the pushforward measure directly.  Per-component standard errors
+    accompany the estimate.
+
+    The samples are drawn, boosted and passed to f in blocks of _MC_ROWS
+    rows, so memory does not grow with n_samples.  f is called once per
+    block; it must accept an (n, d) array, return (n,) or (n, m) values and
+    be row-wise: output k may depend only on row k.  The block means and sums
+    of squared deviations are merged by Chan, Golub & LeVeque (Amer. Stat.
+    37, 1983).  The sample stream is the one a single uniform_sphere draw of
+    all n_samples rows gives, except after a zero-norm redraw in
+    uniform_sphere, an event of probability zero.
     """
     z = as_ball_point(z)
-    if int(n_samples) < 1:
+    n_samples = int(n_samples)
+    if n_samples < 1:
         raise GeometryError("need at least one Monte Carlo sample")
-    x = uniform_sphere(int(n_samples), z.size, rng_from(seed, stream))
-    vals = np.asarray(f(boost_apply(-z, x)), dtype=float)
-    value = vals.mean(axis=0)
-    if int(n_samples) > 1:
-        stderr = vals.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    rng = rng_from(seed, stream)
+    mean = m2 = 0.0
+    for done in range(0, n_samples, _MC_ROWS):
+        k = min(_MC_ROWS, n_samples - done)
+        vals = np.asarray(f(boost_apply(-z, uniform_sphere(k, z.size, rng))), dtype=float)
+        block_mean = vals.sum(axis=0) / k
+        dev = vals - block_mean
+        delta = block_mean - mean
+        mean = mean + delta * (k / (done + k))
+        m2 = m2 + (dev * dev).sum(axis=0) + delta * delta * (done * k / (done + k))
+    if n_samples > 1:
+        stderr = np.sqrt(m2 / (n_samples - 1)) / np.sqrt(n_samples)
     else:
-        stderr = np.full_like(np.atleast_1d(value), np.inf)
-    return MCEstimate(value, stderr, int(n_samples))
+        stderr = np.full_like(np.atleast_1d(mean), np.inf)
+    return MCEstimate(mean, stderr, n_samples)
 
 
 def sample_pushforward(z, n_samples, seed, stream=0):

@@ -377,13 +377,30 @@ def integrate_full(x0, A, weights, h, t_end, projection=True, stride=1):
 # diagnostics
 
 
+_PAIR_BLOCK = 2**20  # gram entries per block of _pair_dots: N <= 1024 is one product
+
+
+def _pair_dots(x):
+    """Yield the gram entries <x_i, x_j>, i < j, in arrays of at most
+    _PAIR_BLOCK entries, so that no (N, N) array is formed.  Each block of
+    rows is one product x[lo:hi] @ x.T; it yields the strict upper triangle
+    of its diagonal square, then the rectangle right of it as a view."""
+    n = x.shape[0]
+    rows = max(1, min(n, _PAIR_BLOCK // max(n, 1)))
+    upper = np.arange(rows) > np.arange(rows)[:, None]
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        gram = x[lo:hi] @ x.T
+        if hi - lo > 1:
+            yield gram[:, lo:hi][upper[:hi - lo, :hi - lo]]
+        if hi < n:
+            yield gram[:, hi:]
+
+
 def min_pair_dot(x):
     """Worst pairwise alignment min_{i<j} <x_i, x_j>; 1 for fewer than two rows."""
-    n = x.shape[0]
-    if n < 2:
-        return 1.0
-    gram = x @ x.T
-    return float(np.min(gram[np.triu_indices(n, 1)]))
+    mins = [d.min() for d in _pair_dots(x)]
+    return float(np.min(mins)) if mins else 1.0
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .dynamics import (
     NORM_DRIFT_LIMIT,
     IntegrationAbort,
     _drive,
+    _pair_dots,
     as_rotation_terms,
     as_weights,
     validate_configuration,
@@ -59,19 +60,18 @@ def validate_base_points(p):
     distinct directions up to sign (otherwise the orbit coordinates are not
     unique).
 
-    The distance test reads the gram matrix: |p_i - p_j|^2 = 2 - 2 g_ij, and
-    for every double g < 1 the computed 2 - 2g is at least 2^-52, far above
-    DISTINCT_TOL^2, so a pair fails exactly when g_ij >= 1.  Its resolution
-    is therefore about 1e-8: closer pairs have a gram entry that rounds to 1
-    and are rejected.
+    The distance test reads the pairwise dot products g_ij = <p_i, p_j>,
+    i < j, streamed in fixed blocks of rows (dynamics._pair_dots), so memory
+    does not grow as N^2: |p_i - p_j|^2 = 2 - 2 g_ij, and for every double
+    g < 1 the computed 2 - 2g is at least 2^-52, far above DISTINCT_TOL^2, so
+    a pair fails exactly when g_ij >= 1.  Its resolution is therefore about
+    1e-8: closer pairs have a dot product that rounds to 1 and are rejected.
     """
     p = validate_configuration(p)
     n = p.shape[0]
     if n < 3:
         raise GeometryError("base configurations need at least 3 points")
-    gram = p @ p.T
-    np.fill_diagonal(gram, -np.inf)
-    if float(np.max(gram)) >= 1.0:
+    if any(float(g.max()) >= 1.0 for g in _pair_dots(p)):
         raise GeometryError("base points must be pairwise distinct: "
                             "no two closer than about 1e-8")
     reps = []

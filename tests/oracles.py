@@ -11,8 +11,11 @@ reduced_rhs with a polar projection after each step for the boost-first
 skew-product integrator, the weighted sum of the boosted image array for the
 fused coupling-sum kernel, the scaled plain sum of the positions for the
 mean-field order parameter, backward-flow settling with a finite-difference
-Newton polish for the interior fixed point, and the pair formula itself for
-the skew-pair matrix.
+Newton polish for the interior fixed point, the pair formula itself for
+the skew-pair matrix, the whole (N, N) gram matrix and its strict upper
+triangle for the streamed pair scan, and one draw of every sample with
+numpy's own mean and standard deviation for the streamed Monte Carlo
+integral.
 """
 import json
 from types import SimpleNamespace
@@ -21,9 +24,16 @@ import numpy as np
 from scipy.integrate import quad
 
 from spherekuramoto.dynamics import rk4_step
-from spherekuramoto.geometry import RIGHT, GeometryError, boost_apply, nearest_rotation
+from spherekuramoto.continuum import MCEstimate
+from spherekuramoto.geometry import (
+    RIGHT,
+    GeometryError,
+    as_ball_point,
+    boost_apply,
+    nearest_rotation,
+)
 from spherekuramoto.reduced import integrate_w, reduced_rhs, w_rhs
-from spherekuramoto.sampling import rng_from, uniform_ball
+from spherekuramoto.sampling import rng_from, uniform_ball, uniform_sphere
 
 
 def mobius_disc_complex(w, x):
@@ -112,6 +122,30 @@ def skew_pair_apply(y1, y2, y):
     applied to y without forming its matrix."""
     y1, y2, y = (np.asarray(v, dtype=float) for v in (y1, y2, y))
     return float(y1 @ y) * y2 - float(y2 @ y) * y1
+
+
+def min_pair_dot_reference(x):
+    """min_{i<j} <x_i, x_j> over the strict upper triangle of the whole gram
+    matrix; 1 for fewer than two rows."""
+    n = x.shape[0]
+    if n < 2:
+        return 1.0
+    gram = x @ x.T
+    return float(np.min(gram[np.triu_indices(n, 1)]))
+
+
+def poisson_integral_mc_reference(f, z, n_samples, seed, stream=0):
+    """Mean and standard error of f(M_{-z}(x_k)) over all n_samples uniform
+    sphere samples, drawn at once and reduced by numpy's mean and std."""
+    z = as_ball_point(z)
+    x = uniform_sphere(int(n_samples), z.size, rng_from(seed, stream))
+    vals = np.asarray(f(boost_apply(-z, x)), dtype=float)
+    value = vals.mean(axis=0)
+    if int(n_samples) > 1:
+        stderr = vals.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    else:
+        stderr = np.full_like(np.atleast_1d(value), np.inf)
+    return MCEstimate(value, stderr, int(n_samples))
 
 
 def coupling_sum_reference(w, base, a):
