@@ -213,11 +213,12 @@ def _boost(w, x, x2):
     return ((1.0 - w2) * x - (c + x2)[:, None] * w) / denom[:, None], denom
 
 
-def _coupling_sum(w, x, x2, a):
+def _coupling_sum(w, w2, x, x2, a):
     """sum_i a_i M_w(x_i) without forming the images M_w(x_i).
 
-    Same arguments and precondition as _boost, plus the weight vector a of
-    length n; returns the weighted sum of the images and their denominators.
+    Same arguments and precondition as _boost, plus w2 = |w|^2, which the
+    callers' boost flow needs too, and the weight vector a of length n;
+    returns the weighted sum of the images and their denominators.
     Each image is ((1 - |w|^2) x_i - (c_i + |x_i|^2) w) / denom_i with
     c_i = 1 - 2 <x_i, w>, so with q = a / denom the sum is
 
@@ -225,7 +226,6 @@ def _coupling_sum(w, x, x2, a):
 
     two length-n vectors and one (n, d) matrix-vector product per call.
     """
-    w2 = float(w @ w)
     c = 1.0 - 2.0 * (x @ w)
     denom = c + w2 * x2
     q = a / denom

@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 
+SAME_DIRECTION = 1.0 - 4.0 * 2.0**-52  # normalized rows this aligned count as one point
+
+
 def validate_base_points(p):
     """Check that a base configuration is in general position.
 
@@ -60,20 +63,24 @@ def validate_base_points(p):
     distinct directions up to sign (otherwise the orbit coordinates are not
     unique).
 
-    The distance test reads the pairwise dot products g_ij = <p_i, p_j>,
-    i < j, streamed in fixed blocks of rows (dynamics._pair_dots), so memory
-    does not grow as N^2: |p_i - p_j|^2 = 2 - 2 g_ij, and for every double
-    g < 1 the computed 2 - 2g is at least 2^-52, far above DISTINCT_TOL^2, so
-    a pair fails exactly when g_ij >= 1.  Its resolution is therefore about
-    1e-8: closer pairs have a dot product that rounds to 1 and are rejected.
+    The distance test reads the pairwise dot products g_ij = <u_i, u_j>,
+    i < j, of the normalized rows u_i = p_i / |p_i|, streamed in fixed blocks
+    of rows (dynamics._pair_dots), so memory does not grow as N^2.  A pair
+    fails when g_ij >= SAME_DIRECTION = 1 - 4 * 2^-52: every exact duplicate
+    row does, whatever its rounded norm, since a normalized row's computed
+    <u, u> is within a few units in the last place of 1.  As
+    |u_i - u_j|^2 = 2 - 2 g_ij, the resolution is 2^-24.5, about 4.2e-8:
+    closer pairs are rejected, and so is every pair closer than about 1e-8,
+    whose raw dot product rounds to 1.
     """
     p = validate_configuration(p)
     n = p.shape[0]
     if n < 3:
         raise GeometryError("base configurations need at least 3 points")
-    if any(float(g.max()) >= 1.0 for g in _pair_dots(p)):
-        raise GeometryError("base points must be pairwise distinct: "
-                            "no two closer than about 1e-8")
+    u = p / np.linalg.norm(p, axis=1)[:, None]
+    if any(float(g.max()) >= SAME_DIRECTION for g in _pair_dots(u)):
+        raise GeometryError("base points must be pairwise distinct: no two closer than "
+                            "about 1e-8; directions within 4.2e-8 count as one point")
     reps = []
     for row in p:
         if all(abs(float(row @ r)) < 1.0 - 1e-10 for r in reps):
@@ -134,9 +141,12 @@ def skew_pair_matrix(y1, y2):
 
 
 def _boost_flow(w, base, x2, a):
-    """Unvalidated (w', B) of reduced_rhs in LEFT form, with x2 = |base_i|^2."""
-    Z0, _ = _coupling_sum(w, base, x2, a)
-    return -0.5 * (1.0 - float(w @ w)) * Z0, skew_pair_matrix(Z0, w)
+    """Unvalidated (w', Z0) of the boost-first flow, Z0 = sum_i a_i M_w(base_i)
+    and w' = -(1 - |w|^2) Z0 / 2, with x2 = |base_i|^2 and |w|^2 formed once;
+    integrate_w and integrate_reduced run it in every RK stage."""
+    w2 = float(w @ w)
+    Z0, _ = _coupling_sum(w, w2, base, x2, a)
+    return -0.5 * (1.0 - w2) * Z0, Z0
 
 
 def reduced_rhs(state, A, weights):
@@ -158,7 +168,8 @@ def reduced_rhs(state, A, weights):
         raise GeometryError("boost parameter has reached the ball boundary")
     a = as_weights(weights, base.shape[0])
     if state.form == LEFT:
-        wdot, B = _boost_flow(boost, base, np.einsum("ij,ij->i", base, base), a)
+        wdot, Z0 = _boost_flow(boost, base, np.einsum("ij,ij->i", base, base), a)
+        B = skew_pair_matrix(Z0, boost)
         return wdot, zeta @ B if A is None else A @ zeta + zeta @ B
     x = base @ zeta.T
     x, _ = _boost(-boost, x, np.einsum("ij,ij->i", x, x))  # M_{-z}(zeta p)
@@ -184,11 +195,12 @@ def w_rhs(w, base, weights):
     if base.shape[1] != w.size:
         raise GeometryError(f"dimension mismatch: boost in R^{w.size}, point in R^{base.shape[1]}")
     weights = as_weights(weights, base.shape[0])
+    w2 = float(w @ w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        Z0, denom = _coupling_sum(w, base, np.einsum("ij,ij->i", base, base), weights)
+        Z0, denom = _coupling_sum(w, w2, base, np.einsum("ij,ij->i", base, base), weights)
     if np.any(np.abs(denom) < 1e-300):
         raise GeometryError("boost denominator vanished; state is corrupted")
-    return -0.5 * (1.0 - float(w @ w)) * Z0
+    return -0.5 * (1.0 - w2) * Z0
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +214,26 @@ def reconstruct(state):
     return mobius_apply(MobiusMap(state.zeta, state.boost, state.form), state.base)
 
 
+_CHUNK = 1024  # RK steps whose stages integrate_reduced buffers per rotation pass
+
+
 def integrate_reduced(state0, A, weights, h, t_end, stride=1):
     """RK4 on the orbit coordinates of state0 as a skew product on the Mobius
     group: a dynamics.Trajectory of (d + 1, d) states (boost; zeta) in the
     form of state0, for A None or one shared (d, d) term.  Both forms run
-    boost-first (RIGHT enters as w = -zeta^T z, leaves as z = -zeta w).  w
-    takes integrate_w's RK4 steps bit for bit, the ball point of _drive, and
-    zeta <- E zeta cay(Omega): cay the Cayley map, Omega the RK-Munthe-Kaas
-    increment of Omega' = (I + Omega/2) B (I - Omega/2), B as in reduced_rhs,
-    on w's stages (whose rows 1..d hold zeta + Omega), and E the polar factor
-    of RK4's rotation step I + hA + ... + (hA)^4/24.  If that is off SO(d)
-    by over NORM_DRIFT_LIMIT, or overflows, the first step is the abort
-    "unstable", or "nonfinite".  Nothing is projected: info is the defect
-    max |zeta^T zeta - I|."""
+    boost-first (RIGHT enters as w = -zeta^T z, leaves as z = -zeta w).
+
+    w alone takes integrate_w's RK4 steps bit for bit, as the ball point of
+    _drive, and each stage's (w, Z0) goes into a buffer of _CHUNK steps.
+    Each full buffer, and the rest at the stop, then advances the rotation
+    zeta <- E zeta cay(Omega), one whole chunk at a time: cay is the Cayley
+    map, Omega the RK-Munthe-Kaas increment of
+    Omega' = (I + Omega/2) B (I - Omega/2) on the stages' B = w Z0^T - Z0 w^T,
+    and E the polar factor of RK4's rotation step I + hA + ... + (hA)^4/24.
+    zeta and its defect are kept only at the recorded steps.  If E's
+    polynomial is off SO(d) by over NORM_DRIFT_LIMIT, or overflows, the first
+    step is the abort "unstable", or "nonfinite".  Nothing is projected: info
+    is the defect max |zeta^T zeta - I|."""
     if not isinstance(state0, ReducedState):
         raise TypeError("integrate_reduced expects orbit coordinates (ReducedState)")
     base, zeta, d = state0.base, state0.zeta, state0.boost.size
@@ -228,29 +247,65 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
         defect = float(np.max(np.abs(poly.T @ poly - eye)))
     fail = None if defect <= NORM_DRIFT_LIMIT else "unstable" if defect < np.inf else "nonfinite"
     E = eye if fail else nearest_rotation(poly)
+    stages = np.empty((4 * _CHUNK, 2, d))  # (w, Z0) of every RK stage of the chunk
+    calls = done = kept = 0  # stages in the chunk, accepted steps, step of zetas[-1]
+    zetas, defects = [zeta], [0.0]
 
-    def rhs(y):
-        wdot, B = _boost_flow(y[0], base, x2, a)
-        half = 0.5 * (y[1:] - zeta)
-        return np.vstack([wdot, (eye + half) @ B @ (eye - half)])
+    def rhs(w):
+        nonlocal calls
+        wdot, Z0 = _boost_flow(w, base, x2, a)
+        stages[calls] = w, Z0
+        calls += 1
+        return wdot
 
-    def after_step(y):
+    def keep(k):
+        nonlocal kept
+        zetas.append(zeta)
+        defects.append(float(np.max(np.abs(zeta.T @ zeta - eye))))
+        kept = k
+
+    def advance(n):  # the rotation over the chunk's first n steps, which end at step done
         nonlocal zeta
-        half = 0.5 * (y[1:] - zeta)
-        zeta = E @ zeta @ np.linalg.solve(eye - half, eye + half)
-        return np.vstack([y[0], zeta]), float(np.max(np.abs(zeta.T @ zeta - eye))), fail
+        w, Z0 = (stages[:4 * n, j].reshape(n, 4, d) for j in (0, 1))
+        B = w[..., :, None] * Z0[..., None, :] - Z0[..., :, None] * w[..., None, :]
+        k1 = B[:, 0]
+        k2 = (eye + (h / 4.0) * k1) @ B[:, 1] @ (eye - (h / 4.0) * k1)
+        k3 = (eye + (h / 4.0) * k2) @ B[:, 2] @ (eye - (h / 4.0) * k2)
+        k4 = (eye + (h / 2.0) * k3) @ B[:, 3] @ (eye - (h / 2.0) * k3)
+        half = 0.5 * ((h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))  # Omega / 2
+        every = int(stride)
+        for k, cay in enumerate(np.linalg.solve(eye - half, eye + half), done - n + 1):
+            zeta = E @ zeta @ cay
+            if k % every == 0:
+                keep(k)
 
-    def in_form(traj):  # records leave in the form of state0: z = (-zeta) w, never -0
-        s = traj.states.copy()
-        s[:, 0] = np.einsum("kij,kj->ki", -s[:, 1:], s[:, 0])
-        return traj if state0.form == LEFT else replace(traj, states=s)
+    def after_step(w):
+        nonlocal calls, done
+        if fail:
+            return w, 0.0, fail
+        done += 1
+        if done % _CHUNK == 0:
+            advance(_CHUNK)
+            calls = 0
+        return w, 0.0, None
+
+    def finish(traj):  # zeta at the records of traj, the last accepted step included
+        advance(done % _CHUNK)
+        if kept < done:
+            keep(done)
+        zeta_k = np.stack(zetas)
+        states = np.concatenate([traj.states[:, None, :], zeta_k], axis=1)
+        if state0.form != LEFT:  # z = (-zeta) w, never -0
+            states[:, 0] = np.einsum("kij,kj->ki", -zeta_k, traj.states)
+        return replace(traj, states=states, info=np.array(defects))
 
     w0 = state0.boost if state0.form == LEFT else -(zeta.T @ state0.boost)
     try:
-        return in_form(_drive(rhs, np.vstack([w0, zeta]), h, t_end, stride, 0, after_step))
+        traj = _drive(rhs, w0, h, t_end, stride, slice(None), after_step)
     except IntegrationAbort as exc:
-        exc.trajectory = in_form(exc.trajectory)
+        exc.trajectory = finish(exc.trajectory)
         raise
+    return finish(traj)
 
 
 def integrate_w(w0, base, weights, h, t_end, stride=1):
@@ -268,7 +323,7 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
     x2 = np.einsum("ij,ij->i", base, base)
 
     def rhs(w):  # w_rhs on the unvalidated kernel, with |base_i|^2 computed once
-        return -0.5 * (1.0 - float(w @ w)) * _coupling_sum(w, base, x2, weights)[0]
+        return _boost_flow(w, base, x2, weights)[0]
 
     return _drive(rhs, w0, h, t_end, stride, slice(None))
 

@@ -6,11 +6,14 @@ sphere-restricted boost formula, the classical angle form of the planar
 model, quadrature for the radial hyperbolic length, a plain geometric series for
 the hypergeometric spot value, a per-scalar recursive formatter for the
 trajectory serializer, a plain RK4 loop over the public, validating boost
-flow for the boost-only integrator, plain RK4 over the public rotation-first
+flow for the boost-only integrator, a plain RK4 loop over the public full_rhs
+for the full integrator, plain RK4 over the public rotation-first
 reduced_rhs with a polar projection after each step for the boost-first
-skew-product integrator, the weighted sum of the boosted image array for the
-fused coupling-sum kernel, the scaled plain sum of the positions for the
-mean-field order parameter, backward-flow settling with a finite-difference
+skew-product integrator, that integrator's earlier form, which carries the
+rotation through every RK stage, for its chunked rotation pass, the
+weighted sum of the boosted image array for the fused coupling-sum kernel,
+the scaled plain sum of the positions for the mean-field order parameter,
+backward-flow settling with a finite-difference
 Newton polish for the interior fixed point, the pair formula itself for
 the skew-pair matrix, the whole (N, N) gram matrix and its strict upper
 triangle for the streamed pair scan, and one draw of every sample with
@@ -18,12 +21,20 @@ numpy's own mean and standard deviation for the streamed Monte Carlo
 integral.
 """
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
 
-from spherekuramoto.dynamics import rk4_step
+from spherekuramoto.dynamics import (
+    NORM_DRIFT_LIMIT,
+    IntegrationAbort,
+    _drive,
+    as_rotation_terms,
+    full_rhs,
+    rk4_step,
+)
 from spherekuramoto.continuum import MCEstimate
 from spherekuramoto.geometry import (
     RIGHT,
@@ -32,7 +43,13 @@ from spherekuramoto.geometry import (
     boost_apply,
     nearest_rotation,
 )
-from spherekuramoto.reduced import integrate_w, reduced_rhs, w_rhs
+from spherekuramoto.reduced import (
+    _boost_flow,
+    integrate_w,
+    reduced_rhs,
+    skew_pair_matrix,
+    w_rhs,
+)
 from spherekuramoto.sampling import rng_from, uniform_ball, uniform_sphere
 
 
@@ -194,6 +211,99 @@ def integrate_w_reference(w0, base, weights, h, n_steps, stride=1):
             ws.append(w)
             last = k
     return np.array(times), np.array(ws), False
+
+
+def integrate_full_reference(x0, A, weights, h, t_end, projection=True, stride=1):
+    """Plain RK4 on the public full_rhs, one stage at a time:
+    (times, states, info, stop).
+
+    Row norms are np.linalg.norm's.  info is the worst |norm - 1| so far.
+    With projection every step's rows are divided by their norms, and a step
+    whose own defect exceeds NORM_DRIFT_LIMIT stops the run ("unstable");
+    without, a worst defect over it stops the run ("drift").  Records t = 0,
+    every stride steps, the last step and, after a stop, the last accepted
+    state.
+    """
+    x = np.asarray(x0, dtype=float)
+    n_steps = int(round(t_end / h))
+    times, states, infos = [0.0], [x], [0.0]
+    drift, last, stop = 0.0, 0, "end"
+
+    def f(y):
+        return full_rhs(y, A, weights)
+
+    for k in range(1, n_steps + 1):
+        k1 = f(x)
+        k2 = f(x + (0.5 * h) * k1)
+        k3 = f(x + (0.5 * h) * k2)
+        k4 = f(x + h * k3)
+        y = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        norms = np.linalg.norm(y, axis=1)
+        defect = float(np.max(np.abs(norms - 1.0)))
+        if not np.all(np.isfinite(y)):
+            stop = "nonfinite"
+        elif projection and defect > NORM_DRIFT_LIMIT:
+            stop = "unstable"
+        elif not projection and max(drift, defect) > NORM_DRIFT_LIMIT:
+            stop = "drift"
+        if stop != "end":
+            if last < k - 1:
+                times.append((k - 1) * h)
+                states.append(x)
+                infos.append(drift)
+            break
+        drift = max(drift, defect)
+        x = y / norms[:, None] if projection else y
+        if k % stride == 0 or k == n_steps:
+            times.append(k * h)
+            states.append(x)
+            infos.append(drift)
+            last = k
+    return np.array(times), np.array(states), np.array(infos), stop
+
+
+def integrate_reduced_stacked_reference(state0, A, weights, h, t_end, stride=1):
+    """The boost-first skew product with the rotation carried through every
+    RK stage: one RK4 on the stacked (d + 1, d) state (w; zeta + Omega),
+    whose rotation rows take the Cayley-RKMK stages (I + Omega/2) B (I - Omega/2)
+    and, once accepted, zeta <- E zeta cay(Omega).  Returns, or raises with
+    IntegrationAbort, the same Trajectory as reduced.integrate_reduced, whose
+    chunked rotation pass advances zeta from buffered stages instead.
+    """
+    base, zeta, d = state0.base, state0.zeta, state0.boost.size
+    A = as_rotation_terms(A, d)
+    a = np.asarray(weights, dtype=float)
+    x2 = np.einsum("ij,ij->i", base, base)
+    eye = np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hA = np.zeros((d, d)) if A is None else h * A
+        poly = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0)
+        defect = float(np.max(np.abs(poly.T @ poly - eye)))
+    fail = None if defect <= NORM_DRIFT_LIMIT else "unstable" if defect < np.inf else "nonfinite"
+    E = eye if fail else nearest_rotation(poly)
+
+    def rhs(y):
+        wdot, Z0 = _boost_flow(y[0], base, x2, a)
+        half = 0.5 * (y[1:] - zeta)
+        return np.vstack([wdot, (eye + half) @ skew_pair_matrix(Z0, y[0]) @ (eye - half)])
+
+    def after_step(y):
+        nonlocal zeta
+        half = 0.5 * (y[1:] - zeta)
+        zeta = E @ zeta @ np.linalg.solve(eye - half, eye + half)
+        return np.vstack([y[0], zeta]), float(np.max(np.abs(zeta.T @ zeta - eye))), fail
+
+    def in_form(traj):  # z = (-zeta) w
+        s = traj.states.copy()
+        s[:, 0] = np.einsum("kij,kj->ki", -s[:, 1:], s[:, 0])
+        return traj if state0.form != RIGHT else replace(traj, states=s)
+
+    w0 = state0.boost if state0.form != RIGHT else -(zeta.T @ state0.boost)
+    try:
+        return in_form(_drive(rhs, np.vstack([w0, zeta]), h, t_end, stride, 0, after_step))
+    except IntegrationAbort as exc:
+        exc.trajectory = in_form(exc.trajectory)
+        raise
 
 
 def integrate_reduced_right_reference(state0, A, weights, h, n_steps):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spherekuramoto import dynamics as dyn
@@ -9,7 +11,12 @@ from spherekuramoto import geometry as geo
 from spherekuramoto import gradient as gr
 from spherekuramoto import reduced as red
 
-from oracles import angles_to_plane, integrate_angles, mean_field_order_parameter
+from oracles import (
+    angles_to_plane,
+    integrate_angles,
+    integrate_full_reference,
+    mean_field_order_parameter,
+)
 
 
 def equal_spec(n):
@@ -306,6 +313,45 @@ def test_drift_abort_records_last_accepted_state():
 
 # ---------------------------------------------------------------------------
 # diagnostics
+
+
+@pytest.mark.parametrize("n", [100, 2000])
+@pytest.mark.parametrize("rotation", ["none", "shared", "per_particle"])
+@pytest.mark.parametrize("projection", [True, False])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_integrate_full_matches_plain_rk4_on_public_full_rhs(n, rotation, projection, stride):
+    # the integrator runs the unchecked field with the shared term's
+    # transpose made contiguous once and its own row norms; the reference
+    # runs the public full_rhs and np.linalg.norm, so any difference shows
+    rng = np.random.default_rng(n + stride)
+    x0 = dyn.random_configuration(n, 3, seed=n)
+    A = {"none": None,
+         "shared": geo.random_antisymmetric(3, rng, 0.5),
+         "per_particle": np.array([geo.random_antisymmetric(3, rng, 0.5) for _ in range(n)])}[rotation]
+    a = rng.random(n)
+    a /= a.sum()
+    traj = dyn.integrate_full(x0, A, a, 0.01, 0.3, projection, stride)
+    times, states, info, stop = integrate_full_reference(x0, A, a, 0.01, 0.3, projection, stride)
+    assert traj.stop == stop == "end"
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.info, info)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5000), st.integers(2, 7), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_row_norms_are_numpys(n, d, log_scale, seed):
+    # rows of about 10^log_scale in size, each with its own spread
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0**log_scale * np.exp(rng.standard_normal((n, 1)))
+    assert np.array_equal(dyn._row_norms(x), np.linalg.norm(x, axis=1))
+
+
+@pytest.mark.parametrize("d", [8, 9, 16])
+def test_row_norms_of_long_rows_are_numpys(d):
+    # numpy sums rows of 8 or more entries pairwise, not in order
+    x = np.random.default_rng(d).standard_normal((300, d))
+    assert np.array_equal(dyn._row_norms(x), np.linalg.norm(x, axis=1))
 
 
 def test_sync_metrics_at_synchrony():

@@ -102,7 +102,7 @@ def test_boost_batch_matches_single():
 
 
 def coupling_sum(w, base, a):
-    return geo._coupling_sum(w, base, np.einsum("ij,ij->i", base, base), a)
+    return geo._coupling_sum(w, float(w @ w), base, np.einsum("ij,ij->i", base, base), a)
 
 
 @settings(max_examples=300, deadline=None)

@@ -598,15 +598,17 @@ def test_huge_coupling_writes_a_finite_znorm(tmp_path, capsys, mode, stop):
 # sha256 of small rotated reduced runs (n = 50, d = 3, h = 0.01, t_end = 2,
 # stride 10, seed 11).  reduced_w (which ignores the rotation) as written
 # since its right-hand side sums the coupling with the fused kernel (at most
-# 2.2e-16 per double).  reduced_wzeta and reduced_zzeta as written since both
-# forms integrate the rotation as a boost-first skew product (Cayley steps
-# times the polar factor of RK4's rotation step, no per-step projection):
-# this moved wzeta states by at most 5.5e-13 per double, and zzeta states,
-# now derived from the boost-first run, by at most 5.5e-10.
+# 2.2e-16 per double).  reduced_wzeta and reduced_zzeta as written since
+# both forms advance the rotation after the boost steps, one chunk of Cayley
+# steps at a time (times the polar factor of RK4's rotation step, no per-step
+# projection), instead of carrying it through the RK stages: this moved zeta
+# by at most 2.0e-15 per double, min_pair_dot by 2.6e-15, the drift column
+# (the rotation's defect) by 1.1e-15, and z and Znorm by at most 8.3e-17;
+# the boost w kept its bits.
 REDUCED_DIGESTS = {
     "reduced_w": "854372d6325a608f2c41f6fe0b6122f51de5dc49374eae27604c00de976c1716",
-    "reduced_wzeta": "0cc66b28d3120390e6281340d98e62e8585b0d0e241a2331fd18ecb30471d983",
-    "reduced_zzeta": "cadca50bcb2bdd53422b0092809e58d7b988cf0e02d32e3da059d8e8c84f75e4",
+    "reduced_wzeta": "73920530b45c8db07bca084428636e5ad5e53600ccfdfcfd3e8ffa44698d7e2a",
+    "reduced_zzeta": "d625c5d21687826ed142428e14e849d923cc64285abaa2e4db91bbef929fc948",
 }
 
 

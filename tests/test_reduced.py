@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import integrate_reduced_right_reference, integrate_w_reference, skew_pair_apply
+from oracles import (
+    integrate_reduced_right_reference,
+    integrate_reduced_stacked_reference,
+    integrate_w_reference,
+    skew_pair_apply,
+)
 
 from spherekuramoto import continuum as cont
 from spherekuramoto import dynamics as dyn
@@ -251,6 +256,27 @@ def test_general_position_near_duplicates(gap, distinct):
                 red.validate_base_points(base)
 
 
+@pytest.mark.parametrize("row", [2, 3, 4, 9])
+def test_general_position_rejects_a_copy_of_a_row_whose_norm_rounds_below_one(row):
+    # these rows have <p, p> = 1 - 2^-53, so the raw gram entry of a copy is
+    # below 1; the scan of normalized rows still rejects it
+    p = dyn.random_configuration(50, 3, seed=2)
+    assert p[row] @ p[row] < 1.0
+    p[20] = p[row]
+    with pytest.raises(geo.GeometryError, match="pairwise distinct"):
+        red.validate_base_points(p)
+
+
+def test_general_position_rejects_a_copy_of_a_short_row():
+    p = dyn.random_configuration(20, 3, seed=9)
+    p[4] *= 1.0 - 1e-13  # still a valid configuration row
+    dyn.validate_configuration(p)
+    red.validate_base_points(p)
+    p[11] = p[4]
+    with pytest.raises(geo.GeometryError, match="directions within 4.2e-8"):
+        red.validate_base_points(p)
+
+
 # ---------------------------------------------------------------------------
 # integration
 
@@ -349,6 +375,102 @@ def test_boost_first_run_is_integrate_w_with_an_unprojected_rotation(d, seed, ro
     defects = [float(np.max(np.abs(s[1:].T @ s[1:] - np.eye(d)))) for s in traj.states]
     assert np.array_equal(traj.info, defects)
     assert max(defects) <= 1e-12
+
+
+def assert_matches_stacked(traj, ref):
+    # same stop, times and boost rows; the rotation within 1e-13
+    assert traj.stop == ref.stop
+    assert np.array_equal(traj.times, ref.times)
+    assert traj.states.shape == ref.states.shape
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-13
+    assert np.max(np.abs(traj.info - ref.info)) <= 1e-13
+    assert traj.info[0] == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("h", [0.01, -0.01])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_chunked_rotation_matches_stacked_stages(d, rotated, h, stride):
+    # the rotation, advanced from buffered stages one chunk at a time, against
+    # the integration that carries it through every RK stage; the boost rows
+    # stay integrate_w's bit for bit
+    x0, A, spec = make_system(12, d, seed=500 + d, with_rotation=rotated)
+    rng = np.random.default_rng(600 + d)
+    state0 = red.ReducedState(0.3 * geo.random_rotation(d, rng)[0], geo.random_rotation(d, rng), x0)
+    traj = red.integrate_reduced(state0, A, spec, h, 300 * h, stride)
+    boosts = red.integrate_w(state0.boost, x0, spec, h, 300 * h, stride)
+    assert np.array_equal(traj.states[:, 0], boosts.states)
+    assert_matches_stacked(traj, integrate_reduced_stacked_reference(state0, A, spec, h, 300 * h, stride))
+
+
+@pytest.mark.parametrize("form", [geo.LEFT, geo.RIGHT])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("n_steps", [red._CHUNK - 1, red._CHUNK, red._CHUNK + 1, 2 * red._CHUNK + 3])
+def test_chunked_rotation_across_chunk_boundaries(n_steps, stride, form):
+    x0, A, spec = make_system(6, 3, seed=700)
+    rng = np.random.default_rng(701)
+    state0 = red.ReducedState(np.array([0.1, -0.2, 0.05]), geo.random_rotation(3, rng), x0, form)
+    h = -0.005  # backward: the boost settles inside the ball, so every run reaches "end"
+    traj = red.integrate_reduced(state0, A, spec, h, n_steps * h, stride)
+    ref = integrate_reduced_stacked_reference(state0, A, spec, h, n_steps * h, stride)
+    assert traj.stop == "end" and round(traj.times[-1] / h) == n_steps
+    assert_matches_stacked(traj, ref)
+
+
+def _stiff_mean_field_start(K):
+    """Ten base points, a rotation, and a start 1e-9 off the repelling
+    equilibrium of the mean-field boost flow at coupling K: forward runs
+    leave it slowly, then stop within about 50 steps."""
+    x0 = dyn.random_configuration(10, 3, 3)
+    A = geo.random_antisymmetric(3, np.random.default_rng(3), 1.0)
+    w_star = red.integrate_w(np.zeros(3), x0, dyn.equal_weights(10), -0.01, -60.0).final
+    rotation = geo.random_rotation(3, np.random.default_rng(1))
+    state0 = red.ReducedState(w_star + np.array([1e-9, 0.0, 0.0]), rotation, x0)
+    return state0, A, dyn.mean_field_weights(10, K)
+
+
+@pytest.mark.parametrize("chunk", [5, 16])
+def test_chunked_rotation_boundary_stop_in_mid_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(red, "_CHUNK", chunk)
+    state0, A, a = _stiff_mean_field_start(100.0)
+    traj = red.integrate_reduced(state0, A, a, 0.01, 5.0, stride=7)
+    ref = integrate_reduced_stacked_reference(state0, A, a, 0.01, 5.0, stride=7)
+    last = round(traj.times[-1] / 0.01)  # the last accepted step, off the stride grid
+    assert traj.stop == "boundary" and last % 7 and last % chunk and last > chunk
+    assert_matches_stacked(traj, ref)
+
+
+@pytest.mark.parametrize("chunk", [4, 5])
+def test_chunked_rotation_unstable_abort_in_mid_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(red, "_CHUNK", chunk)
+    state0, A, a = _stiff_mean_field_start(200.0)
+    with pytest.raises(dyn.IntegrationAbort) as got:
+        red.integrate_reduced(state0, A, a, 0.01, 5.0, stride=7)
+    with pytest.raises(dyn.IntegrationAbort) as ref:
+        integrate_reduced_stacked_reference(state0, A, a, 0.01, 5.0, stride=7)
+    last = round(got.value.trajectory.times[-1] / 0.01)
+    assert got.value.reason == "unstable" and last % 7 and last % chunk and last > chunk
+    assert_matches_stacked(got.value.trajectory, ref.value.trajectory)
+
+
+@pytest.mark.parametrize("form", [geo.LEFT, geo.RIGHT])
+@pytest.mark.parametrize("scale, reason", [(500.0, "unstable"), (1e305, "nonfinite")])
+def test_chunked_rotation_first_step_aborts(scale, reason, form):
+    # RK4's rotation step is off SO(d) at rotation 500 and overflows at
+    # 1e305: the first step aborts, with only t = 0 recorded
+    x0 = dyn.random_configuration(10, 3, 3)
+    A = np.array([[0.0, scale, 0.0], [-scale, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    state0 = red.ReducedState(np.zeros(3), np.eye(3), x0, form)
+    a = dyn.equal_weights(10)
+    with pytest.raises(dyn.IntegrationAbort) as got:
+        red.integrate_reduced(state0, A, a, 0.01, 1.0)
+    with pytest.raises(dyn.IntegrationAbort) as ref:
+        integrate_reduced_stacked_reference(state0, A, a, 0.01, 1.0)
+    assert got.value.reason == ref.value.reason == reason
+    assert np.array_equal(got.value.trajectory.times, [0.0])
+    assert np.array_equal(got.value.trajectory.states, ref.value.trajectory.states)
+    assert np.array_equal(got.value.trajectory.info, ref.value.trajectory.info)
 
 
 def test_boost_norm_grows_monotonically_toward_synchrony():

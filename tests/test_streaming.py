@@ -110,3 +110,16 @@ def test_poisson_integral_mc_memory_does_not_grow_with_samples():
 def test_pair_scans_hold_no_gram_matrix(scan):
     x = dyn.random_configuration(4000, 3, seed=4)
     assert peak_bytes(scan, x) < MEMORY_LIMIT
+
+
+def test_reduced_run_memory_does_not_grow_with_steps():
+    # the rotation pass buffers the stages of at most reduced._CHUNK steps
+    x0 = dyn.random_configuration(20, 3, seed=8)
+    A = geo.random_antisymmetric(3, np.random.default_rng(8), 0.5)
+    a = dyn.equal_weights(20)
+
+    def run(n_steps):  # backward, so the boost stays inside the ball
+        traj = red.integrate_reduced(red.initial_state(x0), A, a, -0.001, -0.001 * n_steps, 5000)
+        assert traj.stop == "end"
+
+    assert peak_bytes(run, 20_000) <= peak_bytes(run, 5_000) + 2**20
