@@ -181,12 +181,10 @@ def validate_configuration(x):
 
 def order_parameter(x, weights):
     """Coupling vector Z = weights @ x of a configuration (rows of x on the
-    sphere).  weights is an as_weights array; only its length is checked.
+    sphere); the weights pass as_weights for the rows of x.
     """
     x = np.asarray(x, dtype=float)
-    if weights.size != x.shape[0]:
-        raise GeometryError(f"{weights.size} weights for {x.shape[0]} particles")
-    return weights @ x
+    return as_weights(weights, x.shape[0]) @ x
 
 
 def as_rotation_terms(A, d, n=None):
@@ -215,14 +213,13 @@ def full_rhs(x, A, weights):
     """Velocities x_i' = A_i x_i + Z - <Z, x_i> x_i.
 
     A may be None (no rotation term), a shared (d, d) antisymmetric matrix,
-    or a stack of N per-particle matrices.  Each velocity is tangent to the
-    sphere at its particle.
+    or a stack of N per-particle matrices; A and the weights are checked at
+    entry, x is not (an RK stage lies off the sphere).  Each velocity is
+    tangent to the sphere at its particle.
     """
     x = np.asarray(x, dtype=float)
-    Z = order_parameter(x, weights)
-    if A is not None:
-        A = np.asarray(A, dtype=float)
-    return _field(x, Z, A if A is None or A.ndim == 3 else A.T)
+    A = as_rotation_terms(A, x.shape[1], x.shape[0])
+    return _field(x, as_weights(weights, x.shape[0]) @ x, A if A is None or A.ndim == 3 else A.T)
 
 
 def _field(x, Z, rot):
@@ -446,7 +443,7 @@ def sync_metrics(x, weights):
     an error.
     """
     x = validate_configuration(x)
-    Z = order_parameter(x, as_weights(weights, x.shape[0]))
+    Z = order_parameter(x, weights)
     min_dot = min_pair_dot(x)
     centroid = x.mean(axis=0)
     cnorm = float(np.linalg.norm(centroid))

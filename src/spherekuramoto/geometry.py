@@ -213,6 +213,19 @@ def _boost(w, x, x2):
     return ((1.0 - w2) * x - (c + x2)[:, None] * w) / denom[:, None], denom
 
 
+def _mobius_apply(rotation, boost, form, x):
+    """mobius_apply without validation, the same doubles: the images g(x_i)
+    of the (n, d) rows x for g = MobiusMap(rotation, boost, form), or M_boost(x)
+    for rotation None.  _boost's precondition; the rotation may be off SO(d)
+    by an integrator's own defect, so orbit points of a base checked at entry
+    are rebuilt from any recorded state without re-checking it."""
+    if form == LEFT:
+        out = _boost(boost, x, np.einsum("ij,ij->i", x, x))[0]
+        return out if rotation is None else out @ rotation.T
+    x = x @ rotation.T
+    return _boost(-boost, x, np.einsum("ij,ij->i", x, x))[0]
+
+
 def _coupling_sum(w, w2, x, x2, a):
     """sum_i a_i M_w(x_i) without forming the images M_w(x_i).
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import as_weights, min_pair_dot
-from .geometry import GeometryError, as_ball_point, as_sphere_point, boost_apply
+from .geometry import (LEFT, GeometryError, _mobius_apply, as_ball_point, as_sphere_point,
+                       boost_apply)
 from .reduced import integrate_w, validate_base_points, w_rhs
 from .sampling import rng_from, uniform_ball
 
@@ -106,19 +107,28 @@ def potential(w, ctx):
     (w, p_i); zero at the origin; decreases along the boost flow and drops to
     -infinity toward the sphere whenever every weight is below 1/2.
     """
-    w = as_ball_point(w, ctx.d)
+    value = _potential(as_ball_point(w, ctx.d), ctx)
+    if value is None:
+        raise GeometryError("potential is singular within 1e-12 of a base point")
+    return value
+
+
+def _potential(w, ctx):
+    """potential of a w known to lie in the open ball, such as a recorded
+    boost; None within 1e-12 of a base point, where it is singular."""
     d2 = _dist2_to_base(w, ctx)
     if float(np.min(d2)) <= SINGULAR_TOL**2:
-        raise GeometryError("potential is singular within 1e-12 of a base point")
+        return None
     return float(ctx.weights @ (np.log(1.0 - float(w @ w)) - np.log(d2)))
 
 
 def potential_grad(w, ctx):
-    """Euclidean gradient of the potential: 2 sum_i a_i M_w(p_i) / (1 - |w|^2)."""
+    """Euclidean gradient of the potential: 2 sum_i a_i M_w(p_i) / (1 - |w|^2).
+    w is checked here; M_w(p_i) is geometry._mobius_apply on the checked base."""
     w = as_ball_point(w, ctx.d)
     if float(np.min(_dist2_to_base(w, ctx))) <= SINGULAR_TOL**2:
         raise GeometryError("gradient is singular within 1e-12 of a base point")
-    return (2.0 / (1.0 - float(w @ w))) * (ctx.weights @ boost_apply(w, ctx.base))
+    return (2.0 / (1.0 - float(w @ w))) * (ctx.weights @ _mobius_apply(None, w, LEFT, ctx.base))
 
 
 def hyperbolic_grad(grad, w):
@@ -198,7 +208,7 @@ def find_fixed_point(ctx, seed=0):
     w = uniform_ball(ctx.d, rng_from(seed, 11), radius=0.5)
     eye = np.eye(ctx.d)
     for _ in range(MAX_NEWTON):
-        x = boost_apply(w, ctx.base)
+        x = _mobius_apply(None, w, LEFT, ctx.base)  # |w| < 1 is checked below
         x = x / np.linalg.norm(x, axis=1)[:, None]
         g = ctx.weights @ x
         if float(np.linalg.norm(g)) <= NEWTON_TOL:
@@ -375,7 +385,7 @@ def classify_limits(ctx, direction, seed=0, horizon=40.0):
     w0 = uniform_ball(ctx.d, rng_from(seed, 7), radius=0.5)
     traj = integrate_w(w0, ctx.base, ctx.weights, sign * FLOW_STEP, sign * abs(horizon))
     w_end = traj.final
-    x = boost_apply(w_end, ctx.base)  # reconstruction up to a rotation
+    x = _mobius_apply(None, w_end, LEFT, ctx.base)  # reconstruction up to a rotation
     min_pair = min_pair_dot(x)
     z_res = float(np.linalg.norm(ctx.weights @ x))
     i_dom = int(np.argmax(ctx.weights))

@@ -28,13 +28,11 @@ from .dynamics import (
     majority_weights,
     mean_field_weights,
     min_pair_dot,
-    order_parameter,
     random_configuration,
 )
-from .geometry import (LEFT, RIGHT, GeometryError, MobiusMap, _cross_ratio, _distinct,
-                       antisymmetric_from_upper, boost_apply, cross_ratio, mobius_apply,
-                       random_antisymmetric)
-from .gradient import PotentialContext, potential
+from .geometry import (LEFT, RIGHT, GeometryError, _cross_ratio, _distinct, _mobius_apply,
+                       antisymmetric_from_upper, cross_ratio, random_antisymmetric)
+from .gradient import PotentialContext, _potential
 from .reduced import ReducedState, initial_state, integrate_reduced, integrate_w
 from .sampling import rng_from, uniform_ball
 
@@ -396,15 +394,6 @@ def _record(t, state, znorm, min_pair_dot, phi, drift):
     }
 
 
-def _try_potential(w, ctx):
-    if ctx is None:
-        return None
-    try:
-        return potential(w, ctx)
-    except GeometryError:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # experiment dispatch
 
@@ -431,11 +420,11 @@ class RunSummary:
     phases: dict = field(default_factory=dict)
 
 
-def _potential_context(cfg, base):
+def _potential_context(cfg, base, a):
     if cfg.coupling is not None:
         return None
     try:
-        return PotentialContext(base, resolve_weights(cfg), allow_majority=True)
+        return PotentialContext(base, a, allow_majority=True)
     except (GeometryError, ValueError):
         return None
 
@@ -448,42 +437,34 @@ def _norm(v):
     return n if np.isfinite(n) else math.hypot(*v)
 
 
-# Line builders: Trajectory, initial state, cfg -> record rows
-# (t, state, Znorm, min_pair_dot, phi, drift).  The reduced builder
-# reconstructs from the record arrays: the base was validated once, when the
-# run's initial state was built.
+# Line builders: Trajectory, initial state, cfg, weights -> record rows
+# (t, state, Znorm, min_pair_dot, phi, drift).  They read the integrator's own
+# states unchecked: the run's inputs were checked once, at entry.
 
 
-def _full_rows(traj, x0, cfg):
-    a = resolve_weights(cfg)
-    return [(t, x, _norm(order_parameter(x, a)), min_pair_dot(x), None, drift)
+def _full_rows(traj, x0, cfg, a):
+    return [(t, x, _norm(a @ x), min_pair_dot(x), None, drift)
             for t, x, drift in zip(traj.times, traj.states, traj.info)]
 
 
-def _w_rows(traj, base, cfg):
-    a, ctx = resolve_weights(cfg), _potential_context(cfg, base)
-    rows = []
-    for t, w in zip(traj.times, traj.states):
-        x = boost_apply(w, base)  # rotation factor does not affect these metrics
-        rows.append((t, {"w": w}, _norm(order_parameter(x, a)), min_pair_dot(x),
-                     _try_potential(w, ctx), None))
-    return rows
-
-
-def _reduced_rows(traj, state0, cfg):
-    # the state key names the form's boost; phi is the potential of w, so LEFT only
-    form, base, a = state0.form, state0.base, resolve_weights(cfg)
-    key, ctx = ("w", _potential_context(cfg, base)) if form == LEFT else ("z", None)
+def _orbit_rows(traj, state0, cfg, a):
+    # reduced_w records w alone (the rotation does not move these metrics), the
+    # reduced forms the form's boost, zeta and its defect; phi is w's, so LEFT only
+    boost_only = not isinstance(state0, ReducedState)
+    base, form = (state0, LEFT) if boost_only else (state0.base, state0.form)
+    key, ctx = ("w", _potential_context(cfg, base, a)) if form == LEFT else ("z", None)
     rows = []
     for t, s, residual in zip(traj.times, traj.states, traj.info):
-        boost, zeta = s[0], s[1:]
-        x = mobius_apply(MobiusMap(zeta, boost, form), base)
-        rows.append((t, {key: boost, "zeta": zeta}, _norm(order_parameter(x, a)),
-                     min_pair_dot(x), _try_potential(boost, ctx), residual))
+        boost, zeta = (s, None) if boost_only else (s[0], s[1:])
+        x = _mobius_apply(zeta, boost, form, base)
+        state = {key: boost} if boost_only else {key: boost, "zeta": zeta}
+        phi = None if ctx is None else _potential(boost, ctx)
+        drift = None if boost_only else residual
+        rows.append((t, state, _norm(a @ x), min_pair_dot(x), phi, drift))
     return rows
 
 
-def _continuum_rows(traj, state0, cfg):
+def _continuum_rows(traj, state0, cfg, a):
     return [(t, {"z": z}, _norm(order_parameter_closed_form(z, cfg.coupling)), None, None, None)
             for t, z in zip(traj.times, traj.states)]
 
@@ -492,31 +473,30 @@ def _reduced_mode(form):
     """Mode-table entry of a reduced run in the given form, from boost 0 and zeta = I."""
     return (
         lambda cfg: ReducedState(np.zeros(cfg.d), np.eye(cfg.d), initial_configuration(cfg), form),
-        lambda state0, cfg: integrate_reduced(state0, resolve_rotation(cfg), resolve_weights(cfg),
-                                              cfg.h, cfg.t_end, cfg.stride),
-        _reduced_rows,
+        lambda state0, cfg, a, A: integrate_reduced(state0, A, a, cfg.h, cfg.t_end, cfg.stride),
+        _orbit_rows,
     )
 
 
-# mode: (initial state of cfg, integrator of (initial state, cfg), line builder)
+# mode: (initial state of cfg, integrator of (state0, cfg, weights, rotation), line builder)
 _MODE_TABLE = {
     "full": (
         initial_configuration,
-        lambda x0, cfg: integrate_full(x0, resolve_rotation(cfg), resolve_weights(cfg), cfg.h,
-                                       cfg.t_end, projection=cfg.projection, stride=cfg.stride),
+        lambda x0, cfg, a, A: integrate_full(x0, A, a, cfg.h, cfg.t_end,
+                                             projection=cfg.projection, stride=cfg.stride),
         _full_rows,
     ),
     "reduced_w": (
         initial_configuration,
-        lambda base, cfg: integrate_w(np.zeros(cfg.d), base, resolve_weights(cfg),
-                                      cfg.h, cfg.t_end, cfg.stride),
-        _w_rows,
+        lambda base, cfg, a, A: integrate_w(np.zeros(cfg.d), base, a, cfg.h, cfg.t_end, cfg.stride),
+        _orbit_rows,
     ),
     "reduced_wzeta": _reduced_mode(LEFT),
     "reduced_zzeta": _reduced_mode(RIGHT),
     "continuum": (
-        lambda cfg: ContinuumState(initial_continuum_z(cfg), cfg.coupling, resolve_rotation(cfg)),
-        lambda state0, cfg: integrate_continuum(state0, cfg.h, cfg.t_end, cfg.stride),
+        initial_continuum_z,
+        lambda z0, cfg, a, A: integrate_continuum(ContinuumState(z0, cfg.coupling, A),
+                                                  cfg.h, cfg.t_end, cfg.stride),
         _continuum_rows,
     ),
 }
@@ -531,14 +511,14 @@ def run_experiment(cfg, quiet=False):
     """
     marks = [time.perf_counter()]
     initial, integrate, rows = _MODE_TABLE[cfg.mode]
-    state0 = initial(cfg)
+    state0, a, A = initial(cfg), resolve_weights(cfg), resolve_rotation(cfg)
     marks.append(time.perf_counter())
     try:
-        traj, aborted = integrate(state0, cfg), False
+        traj, aborted = integrate(state0, cfg, a, A), False
     except IntegrationAbort as exc:
         traj, aborted = exc.trajectory, True
     marks.append(time.perf_counter())
-    lines = [_header(cfg)] + [_record(*row) for row in rows(traj, state0, cfg)]
+    lines = [_header(cfg)] + [_record(*row) for row in rows(traj, state0, cfg, a)]
     last_t = lines[-1]["t"]
     steps = round(last_t / cfg.h) if last_t else 0
 
@@ -612,6 +592,7 @@ def compare_full_reduced(cfg, quiet=False):
     a = resolve_weights(cfg)
     rotation = as_rotation_terms(resolve_rotation(cfg), cfg.d)
     x0 = initial_configuration(cfg)
+    state0 = initial_state(x0)  # checked here, so each wall time is its integrator's alone
 
     t0 = time.perf_counter()
     full = integrate_full(x0, rotation, a, cfg.h, cfg.t_end,
@@ -619,8 +600,7 @@ def compare_full_reduced(cfg, quiet=False):
     wall_full = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    reduced = integrate_reduced(initial_state(x0), rotation, a,
-                                cfg.h, cfg.t_end, cfg.stride)
+    reduced = integrate_reduced(state0, rotation, a, cfg.h, cfg.t_end, cfg.stride)
     wall_reduced = time.perf_counter() - t0
 
     reduced_at = dict(zip(reduced.times, reduced.states))
@@ -628,7 +608,7 @@ def compare_full_reduced(cfg, quiet=False):
     for t, x in zip(full.times, full.states):
         s = reduced_at.get(t)
         if s is not None:
-            x_rec = mobius_apply(MobiusMap(s[1:], s[0]), x0)
+            x_rec = _mobius_apply(s[1:], s[0], LEFT, state0.base)
             deviation = max(deviation, float(np.max(np.abs(x - x_rec))))
 
     drift = 0.0

@@ -6,8 +6,8 @@ Mobius map g(t).  ReducedState holds g as a boost and a rotation in either
 factorization of geometry.MobiusMap, boost-first (LEFT, x_i = zeta M_w(base_i))
 or rotation-first (RIGHT, x_i = M_{-z}(zeta base_i)).  This module integrates
 those coordinates in either form, reconstructs full configurations from them
-with geometry.mobius_apply, integrates the boost-only flow that decides
-synchrony, and handles base-point changes.
+with the unchecked kernel geometry._mobius_apply, integrates the boost-only
+flow that decides synchrony, and handles base-point changes.
 """
 from __future__ import annotations
 
@@ -29,9 +29,9 @@ from .geometry import (
     LEFT,
     GeometryError,
     MobiusMap,
-    _boost,
     _coupling_sum,
     _generator,
+    _mobius_apply,
     as_ball_point,
     boost_apply,  # noqa: F401  (unused here; perfbench/tracing.py rebinds reduced.boost_apply)
     mobius_apply,
@@ -171,9 +171,7 @@ def reduced_rhs(state, A, weights):
         wdot, Z0 = _boost_flow(boost, base, np.einsum("ij,ij->i", base, base), a)
         B = skew_pair_matrix(Z0, boost)
         return wdot, zeta @ B if A is None else A @ zeta + zeta @ B
-    x = base @ zeta.T
-    x, _ = _boost(-boost, x, np.einsum("ij,ij->i", x, x))  # M_{-z}(zeta p)
-    Z = a @ x
+    Z = a @ _mobius_apply(zeta, boost, state.form, base)  # M_{-z}(zeta p)
     generator = skew_pair_matrix(boost, Z) if A is None else A + skew_pair_matrix(boost, Z)
     return _generator(A, Z, boost), generator @ zeta
 
@@ -208,10 +206,12 @@ def w_rhs(w, base, weights):
 
 
 def reconstruct(state):
-    """Full configuration represented by reduced coordinates; rows on the sphere."""
+    """Full configuration represented by reduced coordinates; rows on the sphere.
+    The state was checked when it was built, so the unchecked kernel
+    geometry._mobius_apply maps its base: the doubles of mobius_apply."""
     if not isinstance(state, ReducedState):
         raise TypeError(f"cannot reconstruct from {state!r}")
-    return mobius_apply(MobiusMap(state.zeta, state.boost, state.form), state.base)
+    return _mobius_apply(state.zeta, state.boost, state.form, state.base)
 
 
 _CHUNK = 1024  # RK steps whose stages integrate_reduced buffers per rotation pass

@@ -141,6 +141,21 @@ def test_order_parameter_length_mismatch():
         dyn.order_parameter(x, equal_spec(5))
 
 
+@pytest.mark.parametrize("bad", [
+    np.array([np.nan, 0.2, 0.2, 0.2, 0.2, 0.2]),
+    dyn.equal_weights(5),
+], ids=["nan", "wrong_length"])
+def test_full_rhs_and_order_parameter_check_their_weights(bad):
+    # both take their weights through as_weights: a list is a weight vector,
+    # and NaN or a wrong count is a GeometryError, not NaN velocities
+    x = dyn.random_configuration(6, 3, 5)
+    assert np.array_equal(dyn.full_rhs(x, None, [1.0 / 6.0] * 6),
+                          dyn.full_rhs(x, None, dyn.equal_weights(6)))
+    for call in (lambda a: dyn.full_rhs(x, None, a), lambda a: dyn.order_parameter(x, a)):
+        with pytest.raises(geo.GeometryError, match="weights"):
+            call(bad)
+
+
 # ---------------------------------------------------------------------------
 # right-hand side
 

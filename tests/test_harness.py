@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import hashlib
 import json
 import re
@@ -16,6 +18,7 @@ from spherekuramoto import cli
 from spherekuramoto import continuum as cont
 from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
+from spherekuramoto import gradient as gr
 from spherekuramoto import harness as h
 from spherekuramoto import reduced as red
 from spherekuramoto.geometry import LEFT, RIGHT
@@ -522,6 +525,81 @@ def test_nonfinite_run_prints_no_numpy_warnings(tmp_path, capsys):
     assert "Warning" not in capsys.readouterr().err
 
 
+def _zeta_off_so_d(monkeypatch, by=1e-9):
+    """Make the reduced integrator record each zeta scaled by 1 + by, off SO(d)
+    as the unprojected rotation of a long run drifts, with info its defect;
+    returns the list the drifted trajectories are appended to."""
+    integrate, drifted = h.integrate_reduced, []
+
+    def integrate_off_so_d(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        states = traj.states.copy()
+        states[:, 1:] *= 1.0 + by
+        eye = np.eye(states.shape[2])
+        info = np.array([float(np.max(np.abs(z.T @ z - eye))) for z in states[:, 1:]])
+        drifted.append(dataclasses.replace(traj, states=states, info=info))
+        return drifted[-1]
+
+    monkeypatch.setattr(h, "integrate_reduced", integrate_off_so_d)
+    return drifted
+
+
+@pytest.mark.parametrize("mode", ["reduced_wzeta", "reduced_zzeta"])
+def test_reduced_run_records_a_rotation_off_so_d(tmp_path, monkeypatch, mode):
+    # records are rebuilt from the integrator's own states without re-checking
+    # them: a zeta off SO(d) by more than ROTATION_TOL is written, with its drift
+    drifted = _zeta_off_so_d(monkeypatch)
+    out = tmp_path / "r.jsonl"
+    cfg = h.load_config(write_config(tmp_path / "c.json", mode=mode, t_end=0.5,
+                                     rotation={"kind": "random"}, out=str(out)))
+    summary = h.run_experiment(cfg, quiet=True)
+    _, records = h.read_trajectory(out)
+    (traj,) = drifted
+    assert summary.records == len(records) == len(traj.times) == 6
+    assert np.array_equal([r["state"]["zeta"] for r in records], traj.states[:, 1:])
+    assert [r["drift"] for r in records] == traj.info.tolist()
+    assert min(traj.info[1:]) > 1e-9 > geo.ROTATION_TOL
+    assert all(np.isfinite(r["Znorm"]) and np.isfinite(r["min_pair_dot"]) for r in records)
+
+
+def test_compare_takes_a_rotation_off_so_d(monkeypatch):
+    _zeta_off_so_d(monkeypatch)
+    cfg = h.config_from_dict({"d": 3, "n": 20, "mode": "full", "rotation": {"kind": "random"},
+                              "h": 0.01, "t_end": 0.5, "stride": 10, "seed": 7})
+    report = h.compare_full_reduced(cfg, quiet=True)
+    assert 1e-10 < report.max_deviation < 1e-8  # the rows scaled by 1 + 1e-9
+
+
+@pytest.mark.parametrize("mode", ["reduced_w", "reduced_wzeta", "reduced_zzeta", "compare"])
+def test_record_building_calls_no_validated_map(monkeypatch, mode):
+    # every record's orbit points come from the unchecked kernel: the checks
+    # below run at set-up only, so their number does not grow with the records
+    counts = collections.Counter()
+    for module in (geo, gr, h, red):
+        for name in ("as_rotation", "as_ball_point", "boost_apply"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+
+    def calls(stride):
+        counts.clear()
+        cfg = h.config_from_dict({"d": 3, "n": 20, "mode": "full" if mode == "compare" else mode,
+                                  "rotation": {"kind": "random"}, "h": 0.01, "t_end": 0.5,
+                                  "stride": stride, "seed": 7})
+        if mode == "compare":
+            h.compare_full_reduced(cfg, quiet=True)
+        else:
+            assert h.run_experiment(cfg, quiet=True).records == 50 // stride + 1
+        return dict(counts)
+
+    assert calls(1) == calls(50)
+
+
 def _integrate(cfg):
     """The public integrator of cfg.mode on the inputs run_experiment builds."""
     a, A, x0 = h.resolve_weights(cfg), h.resolve_rotation(cfg), h.initial_configuration(cfg)
@@ -769,6 +847,7 @@ _ROTATION_ENTRIES = {
     "integrate_reduced": lambda x0, A: red.integrate_reduced(
         red.initial_state(x0), A, dyn.equal_weights(len(x0)), 0.01, 0.01),
     "reduced_rhs": lambda x0, A: red.reduced_rhs(red.initial_state(x0), A, dyn.equal_weights(len(x0))),
+    "full_rhs": lambda x0, A: dyn.full_rhs(x0, A, dyn.equal_weights(len(x0))),
     "ContinuumState": lambda x0, A: cont.ContinuumState(np.zeros(x0.shape[1]), 1.0, A),
     "continuum_rhs": lambda x0, A: cont.continuum_rhs(np.zeros(x0.shape[1]), A, 1.0),
 }
@@ -792,7 +871,8 @@ def _bad_rotation_terms(n=10, d=3):
     pytest.param(entry, case, id=f"{entry}-{case}")
     for entry in _ROTATION_ENTRIES
     for case in _bad_rotation_terms()
-    if not (entry == "integrate_full" and case == "stack_for_shared")  # full takes a stack
+    # the full system takes a stack of per-particle terms
+    if not (entry in ("integrate_full", "full_rhs") and case == "stack_for_shared")
 ])
 def test_malformed_rotation_terms_are_rejected_at_entry(entry, case):
     x0 = dyn.random_configuration(10, 3, 7)
