@@ -8,6 +8,7 @@ and integrates the reduced mean-field flow for z.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 # rk4_step stays importable from here: perfbench/selftest.py checks that the
 # tracer rebinds it in every module that holds it.
 from .dynamics import _drive, as_rotation_terms, rk4_step  # noqa: F401
-from .geometry import GeometryError, _generator, as_ball_point, boost_apply
+from .geometry import GeometryError, _boost, _generator, as_ball_point, boost_apply
 from .sampling import rng_from, uniform_sphere
 
 __all__ = [
@@ -115,6 +116,34 @@ def hypergeom_f(a, b, c, t, rtol=1e-15, max_terms=2_000_000):
 _TAIL = 1e-17  # absolute bound on a dropped series tail; the sums below are >= 1/2
 
 
+@functools.cache
+def _series_ratios(d):
+    """The term ratios (b + k) / (c + k) of _centroid_ratio's direct series in
+    dimension d: d/2 of them for even d, where the series ends, else 64.  For
+    odd d the series runs only for t <= 1/2, and each |ratio| <= 1, so the
+    term after k ratios is at most 2^-k, below _TAIL from k = 57 on."""
+    b, c = 1.0 - d / 2.0, 1.0 + d / 2.0
+    return tuple((b + k) / (c + k) for k in range(d // 2 if d % 2 == 0 else 64))
+
+
+@functools.cache
+def _log_tables(d):
+    """The t-free parts of _centroid_ratio's logarithmic expansion for odd d:
+    the head's term ratios, the coefficient (b)_m / (m-1)! without u^m (past
+    d = 171, (m-1)! is no float and this raises OverflowError), psi(d/2) -
+    psi(1), and the d + 64 ratios (d/2 + n) / (n + 1) and psi increments of
+    the expansion.  It stops after at most d + 55 of those for d <= 171: its
+    stop test only gets harder to meet as u grows to 1/2, where that count is
+    taken."""
+    b, m, half = 1.0 - d / 2.0, d - 1, d / 2.0
+    coef = math.prod(b + j for j in range(m)) / math.factorial(m - 1)
+    delta = sum(2.0 / (2 * j - 1) for j in range(1, (d + 1) // 2)) - 2.0 * math.log(2.0)
+    steps = range(d + 64)
+    return (tuple((b + n) / (1 - m + n) for n in range(m - 1)), coef, delta,
+            tuple((half + n) / (n + 1) for n in steps),
+            tuple(1.0 / (half + n) - 1.0 / (n + 1) for n in steps))
+
+
 def _centroid_ratio(d, t):
     """R_d(t) = F(1, 1 - d/2; 1 + d/2; t) / F(1, 1 - d/2; 1 + d/2; 1) for 0 <= t <= 1.
 
@@ -125,39 +154,37 @@ def _centroid_ratio(d, t):
     terms and leaves psi(n + d/2) - psi(n + 1) by recurrence from its value at
     n = 0.  Each dropped tail is bounded by _TAIL, so R is accurate to a few
     units in the last place; a t that rounds to 1 returns 1, and so does a
-    NaN t, whose centroid stays NaN through z.
+    NaN t, whose centroid stays NaN through z.  The coefficient quotients
+    come from tables cached once per d (_series_ratios, _log_tables), the
+    same doubles as forming them term by term.
     """
     if not t < 1.0:
         return 1.0
-    b, c = 1.0 - d / 2.0, 1.0 + d / 2.0
     if d % 2 == 0 or t <= 0.5:
-        # term ratio (b + k) / (c + k) * t, at most t in magnitude
         total = term = 1.0
-        k = 0
-        while abs(term) > _TAIL:
-            term *= (b + k) / (c + k) * t
+        for ratio in _series_ratios(d):
+            term *= ratio * t
             total += term
-            k += 1
+            if abs(term) <= _TAIL:
+                break
         return total * (2.0 * (d - 1)) / d
-    u, m, half = 1.0 - t, d - 1, d / 2.0
+    head_ratios, coef, delta, ratios, increments = _log_tables(d)
     # R = sum_{n<m} (b)_n / (1-m)_n u^n
     #     - (b)_m / (m-1)! u^m sum_n (d/2)_n / n! u^n (log u + psi(n + d/2) - psi(n + 1))
+    u = 1.0 - t
     head = term = 1.0
-    for n in range(m - 1):
-        term *= (b + n) / (1 - m + n) * u
+    for ratio in head_ratios:
+        term *= ratio * u
         head += term
-    coef = math.prod(b + j for j in range(m)) / math.factorial(m - 1) * u**m
+    coef *= u ** (d - 1)
     log_u = math.log(u)
-    # psi(d/2) - psi(1) for half-integer d/2; it decreases to 0 in n
-    delta = sum(2.0 / (2 * j - 1) for j in range(1, (d + 1) // 2)) - 2.0 * math.log(2.0)
-    bound = abs(coef) * (abs(log_u) + delta)
-    g, s, n = 1.0, 0.0, 0
-    while True:
+    bound = abs(coef) * (abs(log_u) + delta)  # psi(n + d/2) - psi(n + 1) decreases to 0
+    g, s = 1.0, 0.0
+    for ratio, step in zip(ratios, increments):
         s += g * (log_u + delta)
-        ratio = (half + n) / (n + 1) * u  # decreasing in n
+        ratio *= u  # decreasing in n
         g *= ratio
-        delta += 1.0 / (half + n) - 1.0 / (n + 1)
-        n += 1
+        delta += step
         if ratio < 1.0 and bound * g / (1.0 - ratio) <= _TAIL:
             return head - coef * s
 
@@ -169,12 +196,7 @@ def order_parameter_closed_form(z, coupling=1.0):
     always parallel to z, with the normalizer F(...; 1) = d / (2(d - 1)).
     For d = 2 the ratio is identically 1 and the result is exactly K z.
     """
-    return _closed_form(as_ball_point(z), coupling)
-
-
-def _closed_form(z, coupling):
-    # unvalidated: the integrator's stage guard keeps z inside the ball, and a
-    # NaN stage gives a NaN derivative, which ends the run as "nonfinite"
+    z = as_ball_point(z)
     return coupling * _centroid_ratio(z.size, float(z @ z)) * z
 
 
@@ -222,9 +244,12 @@ def poisson_integral_mc(f, z, n_samples, seed, stream=0):
     accompany the estimate.
 
     The samples are drawn, boosted and passed to f in blocks of _MC_ROWS
-    rows, so memory does not grow with n_samples.  f is called once per
-    block; it must accept an (n, d) array, return (n,) or (n, m) values and
-    be row-wise: output k may depend only on row k.  The block means and sums
+    rows, so memory does not grow with n_samples.  z is checked once; each
+    block takes the unchecked geometry._boost, whose precondition (unit rows,
+    |z| < 1) keeps every denominator above boost_apply's 1e-300 floor, so
+    the doubles are boost_apply's.  f is called once per block; it must
+    accept an (n, d) array, return (n,) or (n, m) values and be row-wise:
+    output k may depend only on row k.  The block means and sums
     of squared deviations are merged by Chan, Golub & LeVeque (Amer. Stat.
     37, 1983).  The sample stream is the one a single uniform_sphere draw of
     all n_samples rows gives, except after a zero-norm redraw in
@@ -234,11 +259,12 @@ def poisson_integral_mc(f, z, n_samples, seed, stream=0):
     n_samples = int(n_samples)
     if n_samples < 1:
         raise GeometryError("need at least one Monte Carlo sample")
-    rng = rng_from(seed, stream)
+    rng, w = rng_from(seed, stream), -z
     mean = m2 = 0.0
     for done in range(0, n_samples, _MC_ROWS):
         k = min(_MC_ROWS, n_samples - done)
-        vals = np.asarray(f(boost_apply(-z, uniform_sphere(k, z.size, rng))), dtype=float)
+        x = uniform_sphere(k, z.size, rng)
+        vals = np.asarray(f(_boost(w, x, np.einsum("ij,ij->i", x, x))[0]), dtype=float)
         block_mean = vals.sum(axis=0) / k
         dev = vals - block_mean
         delta = block_mean - mean
@@ -288,12 +314,16 @@ def continuum_rhs(z, A, coupling):
     z, A and coupling are checked as a ContinuumState is.
     """
     state = ContinuumState(z, coupling, A)
-    return _continuum_field(state.z, state.rotation, state.coupling)
+    z = state.z
+    return np.array(_continuum_field(z, float(z @ z), state.rotation, state.coupling))
 
 
-def _continuum_field(z, A, coupling):
-    # continuum_rhs without validation, for the integrator's RK stages
-    return _generator(A, _closed_form(z, coupling), z)
+def _continuum_field(z, z2, A, coupling):
+    """continuum_rhs unvalidated, as a list of floats, for z2 = z @ z;
+    integrate_continuum runs it in every RK stage, with the z2 of the stage
+    guard, which keeps z inside the ball.  A NaN stage gives a NaN
+    derivative, which ends the run as "nonfinite"."""
+    return _generator(A, coupling * _centroid_ratio(z.size, z2) * z, z, z2)
 
 
 def integrate_continuum(state0, h, t_end, stride=1):
@@ -306,4 +336,4 @@ def integrate_continuum(state0, h, t_end, stride=1):
         raise TypeError("integrate_continuum expects a ContinuumState")
     A = state0.rotation
     K = state0.coupling
-    return _drive(lambda z: _continuum_field(z, A, K), state0.z, h, t_end, stride, slice(None))
+    return _drive(lambda z, z2: _continuum_field(z, z2, A, K), state0.z, h, t_end, stride, True)

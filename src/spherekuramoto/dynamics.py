@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, as_antisymmetric
-from .sampling import rng_from, uniform_sphere
+from .sampling import _row_norms, rng_from, uniform_sphere
 
 NORM_DRIFT_LIMIT = 1e-3  # largest sphere or SO(d) defect a step may leave or a projection correct
 BOUNDARY_TOL = 1e-12  # a ball coordinate with |y| >= 1 - BOUNDARY_TOL has reached the boundary
@@ -266,62 +266,71 @@ def step_count(t_end, h):
     return n
 
 
-class _LeftBall(Exception):
-    """An RK stage left the open unit ball."""
+class _Stop(Exception):
+    """A step of a ball point ended the run; args[0] is the stop."""
 
 
-def _drive(rhs, y0, h, t_end, stride, ball=None, after_step=lambda y: (y, 0.0, None)):
+def _ball_step(rhs, y, y2, h):
+    """One RK4 step of the (d,) ball point y, y2 = y @ y, for rhs(y, y2):
+    (y_next, y_next @ y_next), or _Stop.  Each stage's |y|^2 is the one
+    ndarray dot that guards it and that rhs takes; the stage sums y + c k run
+    on Python floats, which round as numpy's elementwise ops do."""
+    ys, ks, v, v2 = y.tolist(), [], y, y2
+    for c in (0.5 * h, 0.5 * h, h, None):
+        if v2 >= 1.0:  # v.dot(v) >= 1 is exactly norm(v) >= 1
+            raise _Stop("boundary" if 1.0 - math.sqrt(y2) <= NEAR_BOUNDARY else "unstable")
+        ks.append(rhs(v, v2))
+        if c is not None:
+            v = np.array([a + c * k for a, k in zip(ys, ks[-1])])
+            v2 = float(v @ v)
+    sixth = h / 6.0
+    v = np.array([a + sixth * (k1 + 2.0 * (k2 + k3) + k4) for a, k1, k2, k3, k4 in zip(ys, *ks)])
+    v2 = float(v @ v)
+    if not math.isfinite(v2):  # finite entries whose square overflows lie past the sphere
+        raise _Stop("boundary" if np.isfinite(v).all() else "nonfinite")
+    if math.sqrt(v2) >= 1.0 - BOUNDARY_TOL:  # the double np.linalg.norm returns
+        raise _Stop("boundary")
+    return v, v2
+
+
+def _drive(rhs, y0, h, t_end, stride, ball=False, after_step=lambda y: (y, 0.0, None)):
     """Fixed-step RK4 from y0 under the stop contract of every integrator.
 
-    y[ball] is the part of the state that is a point of the open unit ball
-    (ball None: none); no other integration code tests it.  A step that
-    lands within BOUNDARY_TOL of the sphere stops at "boundary" (synchrony),
-    as does an RK stage leaving the ball from an accepted state within
-    NEAR_BOUNDARY of the sphere; from farther inside, that stage is a failed
-    step, "unstable".  A non-finite step stops at "nonfinite".  Otherwise
-    after_step(y) returns (y, info, stop): the state as accepted (projected),
-    a value recorded with it, and None or an abort of _ABORTS to stop.
-    Returns the Trajectory of t = 0, every stride steps, the last step and,
-    after an early stop, the last accepted state; an abort raises
+    With ball set, y is a (d,) point of the open unit ball, stepped by
+    _ball_step; no other integration code tests it.  rhs(y, y2) then takes
+    y2 = y @ y, formed once per stage for both the stage guard and rhs, and
+    returns d floats; the accepted state's y2 serves its boundary test and
+    the next step's first stage, so after_step must return y as given.  A
+    step that lands within BOUNDARY_TOL of the sphere stops at "boundary"
+    (synchrony), as does an RK stage leaving the ball from an accepted state
+    within NEAR_BOUNDARY of the sphere; from farther inside, that stage is a
+    failed step, "unstable".  A non-finite step stops at "nonfinite".
+    Otherwise after_step(y) returns (y, info, stop): the state as accepted
+    (projected), a value recorded with it, and None or an abort of _ABORTS to
+    stop.  Returns the Trajectory of t = 0, every stride steps, the last step
+    and, after an early stop, the last accepted state; an abort raises
     IntegrationAbort carrying it instead.
     """
     n_steps = step_count(t_end, h)
-    if int(stride) < 1:
-        raise GeometryError("stride must be a positive integer")
-    stride = int(stride)
-
-    def inside(y):  # v.dot(v) >= 1 is exactly norm(v) >= 1
-        p = y[ball]
-        if p.dot(p) >= 1.0:
-            raise _LeftBall
-        return rhs(y)
-
-    def radius(y):  # the double np.linalg.norm returns for a 1-d array
-        p = y[ball]
-        return math.sqrt(p.dot(p))
-
-    y, info, last = y0, 0.0, 0
+    stride = _number(stride, "stride", 0, kinds=())
+    y, y2, info, last = y0, float(y0 @ y0) if ball else None, 0.0, 0
     records = [(0.0, y, info)]  # no step writes into a state; np.stack copies each once
     # a run that overflows ends as "nonfinite", not with numpy warnings on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             try:
-                y_next = rk4_step(rhs if ball is None else inside, y, h)
-            except _LeftBall:
-                near = 1.0 - radius(y) <= NEAR_BOUNDARY
-                reason = "boundary" if near else "unstable"
+                y_next, y2_next = _ball_step(rhs, y, y2, h) if ball else (rk4_step(rhs, y, h), None)
+            except _Stop as stop:
+                reason = stop.args[0]
             except SimulationError:
                 reason = "nonfinite"
             else:
-                if ball is not None and radius(y_next) >= 1.0 - BOUNDARY_TOL:
-                    reason = "boundary"
-                else:
-                    y_next, info_next, reason = after_step(y_next)
+                y_next, info_next, reason = after_step(y_next)
             if reason is not None:
                 if last < k - 1:
                     records.append(((k - 1) * h, y, info))
                 break
-            y, info = y_next, info_next
+            y, y2, info = y_next, y2_next, info_next
             if k % stride == 0 or k == n_steps:
                 records.append((k * h, y, info))
                 last = k
@@ -380,20 +389,6 @@ def integrate_full(x0, A, weights, h, t_end, projection=True, stride=1):
 
     return _drive(lambda x: _field(x, weights @ x, rot), x0, h, t_end, stride,
                   after_step=after_step)
-
-
-def _row_norms(x):
-    """np.linalg.norm(x, axis=1) of an (N, d) array, the same doubles.  numpy
-    adds a row shorter than 8 entries in order (from 8 on, pairwise), so for
-    d < 8 this sums the squared columns one by one instead, about a third of
-    numpy's time at N = 2000, d = 3."""
-    if x.shape[1] >= 8:
-        return np.linalg.norm(x, axis=1)
-    sq = x * x
-    total = sq[:, 0] + sq[:, 1]
-    for j in range(2, x.shape[1]):
-        total += sq[:, j]
-    return np.sqrt(total)
 
 
 # ---------------------------------------------------------------------------

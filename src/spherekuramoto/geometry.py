@@ -231,18 +231,20 @@ def _coupling_sum(w, w2, x, x2, a):
 
     Same arguments and precondition as _boost, plus w2 = |w|^2, which the
     callers' boost flow needs too, and the weight vector a of length n;
-    returns the weighted sum of the images and their denominators.
-    Each image is ((1 - |w|^2) x_i - (c_i + |x_i|^2) w) / denom_i with
-    c_i = 1 - 2 <x_i, w>, so with q = a / denom the sum is
+    returns the weighted sum of the images, as a list of d floats, and their
+    denominators.  Each image is ((1 - |w|^2) x_i - (c_i + |x_i|^2) w) / denom_i
+    with c_i = 1 - 2 <x_i, w>, so with q = a / denom the sum is
 
         (1 - |w|^2) q @ x - <q, c + |x|^2> w,
 
-    two length-n vectors and one (n, d) matrix-vector product per call.
+    two length-n vectors and one (n, d) matrix-vector product per call, all
+    numpy's; the d-length rest runs on Python floats, the same doubles.
     """
     c = 1.0 - 2.0 * (x @ w)
     denom = c + w2 * x2
     q = a / denom
-    return (1.0 - w2) * (q @ x) - float(q @ (c + x2)) * w, denom
+    s, qc = 1.0 - w2, float(q @ (c + x2))
+    return [s * p - qc * v for p, v in zip((q @ x).tolist(), w.tolist())], denom
 
 
 @dataclass(frozen=True)
@@ -387,12 +389,15 @@ def infinitesimal_generator(A, Z, y):
     A = as_antisymmetric(A)
     Z = as_vector(Z, A.shape[0])
     y = as_vector(y, Z.size)
-    return _generator(A, Z, y)
+    return np.array(_generator(A, Z, y, float(y @ y)))
 
 
-def _generator(A, Z, y):
+def _generator(A, Z, y, y2):
     """infinitesimal_generator without validation, for right-hand sides run
-    once per RK stage: (1 + |y|^2) Z / 2 - <Z, y> y, plus A y unless A is None.
-    The rotation-first reduced flow and the mean-field flow share it."""
-    out = 0.5 * (1.0 + float(y @ y)) * Z - float(Z @ y) * y
-    return out if A is None else out + A @ y
+    once per RK stage: (1 + |y|^2) Z / 2 - <Z, y> y, plus A y unless A is None,
+    as a list of floats for y2 = y @ y.  <Z, y> and A y are numpy's; the rest
+    runs on Python floats, the same doubles.  The rotation-first reduced flow
+    and the mean-field flow share it."""
+    s, zy = 0.5 * (1.0 + y2), float(Z @ y)
+    out = [s * p - zy * v for p, v in zip(Z.tolist(), y.tolist())]
+    return out if A is None else [o + r for o, r in zip(out, (A @ y).tolist())]

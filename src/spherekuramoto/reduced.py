@@ -140,13 +140,14 @@ def skew_pair_matrix(y1, y2):
     return np.outer(y2, y1) - np.outer(y1, y2)
 
 
-def _boost_flow(w, base, x2, a):
-    """Unvalidated (w', Z0) of the boost-first flow, Z0 = sum_i a_i M_w(base_i)
-    and w' = -(1 - |w|^2) Z0 / 2, with x2 = |base_i|^2 and |w|^2 formed once;
-    integrate_w and integrate_reduced run it in every RK stage."""
-    w2 = float(w @ w)
-    Z0, _ = _coupling_sum(w, w2, base, x2, a)
-    return -0.5 * (1.0 - w2) * Z0, Z0
+def _boost_flow(w, w2, base, x2, a):
+    """Unvalidated (w', Z0) of the boost-first flow as lists of d floats,
+    Z0 = sum_i a_i M_w(base_i) and w' = -(1 - |w|^2) Z0 / 2, for w2 = w @ w
+    and x2 = |base_i|^2; the doubles of w_rhs.  integrate_w and
+    integrate_reduced run it in every RK stage, with the w2 of the stage guard."""
+    Z0 = _coupling_sum(w, w2, base, x2, a)[0]
+    s = -0.5 * (1.0 - w2)
+    return [s * z for z in Z0], Z0
 
 
 def reduced_rhs(state, A, weights):
@@ -168,12 +169,13 @@ def reduced_rhs(state, A, weights):
         raise GeometryError("boost parameter has reached the ball boundary")
     a = as_weights(weights, base.shape[0])
     if state.form == LEFT:
-        wdot, Z0 = _boost_flow(boost, base, np.einsum("ij,ij->i", base, base), a)
+        wdot, Z0 = _boost_flow(boost, float(boost @ boost), base,
+                               np.einsum("ij,ij->i", base, base), a)
         B = skew_pair_matrix(Z0, boost)
-        return wdot, zeta @ B if A is None else A @ zeta + zeta @ B
+        return np.array(wdot), zeta @ B if A is None else A @ zeta + zeta @ B
     Z = a @ _mobius_apply(zeta, boost, state.form, base)  # M_{-z}(zeta p)
     generator = skew_pair_matrix(boost, Z) if A is None else A + skew_pair_matrix(boost, Z)
-    return _generator(A, Z, boost), generator @ zeta
+    return np.array(_generator(A, Z, boost, float(boost @ boost))), generator @ zeta
 
 
 def w_rhs(w, base, weights):
@@ -198,7 +200,7 @@ def w_rhs(w, base, weights):
         Z0, denom = _coupling_sum(w, w2, base, np.einsum("ij,ij->i", base, base), weights)
     if np.any(np.abs(denom) < 1e-300):
         raise GeometryError("boost denominator vanished; state is corrupted")
-    return -0.5 * (1.0 - w2) * Z0
+    return -0.5 * (1.0 - w2) * np.array(Z0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +253,9 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
     calls = done = kept = 0  # stages in the chunk, accepted steps, step of zetas[-1]
     zetas, defects = [zeta], [0.0]
 
-    def rhs(w):
+    def rhs(w, w2):
         nonlocal calls
-        wdot, Z0 = _boost_flow(w, base, x2, a)
+        wdot, Z0 = _boost_flow(w, w2, base, x2, a)
         stages[calls] = w, Z0
         calls += 1
         return wdot
@@ -301,7 +303,7 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
 
     w0 = state0.boost if state0.form == LEFT else -(zeta.T @ state0.boost)
     try:
-        traj = _drive(rhs, w0, h, t_end, stride, slice(None), after_step)
+        traj = _drive(rhs, w0, h, t_end, stride, True, after_step)
     except IntegrationAbort as exc:
         exc.trajectory = finish(exc.trajectory)
         raise
@@ -322,10 +324,10 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
     weights = as_weights(weights, base.shape[0])
     x2 = np.einsum("ij,ij->i", base, base)
 
-    def rhs(w):  # w_rhs on the unvalidated kernel, with |base_i|^2 computed once
-        return _boost_flow(w, base, x2, weights)[0]
+    def rhs(w, w2):  # w_rhs on the unvalidated kernel, with |base_i|^2 computed once
+        return _boost_flow(w, w2, base, x2, weights)[0]
 
-    return _drive(rhs, w0, h, t_end, stride, slice(None))
+    return _drive(rhs, w0, h, t_end, stride, True)
 
 
 # ---------------------------------------------------------------------------

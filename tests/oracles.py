@@ -7,10 +7,13 @@ model, quadrature for the radial hyperbolic length, a plain geometric series for
 the hypergeometric spot value, a per-scalar recursive formatter for the
 trajectory serializer, a plain RK4 loop over the public, validating boost
 flow for the boost-only integrator, a plain RK4 loop over the public full_rhs
-for the full integrator, plain RK4 over the public rotation-first
-reduced_rhs with a polar projection after each step for the boost-first
-skew-product integrator, that integrator's earlier form, which carries the
-rotation through every RK stage, for its chunked rotation pass, the
+for the full integrator, a plain numpy RK4 loop over the public
+continuum_rhs for the mean-field integrator's float stages, the earlier
+term-by-term series for the tabled centroid ratio, plain RK4 over the
+public rotation-first reduced_rhs with a polar projection after each step
+for the boost-first skew-product integrator, that integrator's earlier form,
+which carries the rotation through every RK stage in its own RK4 loop, for
+its chunked rotation pass, the
 weighted sum of the boosted image array for the fused coupling-sum kernel,
 the scaled plain sum of the positions for the mean-field order parameter,
 backward-flow settling with a finite-difference
@@ -21,7 +24,7 @@ numpy's own mean and standard deviation for the streamed Monte Carlo
 integral.
 """
 import json
-from dataclasses import replace
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,12 +33,12 @@ from scipy.integrate import quad
 from spherekuramoto.dynamics import (
     NORM_DRIFT_LIMIT,
     IntegrationAbort,
-    _drive,
+    Trajectory,
     as_rotation_terms,
     full_rhs,
     rk4_step,
 )
-from spherekuramoto.continuum import MCEstimate
+from spherekuramoto.continuum import MCEstimate, continuum_rhs
 from spherekuramoto.geometry import (
     RIGHT,
     GeometryError,
@@ -44,7 +47,6 @@ from spherekuramoto.geometry import (
     nearest_rotation,
 )
 from spherekuramoto.reduced import (
-    _boost_flow,
     integrate_w,
     reduced_rhs,
     skew_pair_matrix,
@@ -262,11 +264,107 @@ def integrate_full_reference(x0, A, weights, h, t_end, projection=True, stride=1
     return np.array(times), np.array(states), np.array(infos), stop
 
 
+class _LeftBall(Exception):
+    """An RK stage of a reference integrator left the open unit ball."""
+
+
+def integrate_continuum_reference(state0, h, t_end, stride=1):
+    """Plain numpy RK4 on the public continuum_rhs, one stage at a time:
+    (times, states, stop).
+
+    A stage z with z @ z >= 1 has left the ball: the run stops at "boundary"
+    from an accepted z within 0.1 of the sphere, else at "unstable".  A stage
+    holding a NaN, or a non-finite step, stops at "nonfinite"; a step landing
+    within 1e-12 of the sphere at "boundary".  Records t = 0, every stride
+    steps, the last step and, after a stop, the last accepted state.
+    """
+    z, A, K = state0.z, state0.rotation, state0.coupling
+    n_steps = int(round(t_end / h))
+    times, zs, last, stop = [0.0], [z], 0, "end"
+
+    def f(v):
+        if np.isnan(v).any():
+            raise FloatingPointError
+        if float(v @ v) >= 1.0:
+            raise _LeftBall
+        return continuum_rhs(v, A, K)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            try:
+                k1 = f(z)
+                k2 = f(z + (0.5 * h) * k1)
+                k3 = f(z + (0.5 * h) * k2)
+                k4 = f(z + h * k3)
+            except _LeftBall:
+                stop = "boundary" if 1.0 - float(np.linalg.norm(z)) <= 0.1 else "unstable"
+            except FloatingPointError:
+                stop = "nonfinite"
+            else:
+                z_next = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+                if not np.isfinite(z_next).all():
+                    stop = "nonfinite"
+                elif float(np.linalg.norm(z_next)) >= 1.0 - 1e-12:
+                    stop = "boundary"
+            if stop != "end":
+                if last < k - 1:
+                    times.append((k - 1) * h)
+                    zs.append(z)
+                break
+            z = z_next
+            if k % stride == 0 or k == n_steps:
+                times.append(k * h)
+                zs.append(z)
+                last = k
+    return np.array(times), np.array(zs), stop
+
+
+def centroid_ratio_reference(d, t):
+    """F(1, 1 - d/2; 1 + d/2; t) / F(1, 1 - d/2; 1 + d/2; 1), each coefficient
+    quotient formed term by term: the direct series for even d or t <= 1/2,
+    else the logarithmic expansion in u = 1 - t (DLMF 15.8.10), each summed
+    until its tail bound drops below 1e-17; 1 for a t that is not below 1."""
+    if not t < 1.0:
+        return 1.0
+    b, c = 1.0 - d / 2.0, 1.0 + d / 2.0
+    if d % 2 == 0 or t <= 0.5:
+        total = term = 1.0
+        k = 0
+        while abs(term) > 1e-17:
+            term *= (b + k) / (c + k) * t
+            total += term
+            k += 1
+        return total * (2.0 * (d - 1)) / d
+    u, m, half = 1.0 - t, d - 1, d / 2.0
+    head = term = 1.0
+    for n in range(m - 1):
+        term *= (b + n) / (1 - m + n) * u
+        head += term
+    coef = math.prod(b + j for j in range(m)) / math.factorial(m - 1) * u**m
+    log_u = math.log(u)
+    delta = sum(2.0 / (2 * j - 1) for j in range(1, (d + 1) // 2)) - 2.0 * math.log(2.0)
+    bound = abs(coef) * (abs(log_u) + delta)
+    g, s, n = 1.0, 0.0, 0
+    while True:
+        s += g * (log_u + delta)
+        ratio = (half + n) / (n + 1) * u
+        g *= ratio
+        delta += 1.0 / (half + n) - 1.0 / (n + 1)
+        n += 1
+        if ratio < 1.0 and bound * g / (1.0 - ratio) <= 1e-17:
+            return head - coef * s
+
+
 def integrate_reduced_stacked_reference(state0, A, weights, h, t_end, stride=1):
     """The boost-first skew product with the rotation carried through every
-    RK stage: one RK4 on the stacked (d + 1, d) state (w; zeta + Omega),
-    whose rotation rows take the Cayley-RKMK stages (I + Omega/2) B (I - Omega/2)
-    and, once accepted, zeta <- E zeta cay(Omega).  Returns, or raises with
+    RK stage: a plain RK4 loop on the stacked (d + 1, d) state (w; zeta + Omega),
+    whose boost row takes w' = -(1 - |w|^2) Z0 / 2 with Z0 = sum_i a_i M_w(p_i)
+    summed in numpy, whose rotation rows take the Cayley-RKMK stages
+    (I + Omega/2) B (I - Omega/2), and, once accepted, zeta <- E zeta cay(Omega).
+    Its own loop keeps the stop contract: a stage whose w has |w|^2 >= 1 stops
+    the run, at "boundary" from an accepted w within 0.1 of the sphere, else
+    at "unstable"; a non-finite step at "nonfinite"; a step whose w lands
+    within 1e-12 of the sphere at "boundary".  Returns, or raises with
     IntegrationAbort, the same Trajectory as reduced.integrate_reduced, whose
     chunked rotation pass advances zeta from buffered stages instead.
     """
@@ -283,27 +381,57 @@ def integrate_reduced_stacked_reference(state0, A, weights, h, t_end, stride=1):
     E = eye if fail else nearest_rotation(poly)
 
     def rhs(y):
-        wdot, Z0 = _boost_flow(y[0], base, x2, a)
+        w = y[0]
+        if w.dot(w) >= 1.0:
+            raise _LeftBall
+        w2 = float(w @ w)
+        c = 1.0 - 2.0 * (base @ w)
+        q = a / (c + w2 * x2)
+        Z0 = (1.0 - w2) * (q @ base) - float(q @ (c + x2)) * w
         half = 0.5 * (y[1:] - zeta)
-        return np.vstack([wdot, (eye + half) @ skew_pair_matrix(Z0, y[0]) @ (eye - half)])
-
-    def after_step(y):
-        nonlocal zeta
-        half = 0.5 * (y[1:] - zeta)
-        zeta = E @ zeta @ np.linalg.solve(eye - half, eye + half)
-        return np.vstack([y[0], zeta]), float(np.max(np.abs(zeta.T @ zeta - eye))), fail
-
-    def in_form(traj):  # z = (-zeta) w
-        s = traj.states.copy()
-        s[:, 0] = np.einsum("kij,kj->ki", -s[:, 1:], s[:, 0])
-        return traj if state0.form != RIGHT else replace(traj, states=s)
+        return np.vstack([-0.5 * (1.0 - w2) * Z0,
+                          (eye + half) @ skew_pair_matrix(Z0, w) @ (eye - half)])
 
     w0 = state0.boost if state0.form != RIGHT else -(zeta.T @ state0.boost)
-    try:
-        return in_form(_drive(rhs, np.vstack([w0, zeta]), h, t_end, stride, 0, after_step))
-    except IntegrationAbort as exc:
-        exc.trajectory = in_form(exc.trajectory)
-        raise
+    y, info, last, stop = np.vstack([w0, zeta]), 0.0, 0, "end"
+    records = [(0.0, y, info)]
+    n_steps = int(round(t_end / h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            try:
+                k1 = rhs(y)
+                k2 = rhs(y + (0.5 * h) * k1)
+                k3 = rhs(y + (0.5 * h) * k2)
+                k4 = rhs(y + h * k3)
+            except _LeftBall:
+                stop = "boundary" if 1.0 - float(np.linalg.norm(y[0])) <= 0.1 else "unstable"
+            else:
+                y_next = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+                if not np.isfinite(y_next).all():
+                    stop = "nonfinite"
+                elif float(np.linalg.norm(y_next[0])) >= 1.0 - 1e-12:
+                    stop = "boundary"
+                elif fail:
+                    stop = fail
+            if stop != "end":
+                if last < k - 1:
+                    records.append(((k - 1) * h, y, info))
+                break
+            half = 0.5 * (y_next[1:] - zeta)
+            zeta = E @ zeta @ np.linalg.solve(eye - half, eye + half)
+            y = np.vstack([y_next[0], zeta])
+            info = float(np.max(np.abs(zeta.T @ zeta - eye)))
+            if k % stride == 0 or k == n_steps:
+                records.append((k * h, y, info))
+                last = k
+    times, states, infos = zip(*records)
+    states = np.stack(states)
+    if state0.form == RIGHT:  # z = (-zeta) w
+        states[:, 0] = np.einsum("kij,kj->ki", -states[:, 1:], states[:, 0])
+    traj = Trajectory(np.array(times), states, np.array(infos), stop)
+    if stop in ("nonfinite", "unstable"):
+        raise IntegrationAbort(f"{stop} at t = {k * h:.6g}", traj)
+    return traj
 
 
 def integrate_reduced_right_reference(state0, A, weights, h, n_steps):

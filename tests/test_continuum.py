@@ -8,7 +8,11 @@ from spherekuramoto import continuum as cont
 from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
 
-from oracles import geometric_series
+from oracles import (
+    centroid_ratio_reference,
+    geometric_series,
+    integrate_continuum_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -352,3 +356,80 @@ def test_public_closed_forms_still_validate():
                  lambda: cont.continuum_rhs(np.array([np.nan, 0.0, 0.0]), None, 1.0)):
         with pytest.raises(geo.GeometryError):
             call()
+
+
+def _rotation(d, scale):
+    A = np.zeros((d, d))
+    A[0, 1], A[1, 0] = scale, -scale
+    return A
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("h", [0.01, -0.01])
+def test_integrate_continuum_matches_plain_rk4_on_public_continuum_rhs(d, rotated, stride, h):
+    # the integrator runs its stages on Python floats with one |z|^2 per
+    # stage; the reference runs numpy stages on the validating continuum_rhs
+    rng = np.random.default_rng(d + 10 * stride)
+    z0 = 0.4 * geo.random_rotation(d, rng)[0]
+    A = geo.random_antisymmetric(d, rng, 0.7) if rotated else None
+    state = cont.ContinuumState(z0, 1.3, A)
+    traj = cont.integrate_continuum(state, h, 5.0 * np.sign(h), stride)
+    times, zs, stop = integrate_continuum_reference(state, h, 5.0 * np.sign(h), stride)
+    assert traj.stop == stop == "end"
+    assert np.array_equal(traj.times, times) and np.array_equal(traj.states, zs)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_integrate_continuum_boundary_stop_matches_plain_rk4(d, rotated):
+    rng = np.random.default_rng(30 + d)
+    state = cont.ContinuumState(0.3 * geo.random_rotation(d, rng)[0], 3.0,
+                                geo.random_antisymmetric(d, rng, 0.7) if rotated else None)
+    traj = cont.integrate_continuum(state, 0.05, 100.0, 3)
+    times, zs, stop = integrate_continuum_reference(state, 0.05, 100.0, 3)
+    assert traj.stop == stop == "boundary"
+    assert np.array_equal(traj.times, times) and np.array_equal(traj.states, zs)
+
+
+@pytest.mark.parametrize("rotation, coupling, reason", [
+    (500.0, 1.0, "unstable"),  # the second stage leaves the ball from |z| = 0.3
+    (1e305, 1.0, "unstable"),  # so does its overflowing second stage
+    (None, 1.5e308, "nonfinite"),  # K R overflows: a NaN first derivative
+])
+def test_integrate_continuum_aborts_match_plain_rk4(rotation, coupling, reason):
+    A = None if rotation is None else _rotation(3, rotation)
+    state = cont.ContinuumState(np.array([0.3, 0.0, 0.0]), coupling, A)
+    with pytest.raises(dyn.IntegrationAbort) as info:
+        cont.integrate_continuum(state, 0.01, 1.0)
+    times, zs, stop = integrate_continuum_reference(state, 0.01, 1.0)
+    traj = info.value.trajectory
+    assert info.value.reason == traj.stop == stop == reason
+    assert np.array_equal(traj.times, times) and np.array_equal(traj.states, zs)
+
+
+_EDGE_T = [0.0, 0.5, float(np.nextafter(0.5, 1.0)), 1.0 - 1e-12, float("nan")]
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_centroid_ratio_tables_give_the_term_by_term_doubles(d):
+    ts = np.random.default_rng(d).random(2000).tolist() + _EDGE_T
+    got = [cont._centroid_ratio(d, t) for t in ts]
+    assert got == [centroid_ratio_reference(d, t) for t in ts]  # NaN t returns 1.0
+
+
+@pytest.mark.parametrize("d", [11, 21, 31, 51, 100, 101, 151, 170, 171, 173, 3999])
+def test_centroid_ratio_tables_reach_far_enough_in_high_dimension(d):
+    # the log expansion takes the most terms at the largest u = 1 - t < 1/2,
+    # the direct series of odd d at t = 1/2 (55 of its 64 ratios at d = 3999),
+    # and for even d the polynomial has d/2 terms.  171 is the largest odd d
+    # whose coefficient (d - 2)! is a float; above it t > 1/2 raises
+    for t in [float(np.nextafter(0.5, 1.0)), 0.5, 0.25, 0.6, 0.75, 0.99, 1.0 - 1e-12]:
+        try:
+            expected = centroid_ratio_reference(d, t)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                cont._centroid_ratio(d, t)
+        else:
+            assert cont._centroid_ratio(d, t) == expected

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -324,6 +325,83 @@ def test_drift_abort_records_last_accepted_state():
     traj = info.value.trajectory
     assert list(traj.times) == [0.0, 3.0]
     assert traj.info[-1] <= dyn.NORM_DRIFT_LIMIT
+
+
+# ---------------------------------------------------------------------------
+# the ball-point step of _drive, on synthetic fields
+
+
+def _counted_field(value, special=None, at=None):
+    """A ball-point field rhs(y, y2) that returns value, or special at its
+    at-th call (from 1)."""
+    calls = [0]
+
+    def rhs(y, y2):
+        assert y2 == float(y @ y) or np.isnan(y2)
+        calls[0] += 1
+        return list(special if calls[0] == at else value)
+
+    return rhs
+
+
+def test_ball_step_nan_stage_ends_as_nonfinite():
+    # the second stage of step 6 is NaN; NaN passes the stage guard and the
+    # step ends as "nonfinite", with step 5 the last accepted state
+    rhs = _counted_field([0.1, 0.0, 0.0], [np.nan, 0.0, 0.0], at=4 * 5 + 2)
+    with pytest.raises(dyn.IntegrationAbort) as info:
+        dyn._drive(rhs, np.array([0.2, 0.0, 0.0]), 0.01, 1.0, 1, True)
+    traj = info.value.trajectory
+    assert info.value.reason == traj.stop == "nonfinite"
+    assert np.allclose(traj.times, 0.01 * np.arange(6), rtol=0, atol=1e-15)
+    assert np.all(np.isfinite(traj.states))
+
+
+def test_ball_step_whose_square_overflows_stops_at_the_boundary():
+    # the fourth stage's derivative is taken by no later stage, so the step
+    # is finite (about 1.7e297) while its |y|^2 overflows: a clean stop
+    y0 = np.array([0.2, 0.0, 0.0])
+    rhs = _counted_field([0.0, 0.0, 0.0], [1e300, 0.0, 0.0], at=4)
+    traj = dyn._drive(rhs, y0, 0.01, 1.0, 1, True)
+    assert traj.stop == "boundary"
+    assert list(traj.times) == [0.0] and np.array_equal(traj.states, [y0])
+
+
+@pytest.mark.parametrize("start, reason", [(0.1, "unstable"), (0.95, "boundary")])
+def test_ball_stage_leaving_the_ball(start, reason):
+    # the second stage lands at |y| > 5: a failed step from far inside, a
+    # clean stop from within NEAR_BOUNDARY of the sphere
+    y0 = np.array([start, 0.0, 0.0])
+    rhs = _counted_field([1000.0, 0.0, 0.0])
+    if reason == "unstable":
+        with pytest.raises(dyn.IntegrationAbort) as info:
+            dyn._drive(rhs, y0, 0.01, 1.0, 1, True)
+        traj = info.value.trajectory
+    else:
+        traj = dyn._drive(rhs, y0, 0.01, 1.0, 1, True)
+    assert traj.stop == reason
+    assert list(traj.times) == [0.0] and np.array_equal(traj.states, [y0])
+
+
+def test_ball_start_whose_square_rounds_to_one_stops_at_the_first_stage():
+    y0 = np.array([0.7415052042025201, 0.5385471155343273, -0.4001712589507583])
+    assert float(y0 @ y0) == 1.0 and sum(Fraction(v) ** 2 for v in y0) < 1
+    calls = []
+    traj = dyn._drive(lambda y, y2: calls.append(y2) or [0.0, 0.0, 0.0], y0, 0.01, 1.0, 1, True)
+    assert traj.stop == "boundary" and not calls
+    assert list(traj.times) == [0.0] and np.array_equal(traj.states, [y0])
+
+
+@pytest.mark.parametrize("stride", [2.7, True, "3", 0, -1, None])
+def test_stride_must_be_a_positive_integer(stride):
+    base = dyn.random_configuration(10, 3, 48)
+    with pytest.raises(geo.GeometryError, match="stride"):
+        red.integrate_w(np.zeros(3), base, equal_spec(10), 0.01, 0.1, stride)
+
+
+def test_stride_takes_a_numpy_integer():
+    base = dyn.random_configuration(10, 3, 48)
+    traj = red.integrate_w(np.zeros(3), base, equal_spec(10), 0.01, 0.1, np.int64(3))
+    assert np.allclose(traj.times, [0.0, 0.03, 0.06, 0.09, 0.1], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,14 @@ environment line perfbench printed.
 each pair times ``cli.main(["fixedpoint", ...])`` on the criterion-7 system
 (N = 100, d = 3, equal weights, base seed 7000) in a fresh process per side,
 after one untimed call, and records the median of --fixedpoint-repeats calls.
+
+The per-layer entries time one RK4 step of three integrators the same way,
+in a fresh process per side: integrate_w (N = 100, d = 3, the criterion-7
+base, backward from w = (0.2, -0.3, 0.1)), integrate_continuum (d = 3, K = 1,
+no rotation, backward from z = (0.3, 0, 0)) and integrate_full (N = 100,
+d = 3, equal weights, a shared rotation of scale 0.5).  Each child runs one
+untimed call, then LAYER_REPEATS runs of LAYER_STEPS steps at h = 0.01
+through the public entry point, and records the median time per step.
 """
 from __future__ import annotations
 
@@ -51,6 +59,40 @@ with tempfile.TemporaryDirectory() as tmp:
         if k:
             seconds.append(time.perf_counter() - start)
 print(json.dumps(seconds))
+"""
+
+
+LAYER_STEPS, LAYER_REPEATS = 2000, 5
+LAYERS = {
+    "rk4 step: integrate_w (N = 100, d = 3)": "w",
+    "rk4 step: integrate_continuum (d = 3)": "continuum",
+    "rk4 step: integrate_full (N = 100, d = 3)": "full",
+}
+
+LAYER_CHILD = r"""
+import json, os, statistics, sys, time
+sys.path.insert(0, os.path.join(sys.argv[1], "src"))
+import numpy as np
+from spherekuramoto import continuum, dynamics, geometry, reduced
+layer, repeats, steps = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+base = dynamics.random_configuration(100, 3, 7000)
+a = dynamics.equal_weights(100)
+A = geometry.random_antisymmetric(3, np.random.default_rng(7000), 0.5)
+run = {
+    "w": lambda h: reduced.integrate_w(np.array([0.2, -0.3, 0.1]), base, a, -h, -steps * h, steps),
+    "continuum": lambda h: continuum.integrate_continuum(
+        continuum.ContinuumState(np.array([0.3, 0.0, 0.0]), 1.0), -h, -steps * h, steps),
+    "full": lambda h: dynamics.integrate_full(base, A, a, h, steps * h, stride=steps),
+}[layer]
+seconds = []
+for k in range(repeats + 1):
+    start = time.perf_counter()
+    traj = run(0.01)
+    if traj.stop != "end":
+        raise SystemExit(f"{layer} stopped early: {traj.stop}")
+    if k:
+        seconds.append((time.perf_counter() - start) / steps)
+print(json.dumps(statistics.median(seconds)))
 """
 
 
@@ -99,6 +141,13 @@ def run_fixedpoint(path, args):
     return {"wall_s": statistics.median(json.loads(proc.stdout))}, None, 0
 
 
+def run_layer(path, layer):
+    proc = subprocess.run([sys.executable, "-c", LAYER_CHILD, str(Path(path).resolve()), layer,
+                           str(LAYER_REPEATS), str(LAYER_STEPS)],
+                          capture_output=True, text=True, check=True)
+    return {"step_s": json.loads(proc.stdout)}, None, 0
+
+
 def summary(values):
     if len(values) == 1:
         q1 = median = q3 = values[0]
@@ -119,8 +168,8 @@ def measure(name, n_pairs, run, args, specs):
             runs[side].append(values)
             failed[side] += side_failed
             env.setdefault(side, side_env)
-            print(f"{name} pair {k + 1}/{n_pairs} {side}: wall_s {values['wall_s']:.4g}",
-                  flush=True)
+            metric = "wall_s" if "wall_s" in values else next(iter(values))
+            print(f"{name} pair {k + 1}/{n_pairs} {side}: {metric} {values[metric]:.4g}", flush=True)
     metrics = {}
     for metric in runs[base][0]:
         spec = specs.get(metric, {"unit": "s", "better": "lower"})
@@ -157,6 +206,10 @@ def main(argv=None):
     out["workloads"]["fixedpoint --seeds 5"] = measure(
         "fixedpoint --seeds 5", args.pairs("fixedpoint"),
         lambda path: run_fixedpoint(path, args), args, specs)
+    for name, layer in LAYERS.items():
+        out["workloads"][name] = measure(
+            name, args.pairs(layer), lambda path, layer=layer: run_layer(path, layer),
+            args, specs)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 
