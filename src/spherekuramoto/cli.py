@@ -17,7 +17,7 @@ import numpy as np
 
 from .continuum import order_parameter_closed_form, poisson_integral_mc
 from .dynamics import IntegrationAbort
-from .geometry import GeometryError
+from .geometry import GeometryError, _number
 from .gradient import (
     GradientError,
     PotentialContext,
@@ -74,22 +74,17 @@ def _cmd_compare(args):
     return EXIT_OK
 
 
-def _check_flag(ok, flag, rule, value):
-    if not ok:
-        raise ConfigError(f"{flag} must be {rule}, got {value}")
-
-
-def _at_least(value, low, flag):
-    _check_flag(value >= low, flag, f">= {low}", value)
+def _potential_context(args):
+    """The loaded config and the PotentialContext of its base points and weights."""
+    cfg = _load(args)
+    if cfg.coupling is not None:
+        raise ConfigError(f"{args.command} requires a linear weighted order parameter")
+    return cfg, PotentialContext(initial_configuration(cfg), resolve_weights(cfg))
 
 
 def _cmd_fixedpoint(args):
-    _at_least(args.seeds, 1, "--seeds")
-    cfg = _load(args)
-    if cfg.coupling is not None:
-        raise ConfigError("fixedpoint requires a linear weighted order parameter")
-    base = initial_configuration(cfg)
-    ctx = PotentialContext(base, resolve_weights(cfg))
+    _number(args.seeds, "--seeds", 0, kinds=())
+    cfg, ctx = _potential_context(args)
     reports = [find_fixed_point(ctx, seed=cfg.seed + k) for k in range(args.seeds)]
     w_stars = np.stack([r.w_star for r in reports])
     spread = float(np.max(np.linalg.norm(w_stars - w_stars[0], axis=1)))
@@ -107,12 +102,8 @@ def _cmd_fixedpoint(args):
 
 
 def _cmd_potential_check(args):
-    _at_least(args.samples, 1, "--samples")
-    cfg = _load(args)
-    if cfg.coupling is not None:
-        raise ConfigError("potential-check requires a linear weighted order parameter")
-    base = initial_configuration(cfg)
-    ctx = PotentialContext(base, resolve_weights(cfg))
+    _number(args.samples, "--samples", 0, kinds=())
+    cfg, ctx = _potential_context(args)
     rng = rng_from(cfg.seed, 21)
     ok = True
 
@@ -158,13 +149,13 @@ def _report(label, value, tol, quiet):
 
 
 def _cmd_continuum_check(args):
-    _at_least(args.d, 2, "--d")
-    _at_least(args.seed, 0, "--seed")
-    _at_least(args.samples, 1, "--samples")
+    _number(args.d, "--d", 1, kinds=())
+    _number(args.seed, "--seed", -1, kinds=())
+    _number(args.samples, "--samples", 0, kinds=())
     # the closed form vanishes at the origin, where a relative error means nothing
-    _check_flag(0.0 < abs(args.radius) < 1.0, "--radius", "in (-1, 1) and nonzero", args.radius)
-    _check_flag(np.isfinite(args.coupling), "--coupling", "finite", args.coupling)
-    _check_flag(0.0 < args.tol < np.inf, "--tol", "finite and > 0", args.tol)
+    _number(abs(args.radius), "|--radius|", 0.0, 1.0)
+    _number(args.coupling, "--coupling")
+    _number(args.tol, "--tol", 0.0)
     z = np.zeros(args.d)
     z[0] = args.radius
     # both sides are linear in the coupling: compare them at coupling 1, so
@@ -232,7 +223,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GeometryError, GradientError, FileNotFoundError) as exc:
+    except (ConfigError, GeometryError, GradientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except IntegrationAbort as exc:

@@ -17,7 +17,7 @@ import numpy as np
 # rk4_step stays importable from here: perfbench/selftest.py checks that the
 # tracer rebinds it in every module that holds it.
 from .dynamics import _drive, as_rotation_terms, rk4_step  # noqa: F401
-from .geometry import GeometryError, _boost, _generator, as_ball_point, boost_apply
+from .geometry import GeometryError, _boost, _generator, _number, as_ball_point, boost_apply
 from .sampling import rng_from, uniform_sphere
 
 __all__ = [
@@ -43,7 +43,6 @@ def _is_nonpositive_int(x):
     return x <= 0.0 and x == round(x)
 
 
-_BLOCK = 4096
 _MC_ROWS = 2**14  # Monte Carlo samples drawn, boosted and averaged at a time
 
 
@@ -83,33 +82,25 @@ def hypergeom_f(a, b, c, t, rtol=1e-15, max_terms=2_000_000):
         if t == -1.0:
             return 2.0**-a * hypergeom_f(a, c - b, c, 0.5, rtol, max_terms)
 
-    total = 1.0
-    term = 1.0
-    k = 0
-    while k < max_terms:
-        ks = np.arange(k, k + _BLOCK, dtype=float)
-        numer = (a + ks) * (b + ks)
-        denom = (c + ks) * (ks + 1.0)
-        stop = np.nonzero(numer == 0.0)[0]
-        limit = int(stop[0]) if stop.size else _BLOCK
-        if np.any(denom[:limit] == 0.0):
+    total, comp, term = 1.0, 0.0, 1.0  # Neumaier's compensated sum total + comp
+    for k in range(max_terms):
+        numer = (a + k) * (b + k)
+        if numer == 0.0:
+            return total + comp
+        denom = (c + k) * (k + 1.0)
+        if denom == 0.0:
             raise ConvergenceError(f"series hit the coefficient pole at c = {c:.17g}")
-        terms = term * np.cumprod(numer[:limit] / denom[:limit] * t)
-        if stop.size:
-            return total + float(terms.sum())
+        term *= numer / denom * t
+        s = total + term
+        comp += (total - s) + term if abs(total) >= abs(term) else (term - s) + total
+        total = s
         # Every ratio after term j (j > |c|) is at most rho_j in magnitude, so
         # the tail after it is at most |term_j| rho_j / (1 - rho_j).
-        js = ks + 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = (abs(t) * np.maximum(1.0, (js + abs(a)) / (js + 1.0))
-                   * (js + abs(b)) / (js - abs(c)))
-            tail = np.where((js > abs(c)) & (rho < 1.0), np.abs(terms) * rho / (1.0 - rho), np.inf)
-        done = np.nonzero(tail <= rtol * np.abs(total + np.cumsum(terms)))[0]
-        if done.size:
-            return total + float(terms[: done[0] + 1].sum())
-        total += float(terms.sum())
-        term = float(terms[-1])
-        k += _BLOCK
+        j = k + 1.0
+        if j > abs(c):
+            rho = abs(t) * max(1.0, (j + abs(a)) / (j + 1.0)) * (j + abs(b)) / (j - abs(c))
+            if rho < 1.0 and abs(term) * rho / (1.0 - rho) <= rtol * abs(total + comp):
+                return total + comp
     raise ConvergenceError(f"series did not converge within {max_terms} terms (t = {t:.17g})")
 
 
@@ -197,7 +188,17 @@ def order_parameter_closed_form(z, coupling=1.0):
     For d = 2 the ratio is identically 1 and the result is exactly K z.
     """
     z = as_ball_point(z)
-    return coupling * _centroid_ratio(z.size, float(z @ z)) * z
+    return _centroid(z, float(z @ z), coupling)
+
+
+def _centroid(z, z2, coupling):
+    """coupling * R_d(z2) * z for z2 = z @ z; past the float range of
+    _centroid_ratio's coefficient, a GeometryError that names the limit."""
+    try:
+        return coupling * _centroid_ratio(z.size, z2) * z
+    except OverflowError:
+        raise GeometryError(f"the centroid ratio of odd d > 171 (here {z.size}) "
+                            "overflows the float range above |z|^2 = 1/2") from None
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +257,7 @@ def poisson_integral_mc(f, z, n_samples, seed, stream=0):
     uniform_sphere, an event of probability zero.
     """
     z = as_ball_point(z)
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise GeometryError("need at least one Monte Carlo sample")
+    n_samples = _number(n_samples, "n_samples", 0, kinds=())
     rng, w = rng_from(seed, stream), -z
     mean = m2 = 0.0
     for done in range(0, n_samples, _MC_ROWS):
@@ -281,7 +280,8 @@ def sample_pushforward(z, n_samples, seed, stream=0):
     """Empirical draw from the boosted uniform measure: M_{-z}(x_k) with x_k
     uniform on the sphere.  All outputs are unit vectors."""
     z = as_ball_point(z)
-    x = uniform_sphere(int(n_samples), z.size, rng_from(seed, stream))
+    n_samples = _number(n_samples, "n_samples", -1, kinds=())
+    x = uniform_sphere(n_samples, z.size, rng_from(seed, stream))
     return boost_apply(-z, x)
 
 
@@ -302,8 +302,7 @@ class ContinuumState:
     def __post_init__(self):
         z = as_ball_point(self.z)
         rotation = as_rotation_terms(self.rotation, z.size)
-        if not np.isfinite(self.coupling):
-            raise GeometryError("coupling must be finite")
+        _number(self.coupling, "coupling")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "rotation", rotation)
 
@@ -323,7 +322,7 @@ def _continuum_field(z, z2, A, coupling):
     integrate_continuum runs it in every RK stage, with the z2 of the stage
     guard, which keeps z inside the ball.  A NaN stage gives a NaN
     derivative, which ends the run as "nonfinite"."""
-    return _generator(A, coupling * _centroid_ratio(z.size, z2) * z, z, z2)
+    return _generator(A, _centroid(z, z2, coupling), z, z2)
 
 
 def integrate_continuum(state0, h, t_end, stride=1):

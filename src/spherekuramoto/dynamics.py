@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, as_antisymmetric
+from .geometry import GeometryError, _number, as_antisymmetric
 from .sampling import _row_norms, rng_from, uniform_sphere
 
 NORM_DRIFT_LIMIT = 1e-3  # largest sphere or SO(d) defect a step may leave or a projection correct
@@ -91,7 +91,7 @@ def as_weights(a, n):
     """
     try:
         a = np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GeometryError(f"weights must be numbers: {exc}") from exc
     if a.ndim != 1:
         raise GeometryError(f"weights must be a 1-d array, got shape {a.shape}")
@@ -100,16 +100,6 @@ def as_weights(a, n):
     if not np.all(np.isfinite(a)):
         raise GeometryError("weights must be finite")
     return a
-
-
-def _number(value, name, low=-np.inf, high=np.inf, kinds=(float, np.floating)):
-    """value if it is an int or one of kinds, not a bool, with low < value <
-    high; otherwise a GeometryError that names the parameter."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer, *kinds))
-            or not low < value < high):
-        raise GeometryError(f"'{name}' must be {'a number' if kinds else 'an integer'} "
-                            f"in ({low:g}, {high:g}), got {value!r}")
-    return value
 
 
 def mean_field_weights(n, K):
@@ -124,7 +114,9 @@ def equal_weights(n):
 
 
 def explicit_weights(values, normalized=True):
-    """Validate user-supplied weights; with normalized=True they must sum to 1."""
+    """Validate user-supplied weights: nonnegative, summing to 1 if normalized (a bool)."""
+    if not isinstance(normalized, bool):
+        raise GeometryError(f"'normalized' must be true or false, got {normalized!r}")
     a = as_weights(values, len(values))
     if np.any(a < 0.0):
         raise GeometryError("weights must be nonnegative")
@@ -161,7 +153,8 @@ def majority_weights(n, dominant=0.6, index=0):
 
 def random_configuration(n, d, seed, stream=0):
     """Seeded i.i.d. uniform points on the sphere (normalized Gaussians)."""
-    return uniform_sphere(int(n), int(d), rng_from(seed, stream))
+    return uniform_sphere(_number(n, "n", 0, kinds=()), _number(d, "d", 1, kinds=()),
+                          rng_from(seed, stream))
 
 
 def validate_configuration(x):

@@ -6,6 +6,7 @@ mutated after construction, so the whole module is safe for concurrent use.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -46,6 +47,18 @@ __all__ = [
 
 class GeometryError(ValueError):
     """An input violates a geometric invariant (off sphere, outside ball, ...)."""
+
+
+def _number(value, name, low=-np.inf, high=np.inf, kinds=(float, np.floating)):
+    """value if it is an int or one of kinds, not a bool, with low < value <
+    high and, unless kinds is empty (an integer), finite as a double;
+    otherwise a GeometryError that names the parameter.  The one check of
+    every scalar argument and every numeric configuration field and flag."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer, *kinds))
+            or not low < value < high or kinds and not abs(value) <= sys.float_info.max):
+        raise GeometryError(f"'{name}' must be {'a finite number' if kinds else 'an integer'} "
+                            f"in ({low:g}, {high:g}), got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .continuum import ContinuumState, integrate_continuum, order_parameter_clos
 from .dynamics import (
     IntegrationAbort,
     as_rotation_terms,
+    as_weights,
     equal_weights,
     explicit_weights,
     gaussian_riemann_weights,
@@ -31,7 +32,7 @@ from .dynamics import (
     random_configuration,
 )
 from .geometry import (LEFT, RIGHT, GeometryError, _cross_ratio, _distinct, _mobius_apply,
-                       antisymmetric_from_upper, cross_ratio, random_antisymmetric)
+                       _number, antisymmetric_from_upper, cross_ratio, random_antisymmetric)
 from .gradient import PotentialContext, _potential
 from .reduced import ReducedState, initial_state, integrate_reduced, integrate_w
 from .sampling import rng_from, uniform_ball
@@ -87,7 +88,6 @@ class ExperimentConfig:
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 _WEIGHT_KEYS = {"kind", "values", "normalized", "dominant", "index", "half_width"}
 _ROTATION_KEYS = {"kind", "scale", "matrix"}
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _require(cond, message):
@@ -95,17 +95,24 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _as_int(value, label):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{label} must be an integer, got {value!r}")
-    return value
+def _checked(prefix, value, name, *bounds, **kinds):
+    """The library's scalar rule, geometry._number, on a configuration value;
+    its error becomes a ConfigError that starts with prefix."""
+    try:
+        return _number(value, name, *bounds, **kinds)
+    except GeometryError as exc:
+        raise ConfigError(f"{prefix} {exc}") from exc
 
 
-def _as_float(value, label):
-    # the comparison is exact for ints and false for NaN
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
-        raise ConfigError(f"{label} must be a finite number, got {value!r}")
-    return float(value)
+def _subdocument(data, name, keys, kinds):
+    """data's 'weights' or 'rotation' object, copied, its kind filled in (default kinds[0])."""
+    doc = data.get(name, {})
+    _require(isinstance(doc, dict), f"field '{name}' must be a key-value document, got {doc!r}")
+    unknown = set(doc) - keys
+    _require(not unknown, f"unknown {name} field(s): {', '.join(sorted(unknown))}")
+    doc = {**doc, "kind": doc.get("kind", kinds[0])}
+    _require(doc["kind"] in kinds, f"{name} 'kind' must be one of {kinds}, got {doc['kind']!r}")
+    return doc
 
 
 def config_from_dict(data):
@@ -119,45 +126,25 @@ def config_from_dict(data):
     for key in ("d", "n", "mode", "h", "t_end", "seed"):
         _require(key in data, f"missing required field '{key}'")
 
-    d = _as_int(data["d"], "field 'd'")
-    n = _as_int(data["n"], "field 'n'")
+    d = _checked("field", data["d"], "d", 1, kinds=())
+    n = _checked("field", data["n"], "n", 0, kinds=())
     mode = data["mode"]
     _require(isinstance(mode, str) and mode in MODES,
              f"field 'mode' must be one of {MODES}, got {mode!r}")
-    _require(d >= 2, f"field 'd' must be >= 2, got {d}")
-    _require(n >= 1, f"field 'n' must be >= 1, got {n}")
-
-    weights = dict(data.get("weights", {"kind": "equal"}))
-    unknown = set(weights) - _WEIGHT_KEYS
-    _require(not unknown, f"unknown weights field(s): {', '.join(sorted(unknown))}")
-    wkind = weights.get("kind", "equal")
-    _require(wkind in WEIGHT_KINDS,
-             f"weights 'kind' must be one of {WEIGHT_KINDS}, got {wkind!r}")
-    weights["kind"] = wkind
-
-    rotation = dict(data.get("rotation", {"kind": "zero"}))
-    unknown = set(rotation) - _ROTATION_KEYS
-    _require(not unknown, f"unknown rotation field(s): {', '.join(sorted(unknown))}")
-    rkind = rotation.get("kind", "zero")
-    _require(rkind in ROTATION_KINDS,
-             f"rotation 'kind' must be one of {ROTATION_KINDS}, got {rkind!r}")
-    rotation["kind"] = rkind
-
+    weights = _subdocument(data, "weights", _WEIGHT_KEYS, WEIGHT_KINDS)
+    rotation = _subdocument(data, "rotation", _ROTATION_KEYS, ROTATION_KINDS)
     coupling = data.get("coupling")
     if coupling is not None:
-        coupling = _as_float(coupling, "field 'coupling'")
-
-    h = _as_float(data["h"], "field 'h'")
-    t_end = _as_float(data["t_end"], "field 't_end'")
-    stride = _as_int(data.get("stride", 1), "field 'stride'")
-    seed = _as_int(data["seed"], "field 'seed'")
+        coupling = float(_checked("field", coupling, "coupling"))
+    h = float(_checked("field", data["h"], "h"))
+    t_end = float(_checked("field", data["t_end"], "t_end"))
+    stride = _checked("field", data.get("stride", 1), "stride", 0, kinds=())
+    seed = _checked("field", data["seed"], "seed", -1, kinds=())
     projection = data.get("projection", True)
     _require(isinstance(projection, bool), "field 'projection' must be true or false")
     out = data.get("out")
     _require(out is None or isinstance(out, str), "field 'out' must be a string path")
 
-    _require(stride >= 1, f"field 'stride' must be >= 1, got {stride}")
-    _require(seed >= 0, f"field 'seed' must be >= 0, got {seed}")
     _require(t_end == 0.0 or h != 0.0, "field 'h' must be nonzero unless t_end is 0")
     if t_end != 0.0:
         h = -abs(h) if t_end < 0.0 else abs(h)  # sign of h follows t_end
@@ -170,22 +157,14 @@ def config_from_dict(data):
 
 def _validate_semantics(cfg):
     wkind = cfg.weights["kind"]
-    if wkind == "explicit":
-        _require("values" in cfg.weights, "explicit weights require a 'values' list")
-        values = cfg.weights["values"]
-        _require(isinstance(values, (list, tuple)) and len(values) == cfg.n,
-                 f"weights 'values' must list exactly n = {cfg.n} numbers")
-        normalized = cfg.weights.get("normalized", True)
-        _require(isinstance(normalized, bool), "weights 'normalized' must be true or false")
-        try:
-            explicit_weights(values, normalized=normalized)
-        except GeometryError as exc:
-            raise ConfigError(f"weights 'values' invalid: {exc}") from exc
-    if wkind in ("gaussian_riemann", "majority"):
-        try:
-            resolve_weights(cfg)
-        except GeometryError as exc:  # its message names the field: "majority weights 'index' ..."
-            raise ConfigError(f"{wkind} weights {exc}") from exc
+    if cfg.coupling is not None:
+        _require(wkind == "equal",
+                 "'coupling' (mean-field) and non-default weights are mutually exclusive")
+    try:
+        resolve_weights(cfg)
+    except GeometryError as exc:  # a named argument's message starts with its name
+        field = "" if str(exc).startswith("'") else "'values' invalid: "
+        raise ConfigError(f"{wkind} weights {field}{exc}") from exc
     if cfg.rotation["kind"] == "explicit":
         matrix = cfg.rotation.get("matrix")
         _require(matrix is not None, "explicit rotation requires a 'matrix'")
@@ -198,7 +177,7 @@ def _validate_semantics(cfg):
         _require(float(np.max(np.abs(arr + arr.T))) <= 1e-12,
                  "rotation 'matrix' must be antisymmetric")
     if cfg.rotation["kind"] in ("random", "random_per_particle"):
-        scale = _as_float(cfg.rotation.get("scale", 1.0), "rotation 'scale'")
+        scale = _checked("rotation", cfg.rotation.get("scale", 1.0), "scale")
         _require(scale >= 0.0, "rotation 'scale' must be a nonnegative number")
     if cfg.mode.startswith("reduced") or cfg.mode == "continuum":
         _require(cfg.rotation["kind"] != "random_per_particle",
@@ -209,9 +188,6 @@ def _validate_semantics(cfg):
                  "mode 'reduced_w' needs a linear weighted order parameter, not 'coupling'")
     if cfg.mode == "continuum":
         _require(cfg.coupling is not None, "mode 'continuum' requires 'coupling'")
-    if cfg.coupling is not None:
-        _require(wkind == "equal",
-                 "'coupling' (mean-field) and non-default weights are mutually exclusive")
 
 
 def config_to_dict(cfg):
@@ -227,7 +203,7 @@ def load_config(path, seed=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to read
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if seed is not None and isinstance(data, dict):
         data = {**data, "seed": seed}
@@ -262,7 +238,7 @@ PRESETS = {
 def preset_config(name, seed=None, out=None):
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    data = PRESETS[name] if seed is None else {**PRESETS[name], "seed": int(seed)}
+    data = PRESETS[name] if seed is None else {**PRESETS[name], "seed": seed}
     cfg = config_from_dict(data)
     if out is not None:
         cfg = replace(cfg, out=str(out))
@@ -281,7 +257,7 @@ def resolve_weights(cfg):
     if kind == "equal":
         return equal_weights(cfg.n)
     if kind == "explicit":
-        return explicit_weights(cfg.weights["values"],
+        return explicit_weights(as_weights(cfg.weights.get("values"), cfg.n),
                                 normalized=cfg.weights.get("normalized", True))
     if kind == "gaussian_riemann":
         return gaussian_riemann_weights(cfg.n, cfg.weights.get("half_width", 3.0))

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _number
+
 
 def rng_from(seed, *stream):
     """Generator for the stream identified by (seed, *stream)."""
@@ -16,7 +18,7 @@ def rng_from(seed, *stream):
 
 def uniform_sphere(n, d, rng):
     """n independent uniform points on S^(d-1): normalized Gaussian vectors."""
-    v = rng.standard_normal((n, d))
+    v = rng.standard_normal((n, _number(d, "d", 0, kinds=())))
     norms = _row_norms(v)
     while np.any(norms < 1e-12):  # essentially impossible; keeps the map total
         bad = norms < 1e-12

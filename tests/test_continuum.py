@@ -419,6 +419,45 @@ def test_centroid_ratio_tables_give_the_term_by_term_doubles(d):
     assert got == [centroid_ratio_reference(d, t) for t in ts]  # NaN t returns 1.0
 
 
+@pytest.mark.parametrize("d", [173, 175, 401])
+def test_public_entries_name_the_centroid_limit_past_d_171(d):
+    z = np.zeros(d)
+    z[0] = 0.8  # |z|^2 = 0.64 > 1/2
+    for call in (lambda: cont.order_parameter_closed_form(z, 2.0),
+                 lambda: cont.continuum_rhs(z, None, 1.0),
+                 lambda: cont.integrate_continuum(cont.ContinuumState(z, 1.0), 0.01, 0.1)):
+        with pytest.raises(geo.GeometryError, match="d > 171"):
+            call()
+    z[0] = 0.7  # |z|^2 = 0.49: the direct series needs no coefficient
+    assert np.isfinite(cont.order_parameter_closed_form(z)).all()
+
+
+@pytest.mark.parametrize("n_samples", [2.7, "5", True, 0])
+def test_monte_carlo_sample_counts_are_integers(n_samples):
+    z = np.array([0.3, 0.0, 0.0])
+    with pytest.raises(geo.GeometryError, match="'n_samples'"):
+        cont.poisson_integral_mc(lambda x: x, z, n_samples, 0)
+    if n_samples != 0:  # an empty draw stays allowed
+        with pytest.raises(geo.GeometryError, match="'n_samples'"):
+            cont.sample_pushforward(z, n_samples, 0)
+    assert cont.sample_pushforward(z, 0, 0).shape == (0, 3)
+
+
+@pytest.mark.parametrize("coupling", ["1", None, True, np.nan, 10**400])
+def test_continuum_coupling_passes_the_scalar_rule(coupling):
+    with pytest.raises(geo.GeometryError, match="'coupling'"):
+        cont.ContinuumState(np.array([0.3, 0.0, 0.0]), coupling)
+
+
+@pytest.mark.parametrize("a, b, c, t", [(1.0, -0.5, 2.5, 0.9999), (0.5, 0.5, 2.0, 0.999),
+                                        (1.0, -1.5, 3.5, -0.999), (2.0, 0.7, 4.1, 0.99)])
+def test_series_sum_is_compensated_near_the_unit_circle(a, b, c, t):
+    # a plain running sum is off by 4e-14 at t = 0.999; pytest.approx would
+    # also allow its default absolute 1e-12, so the bound is written out
+    expected = float(mpmath.hyp2f1(a, b, c, t))
+    assert abs(cont.hypergeom_f(a, b, c, t) - expected) <= 2e-15 * abs(expected)
+
+
 @pytest.mark.parametrize("d", [11, 21, 31, 51, 100, 101, 151, 170, 171, 173, 3999])
 def test_centroid_ratio_tables_reach_far_enough_in_high_dimension(d):
     # the log expansion takes the most terms at the largest u = 1 - t < 1/2,

@@ -64,6 +64,28 @@ def test_weight_constructors_reject_out_of_range_arguments(build, args, name):
             build(*args)
 
 
+@pytest.mark.parametrize("build, args, name", [
+    (dyn.mean_field_weights, (3, 10**400), "K"),  # OverflowError
+    (dyn.gaussian_riemann_weights, (3, 10**400), "half_width"),  # numpy casting error
+    (dyn.explicit_weights, ([0.5, 0.5], "no"), "normalized"),  # read as true
+    (dyn.random_configuration, (3, 0, 1), "d"),  # never returned
+    (dyn.random_configuration, (3, 1, 1), "d"),
+    (dyn.random_configuration, (0, 3, 1), "n"),
+    (dyn.random_configuration, (2.7, 3, 1), "n"),  # truncated to 2
+])
+def test_scalar_arguments_pass_the_one_scalar_rule(build, args, name):
+    with pytest.raises(geo.GeometryError, match=f"'{name}'"):
+        build(*args)
+
+
+def test_uniform_sphere_rejects_a_dimension_below_one():
+    from spherekuramoto.sampling import rng_from, uniform_sphere
+    for d in (0, -1, 2.0):  # 0 redrew forever
+        with pytest.raises(geo.GeometryError, match="'d'"):
+            uniform_sphere(4, d, rng_from(0))
+    assert uniform_sphere(4, 1, rng_from(0)).shape == (4, 1)
+
+
 def test_order_parameter_antipodal_cancellation():
     x = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
     Z = dyn.order_parameter(x, equal_spec(2))

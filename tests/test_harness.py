@@ -1,3 +1,4 @@
+import argparse
 import collections
 import dataclasses
 import hashlib
@@ -813,6 +814,71 @@ def test_cli_continuum_check_takes_a_huge_coupling(capsys):
 def test_cli_missing_file_is_validation_error(tmp_path):
     code = cli.main(["simulate", "--config", str(tmp_path / "absent.json"), "--quiet"])
     assert code == 2
+
+
+def test_every_numeric_flag_is_range_checked():
+    # a numeric flag added without an entry in NUMERIC_FLAGS has no range test
+    parser = cli.build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    numeric = {(verb, flag) for verb, sub in verbs.items() for action in sub._actions
+               if action.type in (int, float) for flag in action.option_strings}
+    assert numeric - {(argv[0], flag) for argv, flag, _ in NUMERIC_FLAGS} == set()
+
+
+def _one_error_naming(capsys, field):
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and field in errors[0], errors
+
+
+HUGE = 10**400  # an integer no double holds
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"weights": {"kind": "gaussian_riemann", "half_width": HUGE}}, "weights 'half_width'"),
+    ({"weights": {"kind": "majority", "dominant": HUGE}}, "weights 'dominant'"),
+    ({"weights": {"kind": "explicit", "values": [HUGE] * 5}}, "weights 'values'"),
+    ({"rotation": {"kind": "random", "scale": HUGE}}, "rotation 'scale'"),
+    ({"h": HUGE}, "field 'h'"),
+    ({"t_end": -HUGE}, "field 't_end'"),
+    ({"mode": "continuum", "coupling": HUGE}, "field 'coupling'"),
+    ({"seed": -HUGE}, "field 'seed'"),
+    ({"weights": {"kind": "explicit", "values": [0.2] * 5, "normalized": 1}},
+     "weights 'normalized'"),
+    ({"weights": {"kind": "explicit", "values": [0.25] * 4}}, "weights 'values'"),
+    ({"weights": {"kind": "explicit"}}, "weights 'values'"),
+    *[({key: value}, f"field '{key}'") for key in ("weights", "rotation")
+      for value in (5, "equal", [1, 2], None, True)],
+])
+def test_cli_huge_or_mistyped_field_is_validation_error(tmp_path, capsys, overrides, field):
+    cfgfile = write_config(tmp_path / "c.json", n=5, **overrides)
+    assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 2
+    _one_error_naming(capsys, field)
+
+
+def test_unreadable_paths_are_validation_errors(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"d": 3, "mode": "\xe9"}')
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"d": ' + "1" * 5000 + "}")  # past Python's int-parsing limit
+    config = str(write_config(tmp_path / "c.json", n=5))
+    for argv in (["simulate", "--config", str(tmp_path)],
+                 ["simulate", "--config", str(latin1)],
+                 ["compare", "--config", str(long_int)],
+                 ["simulate", "--config", config, "--out", str(tmp_path)]):
+        assert cli.main(argv + ["--quiet"]) == 2
+        _one_error_naming(capsys, "error:")
+
+
+@pytest.mark.parametrize("seed", [2.7, True, "5", -1])
+def test_preset_seed_is_checked_not_truncated(seed):
+    with pytest.raises(h.ConfigError, match="field 'seed'"):
+        h.preset_config("fig1", seed=seed)
+
+
+def test_cli_continuum_check_past_the_float_range_of_the_centroid(capsys):
+    argv = ["continuum-check", "--d", "173", "--radius", "0.9", "--samples", "100", "--quiet"]
+    assert cli.main(argv) == 2
+    _one_error_naming(capsys, "171")
 
 
 def test_cli_continuum_check():
