@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError
+from .geometry import GeometryError, _array, _number, _square
 from .sampling import rng_from, uniform_sphere
 
 __all__ = [
@@ -39,25 +39,15 @@ def hermitian_inner(x, y):
 
 
 def as_complex_vector(v, dim=None):
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.size < 1:
-        raise GeometryError(f"expected a 1-d complex vector, got shape {v.shape}")
-    if dim is not None and v.size != dim:
-        raise GeometryError(f"expected dimension {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise GeometryError("vector has non-finite components")
+    v = _array(v, "vector", (dim,), complex)
+    if v.size < 1:
+        raise GeometryError("complex vector must not be empty")
     return v
 
 
 def as_antihermitian(m, dim=None, tol=1e-12):
     """Validate an anti-Hermitian matrix: conj(m).T == -m within tol."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise GeometryError(f"anti-Hermitian matrix must be square, got shape {m.shape}")
-    if dim is not None and m.shape[0] != dim:
-        raise GeometryError(f"expected dimension {dim}, got {m.shape[0]}")
-    if not np.all(np.isfinite(m)):
-        raise GeometryError("matrix has non-finite entries")
+    m = _square(m, "matrix", dim, complex)
     err = float(np.max(np.abs(m.conj().T + m)))
     if err > tol:
         raise GeometryError(f"matrix is not anti-Hermitian (residual {err:.3e})")
@@ -184,9 +174,8 @@ def divergence_from_real(m_dim, seed, Z=None, A=None, n_samples=200):
     roundoff, exactly when the complex flow is also a real flow: Z = 0 with
     anti-Hermitian A, or m = 1 (where the real coupling 2 Z reproduces it).
     """
-    m_dim = int(m_dim)
-    if m_dim < 1:
-        raise GeometryError("complex dimension must be at least 1")
+    m_dim = _number(m_dim, "m_dim", 0, kinds=())
+    n_samples = _number(n_samples, "n_samples", 0, kinds=())
     rng = rng_from(seed, 3)
     if A is None:
         A = random_antihermitian(m_dim, rng)
@@ -198,12 +187,12 @@ def divergence_from_real(m_dim, seed, Z=None, A=None, n_samples=200):
         Z = as_complex_vector(Z, m_dim)
 
     d2 = 2 * m_dim
-    xs_real = uniform_sphere(int(n_samples), d2, rng)
+    xs_real = uniform_sphere(n_samples, d2, rng)
     target = real_view(complex_flow_rhs(complex_view(xs_real), A, Z))
 
     pairs = [(i, j) for i in range(d2) for j in range(i + 1, d2)]
     n_par = len(pairs) + d2
-    design = np.zeros((int(n_samples), d2, n_par))
+    design = np.zeros((n_samples, d2, n_par))
     for p, (i, j) in enumerate(pairs):
         design[:, i, p] = xs_real[:, j]
         design[:, j, p] = -xs_real[:, i]
@@ -211,13 +200,13 @@ def divergence_from_real(m_dim, seed, Z=None, A=None, n_samples=200):
         col = len(pairs) + l
         design[:, l, col] = 1.0
         design[:, :, col] -= xs_real[:, l][:, None] * xs_real
-    flat = design.reshape(int(n_samples) * d2, n_par)
+    flat = design.reshape(n_samples * d2, n_par)
     theta, *_ = np.linalg.lstsq(flat, target.ravel(), rcond=None)
     resid = flat @ theta - target.ravel()
-    rms = float(np.sqrt(np.mean(np.sum(resid.reshape(int(n_samples), d2) ** 2, axis=1))))
+    rms = float(np.sqrt(np.mean(np.sum(resid.reshape(n_samples, d2) ** 2, axis=1))))
 
     rot = np.zeros((d2, d2))
     for p, (i, j) in enumerate(pairs):
         rot[i, j] = theta[p]
         rot[j, i] = -theta[p]
-    return DivergenceReport(rms, rot, theta[len(pairs):].copy(), int(n_samples))
+    return DivergenceReport(rms, rot, theta[len(pairs):].copy(), n_samples)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, _number, as_antisymmetric
+from .geometry import GeometryError, _array, _number, as_antisymmetric
 from .sampling import _row_norms, rng_from, uniform_sphere
 
 NORM_DRIFT_LIMIT = 1e-3  # largest sphere or SO(d) defect a step may leave or a projection correct
@@ -89,16 +89,9 @@ def as_weights(a, n):
     Raises GeometryError unless a is a finite 1-d array of length n.  Every
     public function that takes weights calls this once, at entry.
     """
-    try:
-        a = np.asarray(a, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GeometryError(f"weights must be numbers: {exc}") from exc
-    if a.ndim != 1:
-        raise GeometryError(f"weights must be a 1-d array, got shape {a.shape}")
+    a = _array(a, "weights", (None,))
     if a.size != n:
         raise GeometryError(f"{a.size} weights for {n} base points")
-    if not np.all(np.isfinite(a)):
-        raise GeometryError("weights must be finite")
     return a
 
 
@@ -117,7 +110,7 @@ def explicit_weights(values, normalized=True):
     """Validate user-supplied weights: nonnegative, summing to 1 if normalized (a bool)."""
     if not isinstance(normalized, bool):
         raise GeometryError(f"'normalized' must be true or false, got {normalized!r}")
-    a = as_weights(values, len(values))
+    a = _array(values, "weights", (None,))
     if np.any(a < 0.0):
         raise GeometryError("weights must be nonnegative")
     if normalized and abs(float(a.sum()) - 1.0) > 1e-12:
@@ -159,13 +152,9 @@ def random_configuration(n, d, seed, stream=0):
 
 def validate_configuration(x):
     """Check an (N, d) array of unit rows and return it as float."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise GeometryError(f"configuration must be (N, d), got shape {x.shape}")
+    x = _array(x, "configuration", (None, None))
     if x.shape[0] < 1 or x.shape[1] < 2:
         raise GeometryError("configuration needs N >= 1 points in dimension d >= 2")
-    if not np.all(np.isfinite(x)):
-        raise GeometryError("configuration has non-finite entries")
     err = float(np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)))
     if err > 1e-12:
         raise GeometryError(f"configuration is off the unit sphere by {err:.3e}")

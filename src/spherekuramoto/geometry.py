@@ -65,17 +65,39 @@ def _number(value, name, low=-np.inf, high=np.inf, kinds=(float, np.floating)):
 # validated constructors
 
 
+def _array(value, name, shape, kind=float):
+    """np.asarray(value, dtype=kind), kind float or complex, if no entry is a
+    bool or a string, its shape matches shape (a None entry matches any
+    length) and every entry is finite; otherwise a GeometryError that names
+    the parameter.  The one check of every array argument."""
+    try:
+        arr = np.asarray(value, dtype=kind)
+        raw = value if isinstance(value, np.ndarray) else np.asarray(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GeometryError(f"'{name}' must be an array of numbers: {exc}") from exc
+    if raw.dtype.kind in "bSUV" or raw.dtype.kind == "O" and any(
+            isinstance(e, (bool, np.bool_, str, bytes)) for e in raw.flat):
+        raise GeometryError(f"'{name}' must hold numbers, not booleans or strings")
+    if arr.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, arr.shape)):
+        raise GeometryError(f"'{name}' must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise GeometryError(f"'{name}' has non-finite entries")
+    return arr
+
+
+def _square(m, name, dim=None, kind=float):
+    """_array of a (dim, dim) matrix, or of any square matrix for dim None."""
+    m = _array(m, name, (dim, dim), kind)
+    if m.shape[0] != m.shape[1]:
+        raise GeometryError(f"'{name}' must be square, got shape {m.shape}")
+    return m
+
+
 def as_vector(v, dim=None):
     """Validate a finite vector in R^d with d >= 2 and return it as a float array."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise GeometryError(f"expected a 1-d vector, got shape {v.shape}")
+    v = _array(v, "vector", (dim,))
     if v.size < 2:
         raise GeometryError("ambient dimension must be at least 2")
-    if dim is not None and v.size != dim:
-        raise GeometryError(f"expected dimension {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise GeometryError("vector has non-finite components")
     return v
 
 
@@ -103,13 +125,9 @@ def as_ball_point(v, dim=None):
 
 def as_rotation(m):
     """Validate a matrix in SO(d): orthogonal and determinant +1 within ROTATION_TOL."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise GeometryError(f"rotation must be square, got shape {m.shape}")
+    m = _square(m, "rotation")
     if m.shape[0] < 2:
         raise GeometryError("rotation dimension must be at least 2")
-    if not np.all(np.isfinite(m)):
-        raise GeometryError("rotation has non-finite entries")
     d = m.shape[0]
     ortho = float(np.max(np.abs(m.T @ m - np.eye(d))))
     if ortho > ROTATION_TOL:
@@ -126,13 +144,7 @@ def as_antisymmetric(m, dim=None):
     Build candidates with antisymmetric_from_upper so the identity holds
     exactly in floating point.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise GeometryError(f"antisymmetric matrix must be square, got shape {m.shape}")
-    if dim is not None and m.shape[0] != dim:
-        raise GeometryError(f"expected dimension {dim}, got {m.shape[0]}")
-    if not np.all(np.isfinite(m)):
-        raise GeometryError("matrix has non-finite entries")
+    m = _square(m, "matrix", dim)
     if not np.array_equal(m.T, -m):
         raise GeometryError("matrix is not exactly antisymmetric; build it with antisymmetric_from_upper")
     return m
@@ -143,10 +155,7 @@ def antisymmetric_from_upper(m):
 
     Returned as U - U.T, which is exactly antisymmetric in floating point.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise GeometryError(f"expected a square matrix, got shape {m.shape}")
-    u = np.triu(m, 1)
+    u = np.triu(_square(m, "matrix"), 1)
     return u - u.T
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import as_weights, explicit_weights, min_pair_dot
-from .geometry import (LEFT, GeometryError, _mobius_apply, as_ball_point, as_sphere_point,
-                       boost_apply)
+from .geometry import (LEFT, GeometryError, _array, _mobius_apply, _number, as_ball_point,
+                       as_sphere_point, boost_apply)
 from .reduced import integrate_w, validate_base_points, w_rhs
 from .sampling import rng_from, uniform_ball
 
@@ -245,9 +245,7 @@ def scaled_rhs(w, ctx):
     2/(1 - |w|^2) times it) but extends smoothly to all of R^d away from the
     base points, where it equals the outward radial field on the sphere.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (ctx.d,):
-        raise GeometryError(f"expected a vector in R^{ctx.d}")
+    w = _array(w, "w", (ctx.d,))
     diff = ctx.base - w
     d2 = np.einsum("ij,ij->i", diff, diff)
     if float(np.min(d2)) <= SINGULAR_TOL**2:
@@ -269,13 +267,13 @@ class PolarState:
         if not np.isfinite(self.r) or self.r < 0.0:
             raise GeometryError("polar radius must be finite and nonnegative")
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "anchor", int(self.anchor))
+        _number(self.anchor, "anchor", -1, kinds=())
 
 
 def anchor_radius(ctx, anchor=0):
     """Largest radius where the blow-up system is smooth:
     min over j != anchor of |p_j - p_anchor|."""
-    p = ctx.base
+    p, anchor = ctx.base, _number(anchor, "anchor", -1, ctx.n, kinds=())
     diffs = np.delete(p, anchor, axis=0) - p[anchor]
     return float(np.min(np.linalg.norm(diffs, axis=1)))
 
@@ -307,8 +305,6 @@ def semiscaled_polar_rhs(state, ctx):
     """
     if not isinstance(state, PolarState):
         raise TypeError("semiscaled_polar_rhs expects a PolarState")
-    if not 0 <= state.anchor < ctx.n:
-        raise GeometryError(f"anchor index {state.anchor} out of range")
     eps = anchor_radius(ctx, state.anchor)
     if not state.r < eps:
         raise GeometryError(f"polar radius must stay below {eps:.6g}")
@@ -323,6 +319,7 @@ def semiscaled_jacobian(ctx, anchor=0):
     Central differences in an orthonormal (radial, tangent) frame; the exact
     spectrum is one eigenvalue -(1 - 2 a_anchor) and d-1 eigenvalues +1.
     """
+    anchor = _number(anchor, "anchor", -1, ctx.n, kinds=())
     p_a = ctx.base[anchor]
     d = ctx.d
     m = np.eye(d)
@@ -380,8 +377,9 @@ def classify_limits(ctx, direction, seed=0, horizon=40.0):
     if direction not in ("forward", "backward"):
         raise GeometryError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
+    t_end = sign * abs(_number(horizon, "horizon"))
     w0 = uniform_ball(ctx.d, rng_from(seed, 7), radius=0.5)
-    traj = integrate_w(w0, ctx.base, ctx.weights, sign * FLOW_STEP, sign * abs(horizon))
+    traj = integrate_w(w0, ctx.base, ctx.weights, sign * FLOW_STEP, t_end)
     w_end = traj.final
     x = _mobius_apply(None, w_end, LEFT, ctx.base)  # reconstruction up to a rotation
     min_pair = min_pair_dot(x)

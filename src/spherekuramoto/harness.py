@@ -31,8 +31,9 @@ from .dynamics import (
     min_pair_dot,
     random_configuration,
 )
-from .geometry import (LEFT, RIGHT, GeometryError, _cross_ratio, _distinct, _mobius_apply,
-                       _number, antisymmetric_from_upper, cross_ratio, random_antisymmetric)
+from .geometry import (LEFT, RIGHT, GeometryError, _array, _cross_ratio, _distinct,
+                       _mobius_apply, _number, antisymmetric_from_upper, cross_ratio,
+                       random_antisymmetric)
 from .gradient import PotentialContext, _potential
 from .reduced import ReducedState, initial_state, integrate_reduced, integrate_w
 from .sampling import rng_from, uniform_ball
@@ -95,11 +96,11 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _checked(prefix, value, name, *bounds, **kinds):
-    """The library's scalar rule, geometry._number, on a configuration value;
-    its error becomes a ConfigError that starts with prefix."""
+def _checked(prefix, rule, *args, **kwargs):
+    """One of the library's rules, geometry._number or geometry._array, on a
+    configuration value; its error becomes a ConfigError that starts with prefix."""
     try:
-        return _number(value, name, *bounds, **kinds)
+        return rule(*args, **kwargs)
     except GeometryError as exc:
         raise ConfigError(f"{prefix} {exc}") from exc
 
@@ -126,8 +127,8 @@ def config_from_dict(data):
     for key in ("d", "n", "mode", "h", "t_end", "seed"):
         _require(key in data, f"missing required field '{key}'")
 
-    d = _checked("field", data["d"], "d", 1, kinds=())
-    n = _checked("field", data["n"], "n", 0, kinds=())
+    d = _checked("field", _number, data["d"], "d", 1, kinds=())
+    n = _checked("field", _number, data["n"], "n", 0, kinds=())
     mode = data["mode"]
     _require(isinstance(mode, str) and mode in MODES,
              f"field 'mode' must be one of {MODES}, got {mode!r}")
@@ -135,11 +136,11 @@ def config_from_dict(data):
     rotation = _subdocument(data, "rotation", _ROTATION_KEYS, ROTATION_KINDS)
     coupling = data.get("coupling")
     if coupling is not None:
-        coupling = float(_checked("field", coupling, "coupling"))
-    h = float(_checked("field", data["h"], "h"))
-    t_end = float(_checked("field", data["t_end"], "t_end"))
-    stride = _checked("field", data.get("stride", 1), "stride", 0, kinds=())
-    seed = _checked("field", data["seed"], "seed", -1, kinds=())
+        coupling = float(_checked("field", _number, coupling, "coupling"))
+    h = float(_checked("field", _number, data["h"], "h"))
+    t_end = float(_checked("field", _number, data["t_end"], "t_end"))
+    stride = _checked("field", _number, data.get("stride", 1), "stride", 0, kinds=())
+    seed = _checked("field", _number, data["seed"], "seed", -1, kinds=())
     projection = data.get("projection", True)
     _require(isinstance(projection, bool), "field 'projection' must be true or false")
     out = data.get("out")
@@ -162,22 +163,19 @@ def _validate_semantics(cfg):
                  "'coupling' (mean-field) and non-default weights are mutually exclusive")
     try:
         resolve_weights(cfg)
-    except GeometryError as exc:  # a named argument's message starts with its name
-        field = "" if str(exc).startswith("'") else "'values' invalid: "
+    except GeometryError as exc:  # only the weight checks' own messages say "weights"
+        field = "'values' invalid: " if "weights" in str(exc) else ""
         raise ConfigError(f"{wkind} weights {field}{exc}") from exc
+    if wkind == "explicit" and isinstance(cfg.weights.get("values"), list):
+        for value in cfg.weights["values"]:  # a bool among numbers converts silently
+            _checked("explicit weights", _number, value, "values")
     if cfg.rotation["kind"] == "explicit":
-        matrix = cfg.rotation.get("matrix")
-        _require(matrix is not None, "explicit rotation requires a 'matrix'")
-        try:
-            arr = np.asarray(matrix, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"rotation 'matrix' must hold numbers: {exc}") from exc
-        _require(arr.shape == (cfg.d, cfg.d),
-                 f"rotation 'matrix' must be {cfg.d} x {cfg.d}")
+        _require(cfg.rotation.get("matrix") is not None, "explicit rotation requires a 'matrix'")
+        arr = _checked("rotation", _array, cfg.rotation.get("matrix"), "matrix", (cfg.d, cfg.d))
         _require(float(np.max(np.abs(arr + arr.T))) <= 1e-12,
                  "rotation 'matrix' must be antisymmetric")
     if cfg.rotation["kind"] in ("random", "random_per_particle"):
-        scale = _checked("rotation", cfg.rotation.get("scale", 1.0), "scale")
+        scale = _checked("rotation", _number, cfg.rotation.get("scale", 1.0), "scale")
         _require(scale >= 0.0, "rotation 'scale' must be a nonnegative number")
     if cfg.mode.startswith("reduced") or cfg.mode == "continuum":
         _require(cfg.rotation["kind"] != "random_per_particle",

@@ -29,6 +29,7 @@ from .geometry import (
     LEFT,
     GeometryError,
     MobiusMap,
+    _array,
     _coupling_sum,
     _generator,
     _mobius_apply,
@@ -349,8 +350,5 @@ def recover_rotation(source, target):
     """Rotation R in SO(d) minimizing sum_i |R s_i - t_i|^2 (orthogonal
     Procrustes with the determinant constraint): the polar factor of
     target^T source, geometry.nearest_rotation."""
-    s = np.asarray(source, dtype=float)
-    t = np.asarray(target, dtype=float)
-    if s.shape != t.shape or s.ndim != 2:
-        raise GeometryError("source and target must be matching (N, d) arrays")
-    return nearest_rotation(t.T @ s)
+    s = _array(source, "source", (None, None))
+    return nearest_rotation(_array(target, "target", s.shape).T @ s)

@@ -11,9 +11,10 @@ from .geometry import _number
 
 
 def rng_from(seed, *stream):
-    """Generator for the stream identified by (seed, *stream)."""
-    key = tuple(int(s) for s in stream)
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
+    """Generator for the stream identified by (seed, *stream), nonnegative integers."""
+    key = tuple(_number(s, "stream", -1, kinds=()) for s in stream)
+    return np.random.default_rng(
+        np.random.SeedSequence(_number(seed, "seed", -1, kinds=()), spawn_key=key))
 
 
 def uniform_sphere(n, d, rng):

@@ -197,3 +197,18 @@ def test_antihermitian_validation():
     cb.as_antihermitian(A)
     with pytest.raises(geo.GeometryError):
         cb.as_antihermitian(A + 1e-9)
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (cb.as_complex_vector, (["1", "0"],), "vector"),  # parsed as complex numbers
+    (cb.as_complex_vector, ([True, False],), "vector"),
+    (cb.as_antihermitian, ([["0", "1"], ["-1", "0"]],), "matrix"),
+    (cb.divergence_from_real, (2.7, 1), "m_dim"),  # ran as m = 2
+    (cb.divergence_from_real, (2, 2.7), "seed"),  # ran with seed 2
+    (cb.divergence_from_real, (2, True), "seed"),
+    (lambda: cb.divergence_from_real(2, 1, n_samples=True), (), "n_samples"),  # one sample
+    (lambda: cb.divergence_from_real(2, 1, n_samples=50.5), (), "n_samples"),
+])
+def test_complex_arguments_are_checked_not_converted(build, args, name):
+    with pytest.raises(geo.GeometryError, match=f"'{name}'"):
+        build(*args)

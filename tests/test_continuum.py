@@ -27,7 +27,7 @@ def test_unit_value_when_b_is_zero():
 def test_geometric_series_case():
     for t in (0.1, 0.5, 0.9, -0.7):
         expected = geometric_series(t)
-        assert cont.hypergeom_f(1.0, 1.0, 1.0, t) == pytest.approx(expected, rel=1e-13)
+        assert cont.hypergeom_f(1.0, 1.0, 1.0, t) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_terminating_polynomial_case():
@@ -36,7 +36,7 @@ def test_terminating_polynomial_case():
     # (a)_k with a = -2 terminates after the quadratic term
     val = cont.hypergeom_f(-2.0, 1.5, 2.5, 0.4)
     expected = 1.0 + (-2.0 * 1.5 / 2.5) * 0.4 + ((-2.0 * -1.0) * (1.5 * 2.5) / (2.5 * 3.5)) * 0.4**2 / 2.0
-    assert val == pytest.approx(expected, rel=1e-14)
+    assert val == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_gauss_value_at_one():
@@ -47,7 +47,7 @@ def test_gauss_value_at_one():
 @pytest.mark.parametrize("t", [0.5, 0.9, 0.99, 0.999])
 def test_series_matches_mpmath_near_one(t):
     expected = float(mpmath.hyp2f1(1, -0.5, 2.5, t))
-    assert cont.hypergeom_f(1.0, -0.5, 2.5, t) == pytest.approx(expected, rel=1e-14)
+    assert cont.hypergeom_f(1.0, -0.5, 2.5, t) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("a, b, c", [(0.5, 0.5, 2.0), (0.3, 1.2, 3.1), (1.0, -0.5, 2.5),
@@ -56,7 +56,7 @@ def test_unit_circle_values_match_mpmath(a, b, c):
     # t = 1 is Gauss's sum (0 for c - a = -1), t = -1 the Pfaff transform at 1/2
     for t in (1.0, -1.0):
         expected = float(mpmath.hyp2f1(a, b, c, t))
-        assert cont.hypergeom_f(a, b, c, t) == pytest.approx(expected, rel=1e-14)
+        assert cont.hypergeom_f(a, b, c, t) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_unbounded_sums_raise_instead_of_truncating():

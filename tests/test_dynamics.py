@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from spherekuramoto import complexball as cb
+from spherekuramoto import continuum as cont
 from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
 from spherekuramoto import gradient as gr
 from spherekuramoto import reduced as red
+from spherekuramoto.sampling import rng_from
 
 from oracles import (
     angles_to_plane,
@@ -499,3 +502,46 @@ def test_sync_metrics_random_cloud():
     m = dyn.sync_metrics(x, spec)
     assert m.Znorm == pytest.approx(np.linalg.norm(x.mean(axis=0)), abs=1e-15)
     assert -1.0 <= m.min_pair_dot < 0.5
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (dyn.as_weights, ([True, False, False], 3), "weights"),  # read as 1, 0, 0
+    (dyn.as_weights, (["0.5", "0.25", "0.25"], 3), "weights"),  # parsed as numbers
+    (dyn.explicit_weights, (["0.5", "0.5"],), "weights"),
+    (dyn.explicit_weights, (5,), "weights"),  # TypeError from len()
+    (dyn.validate_configuration, ([[True, False], [False, True]],), "configuration"),
+    (dyn.order_parameter, (np.eye(2), [False, True]), "weights"),
+])
+def test_array_arguments_pass_the_one_array_rule(build, args, name):
+    with pytest.raises(geo.GeometryError, match=f"'{name}'"):
+        build(*args)
+
+
+def _seeded_calls():
+    ctx = gr.PotentialContext(dyn.random_configuration(6, 3, 1), dyn.equal_weights(6))
+    z = np.array([0.1, 0.2, 0.3])
+    return {
+        "random_configuration": lambda seed: dyn.random_configuration(3, 3, seed),
+        "find_fixed_point": lambda seed: gr.find_fixed_point(ctx, seed=seed),
+        "classify_limits": lambda seed: gr.classify_limits(ctx, "forward", seed=seed, horizon=0.1),
+        "poisson_integral_mc": lambda seed: cont.poisson_integral_mc(lambda x: x, z, 10, seed=seed),
+        "sample_pushforward": lambda seed: cont.sample_pushforward(z, 10, seed=seed),
+        "divergence_from_real": lambda seed: cb.divergence_from_real(2, seed, n_samples=10),
+        "rng_from": lambda seed: rng_from(seed),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_seeded_calls()))
+@pytest.mark.parametrize("seed", [2.7, True, np.float64(2.0), "2", -1])
+def test_seeds_are_checked_not_truncated(entry, seed):
+    # int() ran each of these with seed 2 for 2.7, or 1 for True
+    with pytest.raises(geo.GeometryError, match="'seed'"):
+        _seeded_calls()[entry](seed)
+
+
+@pytest.mark.parametrize("stream", [2.5, True, -1, None])
+def test_stream_indices_are_checked_not_truncated(stream):
+    with pytest.raises(geo.GeometryError, match="'stream'"):
+        rng_from(3, 0, stream)
+    assert rng_from(3, np.int64(1)).random() == rng_from(3, 1).random()
+

@@ -439,3 +439,52 @@ def test_sphere_point_tolerance():
     geo.as_sphere_point(np.array([1.0 + 5e-13, 0.0]))
     with pytest.raises(geo.GeometryError):
         geo.as_sphere_point(np.array([1.0 + 1e-10, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the array rule
+
+
+def test_array_rule_converts_as_numpy_does():
+    v = np.array([0.1, 0.2, 0.3])
+    assert geo._array(v, "v", (3,)) is v  # a float array passes through uncopied
+    big = [2**64, 1]  # an object array until it is converted
+    assert np.array_equal(geo._array(big, "v", (None,)), np.asarray(big, dtype=float))
+    z = geo._array([1j, 2], "z", (2,), complex)
+    assert z.dtype == complex and np.array_equal(z, [1j, 2])
+
+
+@pytest.mark.parametrize("value, shape, kind, message", [
+    ([True, False], (None,), float, "booleans or strings"),
+    (np.array([1, 0], dtype=bool), (2,), float, "booleans or strings"),
+    (["0.5", "0.5"], (None,), float, "booleans or strings"),
+    ([2**64, True], (None,), float, "booleans or strings"),
+    (["1j", "0"], (2,), complex, "booleans or strings"),
+    ([1.0, "x"], (None,), float, "numbers"),
+    ([10**400], (None,), float, "numbers"),
+    ([[1.0, 2.0]], (None,), float, "shape"),
+    ([1.0, 2.0], (3,), float, "shape"),
+    ([[1.0, 2.0]], (None, 3), float, "shape"),
+    (None, (None,), float, "shape"),
+    ([1.0, np.nan], (None,), float, "non-finite"),
+    ([1.0, np.inf], (2,), float, "non-finite"),
+    ([1.0, complex(0.0, np.inf)], (2,), complex, "non-finite"),
+])
+def test_array_rule_rejects_with_a_named_error(value, shape, kind, message):
+    with pytest.raises(geo.GeometryError, match=message) as info:
+        geo._array(value, "v", shape, kind)
+    assert str(info.value).startswith("'v'")
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (geo.antisymmetric_from_upper, ([["0", "1"], ["0", "0"]],), "matrix"),  # built from strings
+    (geo.antisymmetric_from_upper, ([[0.0, np.nan], [0.0, 0.0]],), "matrix"),  # a NaN generator
+    (geo.as_antisymmetric, ([[False, False], [False, False]],), "matrix"),
+    (geo.as_rotation, ([[True, False], [False, True]],), "rotation"),
+    (geo.as_vector, (["0.6", "0.8"],), "vector"),
+    (geo.as_sphere_point, ([False, True],), "vector"),
+    (geo.as_ball_point, (["0.1", "0.2"],), "vector"),
+])
+def test_geometry_constructors_pass_the_one_array_rule(build, args, name):
+    with pytest.raises(geo.GeometryError, match=f"'{name}'"):
+        build(*args)

@@ -413,3 +413,31 @@ def test_classify_rejects_unknown_direction():
     ctx = make_ctx(seed=31)
     with pytest.raises(geo.GeometryError):
         gr.classify_limits(ctx, "sideways", seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: gr.PolarState(0.0, ctx.base[0], 1.5),  # truncated to 1
+    lambda ctx: gr.PolarState(0.0, ctx.base[0], True),
+    lambda ctx: gr.semiscaled_jacobian(ctx, anchor=-1),  # silently the last base point
+    lambda ctx: gr.semiscaled_jacobian(ctx, anchor=ctx.n),  # IndexError
+    lambda ctx: gr.semiscaled_jacobian(ctx, anchor=0.5),
+    lambda ctx: gr.anchor_radius(ctx, 2.5),  # IndexError
+    lambda ctx: gr.anchor_radius(ctx, -1),  # silently the last base point
+    lambda ctx: gr.semiscaled_polar_rhs(gr.PolarState(0.0, ctx.base[0], ctx.n), ctx),
+])
+def test_anchor_is_checked_not_truncated(call):
+    with pytest.raises(geo.GeometryError, match="'anchor'"):
+        call(make_ctx(seed=27))
+
+
+@pytest.mark.parametrize("horizon", ["5", None, True, np.nan])
+def test_classify_limits_checks_its_horizon(horizon):
+    with pytest.raises(geo.GeometryError, match="'horizon'"):
+        gr.classify_limits(make_ctx(seed=3), "forward", horizon=horizon)
+
+
+@pytest.mark.parametrize("w", [[np.nan, 0.0, 0.0], [0.1, np.inf, 0.0], ["0.1", "0", "0"]])
+def test_scaled_field_rejects_nonfinite_or_string_points(w):
+    # a NaN point returned a NaN field
+    with pytest.raises(geo.GeometryError, match="'w'"):
+        gr.scaled_rhs(w, make_ctx(seed=24))

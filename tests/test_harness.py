@@ -967,3 +967,53 @@ def test_cli_entry_point_runs():
         capture_output=True,
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"weights": {"kind": "explicit", "values": [True, False, False, False, False]}},
+     "weights 'values'"),
+    ({"weights": {"kind": "explicit", "values": ["0.2"] * 5}}, "weights 'values'"),
+    # a boolean among numbers converts silently inside numpy
+    ({"weights": {"kind": "explicit", "values": [0.5, True, 0.5, 0, 0], "normalized": False}},
+     "weights 'values'"),
+    ({"weights": {"kind": "explicit", "values": [0.5, 0.5, False, 0, 0]}}, "weights 'values'"),
+    ({"rotation": {"kind": "explicit", "matrix": [[False] * 3] * 3}}, "rotation 'matrix'"),
+    ({"rotation": {"kind": "explicit", "matrix": [["0"] * 3] * 3}}, "rotation 'matrix'"),
+])
+def test_cli_boolean_or_string_arrays_are_validation_errors(tmp_path, capsys, overrides, field):
+    cfgfile = write_config(tmp_path / "c.json", n=5, **overrides)
+    assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 2
+    _one_error_naming(capsys, field)
+
+
+def test_per_particle_rotation_run_matches_integrate_full(tmp_path):
+    out = tmp_path / "pp.jsonl"
+    cfg = h.config_from_dict({
+        "d": 3, "n": 6, "mode": "full",
+        "rotation": {"kind": "random_per_particle", "scale": 0.5},
+        "h": 0.01, "t_end": 0.5, "stride": 10, "seed": 4, "out": str(out),
+    })
+    h.run_experiment(cfg, quiet=True)
+    _, records = h.read_trajectory(out)
+    A = h.resolve_rotation(cfg)
+    assert A.shape == (6, 3, 3) and not np.array_equal(A[0], A[1])
+    traj = dyn.integrate_full(h.initial_configuration(cfg), A, h.resolve_weights(cfg), cfg.h,
+                              cfg.t_end, projection=cfg.projection, stride=cfg.stride)
+    assert [r["t"] for r in records] == traj.times.tolist()
+    for rec, state in zip(records, traj.states):
+        assert np.array_equal(np.asarray(rec["state"]), state)
+
+
+def test_cli_integrator_abort_exits_3(tmp_path, capsys):
+    cfgfile = write_config(tmp_path / "c.json", d=3, n=10, seed=3, h=0.01, t_end=1.0,
+                           rotation={"kind": "random", "scale": 500.0})
+    assert cli.main(["compare", "--config", str(cfgfile), "--quiet"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("integrator abort:"), err
+
+
+@pytest.mark.parametrize("command", ["fixedpoint", "potential-check"])
+def test_potential_commands_reject_mean_field_coupling(tmp_path, capsys, command):
+    cfgfile = write_config(tmp_path / "c.json", coupling=1.0)
+    assert cli.main([command, "--config", str(cfgfile), "--quiet"]) == 2
+    _one_error_naming(capsys, "requires a linear weighted order parameter")

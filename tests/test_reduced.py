@@ -622,3 +622,14 @@ def test_recover_rotation_det_plus_one():
     rec = red.recover_rotation(src, tgt)
     assert np.max(np.abs(rec - rot)) <= 1e-12
     assert np.linalg.det(rec) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("source, target, name", [
+    (np.eye(3), np.full((3, 3), np.nan), "target"),  # numpy's LinAlgError
+    (np.full((3, 3), np.inf), np.eye(3), "source"),
+    (np.eye(3), np.eye(3)[:2], "target"),
+    ([[True, False], [False, True]], np.eye(2), "source"),
+])
+def test_recover_rotation_checks_both_arrays(source, target, name):
+    with pytest.raises(geo.GeometryError, match=f"'{name}'"):
+        red.recover_rotation(source, target)
