@@ -18,7 +18,7 @@ import numpy as np
 # tracer rebinds it in every module that holds it.
 from .dynamics import _drive, as_rotation_terms, rk4_step  # noqa: F401
 from .geometry import GeometryError, _boost, _generator, _number, as_ball_point, boost_apply
-from .sampling import rng_from, uniform_sphere
+from .sampling import _gaussian_rows, rng_from, uniform_sphere
 
 __all__ = [
     "ConvergenceError",
@@ -246,15 +246,18 @@ def poisson_integral_mc(f, z, n_samples, seed, stream=0):
 
     The samples are drawn, boosted and passed to f in blocks of _MC_ROWS
     rows, so memory does not grow with n_samples.  z is checked once; each
-    block takes the unchecked geometry._boost, whose precondition (unit rows,
-    |z| < 1) keeps every denominator above boost_apply's 1e-300 floor, so
-    the doubles are boost_apply's.  f is called once per block; it must
-    accept an (n, d) array, return (n,) or (n, m) values and be row-wise:
-    output k may depend only on row k.  The block means and sums
-    of squared deviations are merged by Chan, Golub & LeVeque (Amer. Stat.
-    37, 1983).  The sample stream is the one a single uniform_sphere draw of
-    all n_samples rows gives, except after a zero-norm redraw in
-    uniform_sphere, an event of probability zero.
+    block is normalized into a C-ordered (d, k) array, one sample per column,
+    and takes the unchecked geometry._boost on it, whose precondition (unit
+    points, |z| < 1) keeps every denominator above boost_apply's 1e-300
+    floor, so the images are boost_apply's doubles.  f is called once per
+    block with an (n, d) view of the images that need not be C-contiguous
+    (the transpose of the (d, n) block); it must return (n,) or (n, m)
+    values and be row-wise: output k may depend only on row k.  Each block's
+    sums run along its rows of n values, so numpy adds them pairwise.  The
+    block means and sums of squared deviations are merged by Chan, Golub &
+    LeVeque (Amer. Stat. 37, 1983).  The sample stream is the one a single
+    uniform_sphere draw of all n_samples rows gives, except after a zero-norm
+    redraw, an event of probability zero.
     """
     z = as_ball_point(z)
     n_samples = _number(n_samples, "n_samples", 0, kinds=())
@@ -262,13 +265,20 @@ def poisson_integral_mc(f, z, n_samples, seed, stream=0):
     mean = m2 = 0.0
     for done in range(0, n_samples, _MC_ROWS):
         k = min(_MC_ROWS, n_samples - done)
-        x = uniform_sphere(k, z.size, rng)
-        vals = np.asarray(f(_boost(w, x, np.einsum("ij,ij->i", x, x))[0]), dtype=float)
-        block_mean = vals.sum(axis=0) / k
-        dev = vals - block_mean
+        v, norms = _gaussian_rows(k, z.size, rng)
+        xt = np.divide(v.T, norms, out=np.empty((z.size, k)))
+        del v, norms  # each input goes once used, to keep peak memory low
+        x2 = xt[0] * xt[0]
+        for row in xt[1:]:
+            x2 += row * row
+        vals = np.asarray(f(_boost(w, xt, x2)[0].T), dtype=float).T  # (m, k) or (k,)
+        del xt, x2
+        block_mean = vals.sum(axis=-1) / k
+        dev = vals - block_mean[..., None]
+        dev *= dev
         delta = block_mean - mean
         mean = mean + delta * (k / (done + k))
-        m2 = m2 + (dev * dev).sum(axis=0) + delta * delta * (done * k / (done + k))
+        m2 = m2 + dev.sum(axis=-1) + delta * delta * (done * k / (done + k))
     if n_samples > 1:
         stderr = np.sqrt(m2 / (n_samples - 1)) / np.sqrt(n_samples)
     else:

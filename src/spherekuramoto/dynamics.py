@@ -125,11 +125,17 @@ def gaussian_riemann_weights(n, half_width=3.0):
     each weight is the density at the midpoint times the subinterval length,
     normalized so the total is 1.
     """
-    n, half_width = _number(n, "n", 0, kinds=()), _number(half_width, "half_width", 0.0)
-    edges = np.linspace(-half_width, half_width, n + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    w = np.exp(-0.5 * mids**2) * (edges[1] - edges[0])
-    return w / w.sum()
+    n = _number(n, "n", 0, kinds=())
+    half_width = float(_number(half_width, "half_width", 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(-half_width, half_width, n + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        w = np.exp(-0.5 * mids**2) * (edges[1] - edges[0])
+        total = w.sum()
+    if not 0.0 < total < np.inf:
+        raise GeometryError(f"'half_width' {half_width:g} is too wide for n = {n}: "
+                            f"the midpoint densities sum to {total:g}")
+    return w / total
 
 
 def majority_weights(n, dominant=0.6, index=0):

@@ -161,7 +161,11 @@ def antisymmetric_from_upper(m):
 
 def random_antisymmetric(d, rng, scale=1.0):
     """Antisymmetric matrix with i.i.d. normal strict-upper entries times scale."""
-    return antisymmetric_from_upper(scale * rng.standard_normal((d, d)))
+    with np.errstate(over="ignore"):
+        m = scale * rng.standard_normal((d, d))
+    if not np.isfinite(m).all():
+        raise GeometryError(f"'scale' {scale:g} makes non-finite generator entries")
+    return antisymmetric_from_upper(m)
 
 
 def nearest_rotation(m):
@@ -216,23 +220,37 @@ def boost_apply(w, x):
     if pts.shape[1] != w.size:
         raise GeometryError(f"dimension mismatch: boost in R^{w.size}, point in R^{pts.shape[1]}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        out, denom = _boost(w, pts, np.einsum("ij,ij->i", pts, pts))
+        out, denom = _boost_rows(w, pts)
     if np.any(np.abs(denom) < 1e-300):
         raise GeometryError("boost denominator vanished; state is corrupted")
     return out[0] if x.ndim == 1 else out
 
 
-def _boost(w, x, x2):
-    """boost_apply without validation, for right-hand sides run once per RK stage.
+def _boost(w, xt, x2):
+    """boost_apply without validation, on columns: the one boost kernel.
 
-    x is an (n, d) array and x2 its squared row norms; returns the images and
-    their denominators.  Precondition: |w| < 1 and unit rows.  Then each
+    xt is a (d, n) array whose columns are the points, with any strides (x.T
+    of an (n, d) array works), and x2 their squared norms; returns the (d, n)
+    images and the n denominators.  Every operation but w @ xt, the same BLAS
+    call as x @ w, is elementwise, so row callers get the doubles of the row
+    formula, and on a C-ordered block numpy's inner loops run along rows n
+    long instead of d.  Precondition: |w| < 1 and unit points.  Then each
     denominator is |x_i - w|^2 >= (1 - |w|)^2 > 0, so nothing is checked here.
     """
     w2 = float(w @ w)
-    c = 1.0 - 2.0 * (x @ w)
+    c = 1.0 - 2.0 * (w @ xt)
     denom = c + w2 * x2
-    return ((1.0 - w2) * x - (c + x2)[:, None] * w) / denom[:, None], denom
+    out = (1.0 - w2) * xt  # in place from here: two (d, n) temporaries fewer
+    out -= (c + x2) * w[:, None]
+    out /= denom
+    return out, denom
+
+
+def _boost_rows(w, x):
+    """_boost of the (n, d) rows x: the C-ordered (n, d) images, so that a
+    product with them keeps its bits, and the denominators."""
+    out, denom = _boost(w, x.T, np.einsum("ij,ij->i", x, x))
+    return np.ascontiguousarray(out.T), denom
 
 
 def _mobius_apply(rotation, boost, form, x):
@@ -242,10 +260,9 @@ def _mobius_apply(rotation, boost, form, x):
     by an integrator's own defect, so orbit points of a base checked at entry
     are rebuilt from any recorded state without re-checking it."""
     if form == LEFT:
-        out = _boost(boost, x, np.einsum("ij,ij->i", x, x))[0]
+        out = _boost_rows(boost, x)[0]
         return out if rotation is None else out @ rotation.T
-    x = x @ rotation.T
-    return _boost(-boost, x, np.einsum("ij,ij->i", x, x))[0]
+    return _boost_rows(-boost, x @ rotation.T)[0]
 
 
 def _coupling_sum(w, w2, x, x2, a):

@@ -19,13 +19,20 @@ def rng_from(seed, *stream):
 
 def uniform_sphere(n, d, rng):
     """n independent uniform points on S^(d-1): normalized Gaussian vectors."""
+    v, norms = _gaussian_rows(n, d, rng)
+    return v / norms[:, None]
+
+
+def _gaussian_rows(n, d, rng):
+    """(v, norms): the (n, d) Gaussian rows uniform_sphere normalizes, each
+    row of norm below 1e-12 redrawn, and their norms."""
     v = rng.standard_normal((n, _number(d, "d", 0, kinds=())))
     norms = _row_norms(v)
     while np.any(norms < 1e-12):  # essentially impossible; keeps the map total
         bad = norms < 1e-12
         v[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = _row_norms(v)
-    return v / norms[:, None]
+    return v, norms
 
 
 def _row_norms(x):

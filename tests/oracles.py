@@ -16,6 +16,8 @@ which carries the rotation through every RK stage in its own RK4 loop, for
 its chunked rotation pass, the
 weighted sum of the boosted image array for the fused coupling-sum kernel,
 the scaled plain sum of the positions for the mean-field order parameter,
+a frozen copy of the boost kernel's earlier row form, on (n, d) arrays,
+for the row callers of the column kernel,
 backward-flow settling with a finite-difference
 Newton polish for the interior fixed point, the pair formula itself for
 the skew-pair matrix, the whole (N, N) gram matrix and its strict upper
@@ -165,6 +167,15 @@ def poisson_integral_mc_reference(f, z, n_samples, seed, stream=0):
     else:
         stderr = np.full_like(np.atleast_1d(value), np.inf)
     return MCEstimate(value, stderr, int(n_samples))
+
+
+def boost_rows_reference(w, x, x2):
+    """The boost kernel on the (n, d) rows x with squared norms x2, as it
+    was written before it took columns: the images and the denominators."""
+    w2 = float(w @ w)
+    c = 1.0 - 2.0 * (x @ w)
+    denom = c + w2 * x2
+    return ((1.0 - w2) * x - (c + x2)[:, None] * w) / denom[:, None], denom
 
 
 def coupling_sum_reference(w, base, a):

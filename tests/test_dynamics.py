@@ -81,6 +81,16 @@ def test_scalar_arguments_pass_the_one_scalar_rule(build, args, name):
         build(*args)
 
 
+@pytest.mark.parametrize("n, half_width", [(10, 1000.0), (5, 2**64), (2, 1e300), (10, 1.7e308)])
+def test_gaussian_weights_reject_a_half_width_no_density_survives(n, half_width):
+    # every midpoint density underflowed, and w / w.sum() returned NaN weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(geo.GeometryError, match="'half_width'"):
+            dyn.gaussian_riemann_weights(n, half_width)
+    assert np.array_equal(dyn.gaussian_riemann_weights(5, 1000.0), [0, 0, 1, 0, 0])
+
+
 def test_uniform_sphere_rejects_a_dimension_below_one():
     from spherekuramoto.sampling import rng_from, uniform_sphere
     for d in (0, -1, 2.0):  # 0 redrew forever

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherekuramoto import continuum as cont
 from spherekuramoto import geometry as geo
+from spherekuramoto.geometry import LEFT, RIGHT
+from spherekuramoto.sampling import rng_from, uniform_sphere
 
-from oracles import (boost_sphere_form, coupling_sum_reference, mobius_disc_complex,
-                     radial_hyperbolic_length)
+from oracles import (boost_rows_reference, boost_sphere_form, coupling_sum_reference,
+                     mobius_disc_complex, radial_hyperbolic_length)
 
 
 def random_ball(rng, d, rmax=0.9):
@@ -99,6 +102,40 @@ def test_boost_batch_matches_single():
     batch = geo.boost_apply(w, xs)
     for i in range(6):
         assert np.allclose(batch[i], geo.boost_apply(w, xs[i]), atol=1e-15, rtol=0)
+
+
+def _layouts(x):
+    """x as a C-ordered, an F-ordered and a strided (n, d) array."""
+    wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+    wide[:, ::2] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "strided": wide[:, ::2]}
+
+
+def _same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 5, 100, 2000])
+@pytest.mark.parametrize("d", range(2, 10))
+def test_row_callers_keep_the_row_kernels_doubles(d, n):
+    # the column kernel makes the same BLAS call and the same elementwise ops
+    rng = np.random.default_rng(100 * d + n)
+    w, rotation = random_ball(rng, d), geo.random_rotation(d, rng)
+    x = rng.standard_normal((n, d))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    for pts in _layouts(x).values():
+        left = boost_rows_reference(w, pts, np.einsum("ij,ij->i", pts, pts))[0]
+        xr = pts @ rotation.T
+        right = boost_rows_reference(-w, xr, np.einsum("ij,ij->i", xr, xr))[0]
+        _same(geo.boost_apply(w, pts), left)
+        _same(geo._mobius_apply(None, w, LEFT, pts), left)
+        _same(geo._mobius_apply(rotation, w, LEFT, pts), left @ rotation.T)
+        _same(geo._mobius_apply(rotation, w, RIGHT, pts), right)
+    samples = uniform_sphere(n, d, rng_from(n + d, 0))
+    _same(cont.sample_pushforward(w, n, n + d),
+          boost_rows_reference(-w, samples, np.einsum("ij,ij->i", samples, samples))[0])
 
 
 def coupling_sum(w, base, a):
@@ -416,6 +453,14 @@ def test_antisymmetric_constructor_is_exact():
     geo.as_antisymmetric(A)
     with pytest.raises(geo.GeometryError):
         geo.as_antisymmetric(A + 1e-14 * np.eye(5))
+
+
+def test_random_antisymmetric_rejects_a_scale_that_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(geo.GeometryError, match="'scale'"):
+            geo.random_antisymmetric(5, np.random.default_rng(0), np.finfo(float).max)
+    assert np.isfinite(geo.random_antisymmetric(3, np.random.default_rng(0), 1e300)).all()
 
 
 def test_nearest_rotation_projects_and_fixes_determinant():

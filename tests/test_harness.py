@@ -855,6 +855,23 @@ def test_cli_huge_or_mistyped_field_is_validation_error(tmp_path, capsys, overri
     _one_error_naming(capsys, field)
 
 
+@pytest.mark.parametrize("n, overrides, field", [
+    (10, {"weights": {"kind": "gaussian_riemann", "half_width": 1000.0}}, "'half_width'"),
+    (5, {"weights": {"kind": "gaussian_riemann", "half_width": 2**64}}, "'half_width'"),
+    (5, {"rotation": {"kind": "random", "scale": 1e308}}, "'scale'"),
+    (5, {"rotation": {"kind": "random_per_particle", "scale": 1e308}}, "'scale'"),
+])
+def test_cli_field_too_large_for_its_arrays_is_validation_error(tmp_path, capsys, n, overrides,
+                                                                 field):
+    # these made NaN weights or an overflowed generator, or crashed in np.linspace
+    cfgfile = write_config(tmp_path / "c.json", n=n, **overrides)
+    assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and field in errors[0], errors
+
+
 def test_unreadable_paths_are_validation_errors(tmp_path, capsys):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"d": 3, "mode": "\xe9"}')

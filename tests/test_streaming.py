@@ -12,6 +12,7 @@ from spherekuramoto import continuum as cont
 from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
 from spherekuramoto import reduced as red
+from spherekuramoto.sampling import rng_from, uniform_sphere
 
 PAIR_ROWS = math.isqrt(dyn._PAIR_BLOCK)  # the largest N scanned in one product
 MC_ROWS = cont._MC_ROWS
@@ -87,6 +88,69 @@ def test_poisson_integral_mc_matches_one_draw(n, f):
     np.testing.assert_allclose(got.stderr, ref.stderr, rtol=1e-12, atol=0)
     if n == 1:
         assert np.all(np.isinf(got.stderr))
+
+
+@pytest.mark.parametrize("n", [1, MC_ROWS - 1, MC_ROWS, MC_ROWS + 1, 2 * MC_ROWS + 3])
+@pytest.mark.parametrize("d", [2, 4, 5, 8, 9])  # _row_norms takes np.linalg.norm from d = 8 on
+def test_poisson_integral_mc_matches_one_draw_in_every_dimension(d, n):
+    z = np.linspace(0.3, -0.2, d) / np.sqrt(d)
+    got = cont.poisson_integral_mc(lambda x: x, z, n, 12, stream=1)
+    ref = poisson_integral_mc_reference(lambda x: x, z, n, 12, stream=1)
+    assert got.value.shape == got.stderr.shape == (d,)
+    np.testing.assert_allclose(got.value, ref.value, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.stderr, ref.stderr, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_poisson_integral_mc_passes_f_the_samples_in_stream_order(d):
+    z, n = np.full(d, 0.2), 2 * MC_ROWS + 5
+    seen = []
+
+    def f(x):
+        assert x.shape[1] == d and x.dtype == float
+        seen.append(x.copy())
+        return x[:, 0]
+
+    cont.poisson_integral_mc(f, z, n, 5, stream=3)
+    images = geo.boost_apply(-z, uniform_sphere(n, d, rng_from(5, 3)))
+    assert [x.shape[0] for x in seen] == [MC_ROWS, MC_ROWS, 5]
+    # the squared norms are summed in another order, so the images may
+    # differ in their last bits
+    np.testing.assert_allclose(np.concatenate(seen), images, rtol=0, atol=1e-14)
+
+
+class _ZeroFirstRow:
+    """A generator whose first draw has an all-zero first row."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def standard_normal(self, size):
+        v = self.rng.standard_normal(size)
+        if not self.calls:
+            v[0] = 0.0
+        self.calls += 1
+        return v
+
+
+def test_poisson_integral_mc_redraws_a_zero_norm_sample(monkeypatch):
+    drawn = []
+
+    def fake_rng(seed, stream):
+        drawn.append(_ZeroFirstRow(seed))
+        return drawn[-1]
+
+    monkeypatch.setattr(cont, "rng_from", fake_rng)
+    z, n, seen = np.array([0.5, -0.3, 0.2]), MC_ROWS + 7, []
+    got = cont.poisson_integral_mc(lambda x: seen.append(x.copy()) or x, z, n, 4)
+    assert drawn[0].calls == 3  # block 1, its one-row redraw, block 2
+    rng = _ZeroFirstRow(4)  # the redraw follows the first block, not the last row
+    samples = np.concatenate([uniform_sphere(MC_ROWS, 3, rng), uniform_sphere(7, 3, rng)])
+    assert np.all(np.isfinite(samples))
+    images = np.concatenate(seen)
+    np.testing.assert_allclose(images, geo.boost_apply(-z, samples), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(images, axis=1), 1.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got.value, images.mean(axis=0), rtol=1e-12, atol=0)
 
 
 def test_poisson_integral_mc_calls_f_once_per_block():

@@ -25,11 +25,16 @@ base, backward from w = (0.2, -0.3, 0.1)), integrate_continuum (d = 3, K = 1,
 no rotation, backward from z = (0.3, 0, 0)) and integrate_full (N = 100,
 d = 3, equal weights, a shared rotation of scale 0.5).  Each child runs one
 untimed call, then LAYER_REPEATS runs of LAYER_STEPS steps at h = 0.01
-through the public entry point, and records the median time per step.
+through the public entry point, and records the median time per step.  The
+Monte Carlo entry times one block of poisson_integral_mc the same way: each
+run makes MC_BLOCKS calls of 2^14 samples (one block, d = 3, f the
+identity, z = (0.9, 0, 0), seeds 0, 1, ...), and the child records the
+median time per block.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import subprocess
@@ -62,11 +67,12 @@ print(json.dumps(seconds))
 """
 
 
-LAYER_STEPS, LAYER_REPEATS = 2000, 5
-LAYERS = {
-    "rk4 step: integrate_w (N = 100, d = 3)": "w",
-    "rk4 step: integrate_continuum (d = 3)": "continuum",
-    "rk4 step: integrate_full (N = 100, d = 3)": "full",
+LAYER_STEPS, LAYER_REPEATS, MC_BLOCKS = 2000, 5, 200
+LAYERS = {  # entry name: (child layer, calls per timed run, metric)
+    "rk4 step: integrate_w (N = 100, d = 3)": ("w", LAYER_STEPS, "step_s"),
+    "rk4 step: integrate_continuum (d = 3)": ("continuum", LAYER_STEPS, "step_s"),
+    "rk4 step: integrate_full (N = 100, d = 3)": ("full", LAYER_STEPS, "step_s"),
+    "poisson_integral_mc block (d = 3, 2^14 samples)": ("mc", MC_BLOCKS, "block_s"),
 }
 
 LAYER_CHILD = r"""
@@ -78,18 +84,28 @@ layer, repeats, steps = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 base = dynamics.random_configuration(100, 3, 7000)
 a = dynamics.equal_weights(100)
 A = geometry.random_antisymmetric(3, np.random.default_rng(7000), 0.5)
+def rk4(integrate):
+    def run():
+        traj = integrate(0.01)
+        if traj.stop != "end":
+            raise SystemExit(f"{layer} stopped early: {traj.stop}")
+    return run
+def mc():
+    z = np.array([0.9, 0.0, 0.0])
+    for seed in range(steps):
+        continuum.poisson_integral_mc(lambda x: x, z, 2**14, seed)
 run = {
-    "w": lambda h: reduced.integrate_w(np.array([0.2, -0.3, 0.1]), base, a, -h, -steps * h, steps),
-    "continuum": lambda h: continuum.integrate_continuum(
-        continuum.ContinuumState(np.array([0.3, 0.0, 0.0]), 1.0), -h, -steps * h, steps),
-    "full": lambda h: dynamics.integrate_full(base, A, a, h, steps * h, stride=steps),
+    "w": rk4(lambda h: reduced.integrate_w(np.array([0.2, -0.3, 0.1]), base, a,
+                                           -h, -steps * h, steps)),
+    "continuum": rk4(lambda h: continuum.integrate_continuum(
+        continuum.ContinuumState(np.array([0.3, 0.0, 0.0]), 1.0), -h, -steps * h, steps)),
+    "full": rk4(lambda h: dynamics.integrate_full(base, A, a, h, steps * h, stride=steps)),
+    "mc": mc,
 }[layer]
 seconds = []
 for k in range(repeats + 1):
     start = time.perf_counter()
-    traj = run(0.01)
-    if traj.stop != "end":
-        raise SystemExit(f"{layer} stopped early: {traj.stop}")
+    run()
     if k:
         seconds.append((time.perf_counter() - start) / steps)
 print(json.dumps(statistics.median(seconds)))
@@ -141,11 +157,11 @@ def run_fixedpoint(path, args):
     return {"wall_s": statistics.median(json.loads(proc.stdout))}, None, 0
 
 
-def run_layer(path, layer):
+def run_layer(path, layer, calls, metric):
     proc = subprocess.run([sys.executable, "-c", LAYER_CHILD, str(Path(path).resolve()), layer,
-                           str(LAYER_REPEATS), str(LAYER_STEPS)],
+                           str(LAYER_REPEATS), str(calls)],
                           capture_output=True, text=True, check=True)
-    return {"step_s": json.loads(proc.stdout)}, None, 0
+    return {metric: json.loads(proc.stdout)}, None, 0
 
 
 def summary(values):
@@ -206,10 +222,10 @@ def main(argv=None):
     out["workloads"]["fixedpoint --seeds 5"] = measure(
         "fixedpoint --seeds 5", args.pairs("fixedpoint"),
         lambda path: run_fixedpoint(path, args), args, specs)
-    for name, layer in LAYERS.items():
+    for name, (layer, calls, metric) in LAYERS.items():
         out["workloads"][name] = measure(
-            name, args.pairs(layer), lambda path, layer=layer: run_layer(path, layer),
-            args, specs)
+            name, args.pairs(layer),
+            functools.partial(run_layer, layer=layer, calls=calls, metric=metric), args, specs)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 
