@@ -249,10 +249,13 @@ def poisson_integral_mc(f, z, n_samples, seed, stream=0):
     block is normalized into a C-ordered (d, k) array, one sample per column,
     and takes the unchecked geometry._boost on it, whose precondition (unit
     points, |z| < 1) keeps every denominator above boost_apply's 1e-300
-    floor, so the images are boost_apply's doubles.  f is called once per
-    block with an (n, d) view of the images that need not be C-contiguous
-    (the transpose of the (d, n) block); it must return (n,) or (n, m)
-    values and be row-wise: output k may depend only on row k.  Each block's
+    floor, so the images are boost_apply's doubles.  The draw, the points
+    and the images fill one workspace allocated per call (the images
+    overwrite the spent draw), so no block faults in fresh pages.  f is
+    called once per block with an (n, d) view of the images that need not be
+    C-contiguous (the transpose of the (d, n) block) and that the next block
+    overwrites; it must return (n,) or (n, m) values and be row-wise: output
+    k may depend only on row k.  Each block's
     sums run along its rows of n values, so numpy adds them pairwise.  The
     block means and sums of squared deviations are merged by Chan, Golub &
     LeVeque (Amer. Stat. 37, 1983).  The sample stream is the one a single
@@ -261,18 +264,20 @@ def poisson_integral_mc(f, z, n_samples, seed, stream=0):
     """
     z = as_ball_point(z)
     n_samples = _number(n_samples, "n_samples", 0, kinds=())
-    rng, w = rng_from(seed, stream), -z
+    rng, w, d = rng_from(seed, stream), -z, z.size
+    work = np.empty((2, d * min(_MC_ROWS, n_samples)))  # the draw, then its images; the points
     mean = m2 = 0.0
     for done in range(0, n_samples, _MC_ROWS):
         k = min(_MC_ROWS, n_samples - done)
-        v, norms = _gaussian_rows(k, z.size, rng)
-        xt = np.divide(v.T, norms, out=np.empty((z.size, k)))
+        v, norms = _gaussian_rows(k, d, rng, work[0, :d * k].reshape(k, d))
+        xt = np.divide(v.T, norms, out=work[1, :d * k].reshape(d, k))
         del v, norms  # each input goes once used, to keep peak memory low
         x2 = xt[0] * xt[0]
         for row in xt[1:]:
             x2 += row * row
-        vals = np.asarray(f(_boost(w, xt, x2)[0].T), dtype=float).T  # (m, k) or (k,)
-        del xt, x2
+        img = _boost(w, xt, x2, work[0, :d * k].reshape(d, k))[0]
+        vals = np.asarray(f(img.T), dtype=float).T  # (m, k) or (k,)
+        del xt, x2, img
         block_mean = vals.sum(axis=-1) / k
         dev = vals - block_mean[..., None]
         dev *= dev

@@ -157,8 +157,9 @@ def random_configuration(n, d, seed, stream=0):
 
 
 def validate_configuration(x):
-    """Check an (N, d) array of unit rows and return it as float."""
-    x = _array(x, "configuration", (None, None))
+    """Check an (N, d) array of unit rows and return it as a C-ordered float
+    array, so that no product with it depends on the caller's memory layout."""
+    x = np.ascontiguousarray(_array(x, "configuration", (None, None)))
     if x.shape[0] < 1 or x.shape[1] < 2:
         raise GeometryError("configuration needs N >= 1 points in dimension d >= 2")
     err = float(np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)))
@@ -261,7 +262,7 @@ class _Stop(Exception):
 def _ball_step(rhs, y, y2, h):
     """One RK4 step of the (d,) ball point y, y2 = y @ y, for rhs(y, y2):
     (y_next, y_next @ y_next), or _Stop.  Each stage's |y|^2 is the one
-    ndarray dot that guards it and that rhs takes; the stage sums y + c k run
+    ndarray .dot that guards it and that rhs takes; the stage sums y + c k run
     on Python floats, which round as numpy's elementwise ops do."""
     ys, ks, v, v2 = y.tolist(), [], y, y2
     for c in (0.5 * h, 0.5 * h, h, None):
@@ -270,10 +271,10 @@ def _ball_step(rhs, y, y2, h):
         ks.append(rhs(v, v2))
         if c is not None:
             v = np.array([a + c * k for a, k in zip(ys, ks[-1])])
-            v2 = float(v @ v)
+            v2 = float(v.dot(v))
     sixth = h / 6.0
     v = np.array([a + sixth * (k1 + 2.0 * (k2 + k3) + k4) for a, k1, k2, k3, k4 in zip(ys, *ks)])
-    v2 = float(v @ v)
+    v2 = float(v.dot(v))
     if not math.isfinite(v2):  # finite entries whose square overflows lie past the sphere
         raise _Stop("boundary" if np.isfinite(v).all() else "nonfinite")
     if math.sqrt(v2) >= 1.0 - BOUNDARY_TOL:  # the double np.linalg.norm returns

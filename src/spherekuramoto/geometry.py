@@ -56,8 +56,13 @@ def _number(value, name, low=-np.inf, high=np.inf, kinds=(float, np.floating)):
     every scalar argument and every numeric configuration field and flag."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer, *kinds))
             or not low < value < high or kinds and not abs(value) <= sys.float_info.max):
+        bounds = ", ".join(f"{b:g}" if isinstance(b, float) else str(b) for b in (low, high))
+        try:
+            shown = repr(value)
+        except ValueError:  # an int past Python's digit limit for str()
+            shown = f"an integer of {value.bit_length()} bits"
         raise GeometryError(f"'{name}' must be {'a finite number' if kinds else 'an integer'} "
-                            f"in ({low:g}, {high:g}), got {value!r}")
+                            f"in ({bounds}), got {shown}")
     return value
 
 
@@ -226,22 +231,27 @@ def boost_apply(w, x):
     return out[0] if x.ndim == 1 else out
 
 
-def _boost(w, xt, x2):
+def _boost(w, xt, x2, out=None):
     """boost_apply without validation, on columns: the one boost kernel.
 
     xt is a (d, n) array whose columns are the points, with any strides (x.T
     of an (n, d) array works), and x2 their squared norms; returns the (d, n)
-    images and the n denominators.  Every operation but w @ xt, the same BLAS
-    call as x @ w, is elementwise, so row callers get the doubles of the row
-    formula, and on a C-ordered block numpy's inner loops run along rows n
-    long instead of d.  Precondition: |w| < 1 and unit points.  Then each
-    denominator is |x_i - w|^2 >= (1 - |w|)^2 > 0, so nothing is checked here.
+    images, written into out if one is given, and the n denominators.  Every
+    operation but w @ xt, the same BLAS call as x @ w, is elementwise, so row
+    callers get the doubles of the row formula, and on a C-ordered block
+    numpy's inner loops run along rows n long instead of d.  The images are
+    the only (d, n) array formed: each row takes its w_j (c + |x|^2) term as
+    one length-n temporary.  Precondition: |w| < 1 and unit points.  Then
+    each denominator is |x_i - w|^2 >= (1 - |w|)^2 > 0, so nothing is
+    checked here.
     """
     w2 = float(w @ w)
     c = 1.0 - 2.0 * (w @ xt)
     denom = c + w2 * x2
-    out = (1.0 - w2) * xt  # in place from here: two (d, n) temporaries fewer
-    out -= (c + x2) * w[:, None]
+    out = np.multiply(1.0 - w2, xt, out=out)
+    c += x2
+    for row, wj in zip(out, w.tolist()):
+        row -= c * wj
     out /= denom
     return out, denom
 
@@ -266,24 +276,27 @@ def _mobius_apply(rotation, boost, form, x):
 
 
 def _coupling_sum(w, w2, x, x2, a):
-    """sum_i a_i M_w(x_i) without forming the images M_w(x_i).
+    """The boost-first flow w' = -(1 - |w|^2) Z0 / 2 with Z0 = sum_i a_i M_w(x_i),
+    without forming the images M_w(x_i).
 
-    Same arguments and precondition as _boost, plus w2 = |w|^2, which the
-    callers' boost flow needs too, and the weight vector a of length n;
-    returns the weighted sum of the images, as a list of d floats, and their
+    Same arguments and precondition as _boost, plus w2 = |w|^2 and the weight
+    vector a of length n; returns w' and Z0, each a list of d floats, and the
     denominators.  Each image is ((1 - |w|^2) x_i - (c_i + |x_i|^2) w) / denom_i
     with c_i = 1 - 2 <x_i, w>, so with q = a / denom the sum is
 
-        (1 - |w|^2) q @ x - <q, c + |x|^2> w,
+        Z0 = (1 - |w|^2) q @ x - <q, c + |x|^2> w,
 
     two length-n vectors and one (n, d) matrix-vector product per call, all
-    numpy's; the d-length rest runs on Python floats, the same doubles.
+    numpy's ndarray .dot (the BLAS call of @ without matmul's dispatch, and
+    on any strides the doubles of a C-contiguous x); the d-length rest runs
+    on Python floats, the same doubles.
     """
-    c = 1.0 - 2.0 * (x @ w)
+    c = 1.0 - 2.0 * x.dot(w)
     denom = c + w2 * x2
     q = a / denom
-    s, qc = 1.0 - w2, float(q @ (c + x2))
-    return [s * p - qc * v for p, v in zip((q @ x).tolist(), w.tolist())], denom
+    s, qc = 1.0 - w2, float(q.dot(c + x2))
+    Z0 = [s * p - qc * v for p, v in zip(q.dot(x).tolist(), w.tolist())]
+    return [-0.5 * s * z for z in Z0], Z0, denom
 
 
 @dataclass(frozen=True)
@@ -434,9 +447,9 @@ def infinitesimal_generator(A, Z, y):
 def _generator(A, Z, y, y2):
     """infinitesimal_generator without validation, for right-hand sides run
     once per RK stage: (1 + |y|^2) Z / 2 - <Z, y> y, plus A y unless A is None,
-    as a list of floats for y2 = y @ y.  <Z, y> and A y are numpy's; the rest
-    runs on Python floats, the same doubles.  The rotation-first reduced flow
-    and the mean-field flow share it."""
-    s, zy = 0.5 * (1.0 + y2), float(Z @ y)
+    as a list of floats for y2 = y @ y.  <Z, y> and A y are numpy's ndarray
+    .dot; the rest runs on Python floats, the same doubles.  The rotation-first
+    reduced flow and the mean-field flow share it."""
+    s, zy = 0.5 * (1.0 + y2), float(Z.dot(y))
     out = [s * p - zy * v for p, v in zip(Z.tolist(), y.tolist())]
-    return out if A is None else [o + r for o, r in zip(out, (A @ y).tolist())]
+    return out if A is None else [o + r for o, r in zip(out, A.dot(y).tolist())]

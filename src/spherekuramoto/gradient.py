@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import as_weights, explicit_weights, min_pair_dot
+from .dynamics import as_weights, explicit_weights, min_pair_dot, step_count
 from .geometry import (LEFT, GeometryError, _array, _mobius_apply, _number, as_ball_point,
                        as_sphere_point, boost_apply)
 from .reduced import integrate_w, validate_base_points, w_rhs
@@ -379,7 +379,9 @@ def classify_limits(ctx, direction, seed=0, horizon=40.0):
     sign = 1.0 if direction == "forward" else -1.0
     t_end = sign * abs(_number(horizon, "horizon"))
     w0 = uniform_ball(ctx.d, rng_from(seed, 7), radius=0.5)
-    traj = integrate_w(w0, ctx.base, ctx.weights, sign * FLOW_STEP, t_end)
+    h = sign * FLOW_STEP
+    # only the final state is read, so the run records no other
+    traj = integrate_w(w0, ctx.base, ctx.weights, h, t_end, max(step_count(t_end, h), 1))
     w_end = traj.final
     x = _mobius_apply(None, w_end, LEFT, ctx.base)  # reconstruction up to a rotation
     min_pair = min_pair_dot(x)

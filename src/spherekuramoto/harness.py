@@ -42,6 +42,8 @@ MODES = ("full", "reduced_w", "reduced_wzeta", "reduced_zzeta", "continuum")
 WEIGHT_KINDS = ("equal", "explicit", "gaussian_riemann", "majority")
 ROTATION_KINDS = ("zero", "random", "random_per_particle", "explicit")
 
+MAX_DOUBLES = 2**27  # the most doubles one array of a run may hold: n * d, d * d, n * d * d
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ABORT = 3
@@ -127,8 +129,8 @@ def config_from_dict(data):
     for key in ("d", "n", "mode", "h", "t_end", "seed"):
         _require(key in data, f"missing required field '{key}'")
 
-    d = _checked("field", _number, data["d"], "d", 1, kinds=())
-    n = _checked("field", _number, data["n"], "n", 0, kinds=())
+    d = _checked("field", _number, data["d"], "d", 1, math.isqrt(MAX_DOUBLES) + 1, kinds=())
+    n = _checked("field", _number, data["n"], "n", 0, MAX_DOUBLES // d + 1, kinds=())
     mode = data["mode"]
     _require(isinstance(mode, str) and mode in MODES,
              f"field 'mode' must be one of {MODES}, got {mode!r}")
@@ -177,6 +179,12 @@ def _validate_semantics(cfg):
     if cfg.rotation["kind"] in ("random", "random_per_particle"):
         scale = _checked("rotation", _number, cfg.rotation.get("scale", 1.0), "scale")
         _require(scale >= 0.0, "rotation 'scale' must be a nonnegative number")
+        per_particle = cfg.rotation["kind"] == "random_per_particle"
+        _require(not per_particle or cfg.n * cfg.d * cfg.d <= MAX_DOUBLES,
+                 f"rotation 'random_per_particle' needs n * d * d <= {MAX_DOUBLES} doubles, "
+                 f"got n = {cfg.n}, d = {cfg.d}")
+        _require(math.isfinite(scale * _largest_draw(cfg, per_particle)),
+                 f"rotation 'scale' {scale:g} makes non-finite generator entries")
     if cfg.mode.startswith("reduced") or cfg.mode == "continuum":
         _require(cfg.rotation["kind"] != "random_per_particle",
                  f"mode '{cfg.mode}' requires one shared rotation term")
@@ -186,6 +194,19 @@ def _validate_semantics(cfg):
                  "mode 'reduced_w' needs a linear weighted order parameter, not 'coupling'")
     if cfg.mode == "continuum":
         _require(cfg.coupling is not None, "mode 'continuum' requires 'coupling'")
+
+
+def _largest_draw(cfg, per_particle):
+    """The largest magnitude among the standard normal entries that
+    resolve_rotation scales, drawn again from the same stream in blocks, so
+    the check holds no rotation term.  scale * it overflows exactly when
+    some scaled entry does."""
+    rng = rng_from(cfg.seed, 2 if per_particle else 1)
+    left, top = cfg.d * cfg.d * (cfg.n if per_particle else 1), 0.0
+    while left:
+        block = rng.standard_normal(min(left, 2**16))
+        top, left = max(top, float(np.max(np.abs(block)))), left - block.size
+    return top
 
 
 def config_to_dict(cfg):

@@ -141,24 +141,14 @@ def skew_pair_matrix(y1, y2):
     return np.outer(y2, y1) - np.outer(y1, y2)
 
 
-def _boost_flow(w, w2, base, x2, a):
-    """Unvalidated (w', Z0) of the boost-first flow as lists of d floats,
-    Z0 = sum_i a_i M_w(base_i) and w' = -(1 - |w|^2) Z0 / 2, for w2 = w @ w
-    and x2 = |base_i|^2; the doubles of w_rhs.  integrate_w and
-    integrate_reduced run it in every RK stage, with the w2 of the stage guard."""
-    Z0 = _coupling_sum(w, w2, base, x2, a)[0]
-    s = -0.5 * (1.0 - w2)
-    return [s * z for z in Z0], Z0
-
-
 def reduced_rhs(state, A, weights):
     """Time derivatives (boost', zeta') of orbit coordinates in either form,
     with Z = sum_i a_i x_i for the weights a.
 
     LEFT: w' = -(1 - |w|^2) Z0 / 2 and zeta' = A zeta + zeta (w Z0^T - Z0 w^T)
     with Z0 = Z(M_w(p)).  Z is linear, so the coupling vector at the
-    configuration zeta M_w(p) is zeta Z0 and w' never touches zeta; it is
-    the arithmetic of w_rhs.
+    configuration zeta M_w(p) is zeta Z0 and w' never touches zeta; both come
+    from geometry._coupling_sum, the arithmetic of w_rhs.
     RIGHT: z' = A z + (1 + |z|^2) Z / 2 - <Z, z> z, the Mobius generator of
     geometry.infinitesimal_generator, and zeta' = (A + skew(z, Z)) zeta, with
     Z evaluated at M_{-z}(zeta p).  A is None or one shared (d, d) term
@@ -170,8 +160,8 @@ def reduced_rhs(state, A, weights):
         raise GeometryError("boost parameter has reached the ball boundary")
     a = as_weights(weights, base.shape[0])
     if state.form == LEFT:
-        wdot, Z0 = _boost_flow(boost, float(boost @ boost), base,
-                               np.einsum("ij,ij->i", base, base), a)
+        wdot, Z0, _ = _coupling_sum(boost, float(boost.dot(boost)), base,
+                                    np.einsum("ij,ij->i", base, base), a)
         B = skew_pair_matrix(Z0, boost)
         return np.array(wdot), zeta @ B if A is None else A @ zeta + zeta @ B
     Z = a @ _mobius_apply(zeta, boost, state.form, base)  # M_{-z}(zeta p)
@@ -187,21 +177,22 @@ def w_rhs(w, base, weights):
     Validates like geometry.boost_apply: w must be a finite vector strictly
     inside the unit ball, base must match its dimension, the weights must
     pass dynamics.as_weights, and no boost denominator may fall below 1e-300 in
-    magnitude; each violation raises GeometryError.  The sum itself is the
+    magnitude; each violation raises GeometryError.  The flow itself is the
     fused kernel geometry._coupling_sum, the same arithmetic that integrate_w
-    and the boost-first reduced_rhs run in every RK stage.
+    and the boost-first reduced_rhs run in every RK stage, on a C-ordered
+    copy of base, so the doubles do not depend on its memory layout.
     """
     w = as_ball_point(w)
-    base = np.atleast_2d(np.asarray(base, dtype=float))
+    base = np.ascontiguousarray(np.atleast_2d(base), dtype=float)
     if base.shape[1] != w.size:
         raise GeometryError(f"dimension mismatch: boost in R^{w.size}, point in R^{base.shape[1]}")
     weights = as_weights(weights, base.shape[0])
-    w2 = float(w @ w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        Z0, denom = _coupling_sum(w, w2, base, np.einsum("ij,ij->i", base, base), weights)
+        wdot, _, denom = _coupling_sum(w, float(w.dot(w)), base,
+                                       np.einsum("ij,ij->i", base, base), weights)
     if np.any(np.abs(denom) < 1e-300):
         raise GeometryError("boost denominator vanished; state is corrupted")
-    return -0.5 * (1.0 - w2) * np.array(Z0)
+    return np.array(wdot)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +247,7 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
 
     def rhs(w, w2):
         nonlocal calls
-        wdot, Z0 = _boost_flow(w, w2, base, x2, a)
+        wdot, Z0, _ = _coupling_sum(w, w2, base, x2, a)
         stages[calls] = w, Z0
         calls += 1
         return wdot
@@ -326,7 +317,7 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
     x2 = np.einsum("ij,ij->i", base, base)
 
     def rhs(w, w2):  # w_rhs on the unvalidated kernel, with |base_i|^2 computed once
-        return _boost_flow(w, w2, base, x2, weights)[0]
+        return _coupling_sum(w, w2, base, x2, weights)[0]
 
     return _drive(rhs, w0, h, t_end, stride, True)
 

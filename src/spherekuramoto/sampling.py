@@ -23,10 +23,11 @@ def uniform_sphere(n, d, rng):
     return v / norms[:, None]
 
 
-def _gaussian_rows(n, d, rng):
+def _gaussian_rows(n, d, rng, out=None):
     """(v, norms): the (n, d) Gaussian rows uniform_sphere normalizes, each
-    row of norm below 1e-12 redrawn, and their norms."""
-    v = rng.standard_normal((n, _number(d, "d", 0, kinds=())))
+    row of norm below 1e-12 redrawn, and their norms.  v is drawn into out,
+    a C-ordered (n, d) array, when one is given: the same numbers."""
+    v = rng.standard_normal((n, _number(d, "d", 0, kinds=())), out=out)
     norms = _row_norms(v)
     while np.any(norms < 1e-12):  # essentially impossible; keeps the map total
         bad = norms < 1e-12

@@ -1,3 +1,5 @@
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy.stats import chi2
 from spherekuramoto import continuum as cont
 from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
+from spherekuramoto.sampling import rng_from
 
 from oracles import (
     centroid_ratio_reference,
@@ -472,3 +475,24 @@ def test_centroid_ratio_tables_reach_far_enough_in_high_dimension(d):
                 cont._centroid_ratio(d, t)
         else:
             assert cont._centroid_ratio(d, t) == expected
+
+
+# sha256 of the times, states and stop of four integrate_continuum runs, with
+# and without a rotation term, forward and backward, as written before the
+# ball-point stages took ndarray .dot products (the doubles did not move).
+CONTINUUM_DIGEST = "0f12f53f0d105b62024bbcd3ecd740ea85cac23f1420b4ab4b2d55aa4ff64e5c"
+
+
+def test_continuum_runs_keep_their_doubles():
+    rot3 = geo.random_antisymmetric(3, rng_from(5, 0), 0.5)
+    rot4 = geo.random_antisymmetric(4, rng_from(6, 0), 1.0)
+    runs = [((0.3, -0.2, 0.1), 1.0, None, 0.01, 40.0),  # stops at "boundary"
+            ((0.3, -0.2, 0.1), 1.0, None, -0.01, -5.0),
+            ((0.3, -0.2, 0.1), 1.0, rot3, 0.01, 40.0),
+            ((0.1, 0.2, -0.3, 0.4), 0.5, rot4, 0.01, 20.0)]
+    digest = hashlib.sha256()
+    for z, K, A, step, t_end in runs:
+        traj = cont.integrate_continuum(cont.ContinuumState(np.array(z), K, A), step, t_end)
+        for part in (traj.times.tobytes(), traj.states.tobytes(), traj.stop.encode()):
+            digest.update(part)
+    assert digest.hexdigest() == CONTINUUM_DIGEST

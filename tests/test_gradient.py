@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -441,3 +443,22 @@ def test_scaled_field_rejects_nonfinite_or_string_points(w):
     # a NaN point returned a NaN field
     with pytest.raises(geo.GeometryError, match="'w'"):
         gr.scaled_rhs(w, make_ctx(seed=24))
+
+
+# sha256 of classify_limits' reports (kind, metrics, w_star, limit_point) on
+# the criterion-7 base, both directions, seeds 0-4, as reported before the
+# boost flow's kernel took ndarray .dot products and the runs kept only their
+# final state (the doubles did not move).
+CLASSIFY_DIGEST = "7566a0e613ed4c5a4efd6565c5faad560006cfa50304e5a21a60b6d201530cbe"
+
+
+def test_classify_limits_reports_keep_their_doubles():
+    ctx = gr.PotentialContext(dyn.random_configuration(100, 3, 7000), dyn.equal_weights(100))
+    digest = hashlib.sha256()
+    for direction in ("backward", "forward"):
+        for seed in range(5):
+            report = gr.classify_limits(ctx, direction, seed=seed)
+            digest.update(repr((report.kind, sorted(report.metrics.items()))).encode())
+            for point in (report.w_star, report.limit_point):
+                digest.update(b"-" if point is None else point.tobytes())
+    assert digest.hexdigest() == CLASSIFY_DIGEST

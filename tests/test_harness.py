@@ -872,6 +872,64 @@ def test_cli_field_too_large_for_its_arrays_is_validation_error(tmp_path, capsys
     assert len(errors) == 1 and field in errors[0], errors
 
 
+@pytest.mark.parametrize("kind", ["random", "random_per_particle"])
+def test_rotation_scale_overflow_is_rejected_with_the_config(tmp_path, capsys, kind):
+    overrides = {"n": 5, "rotation": {"kind": kind, "scale": 1e308}}
+    cfgfile = write_config(tmp_path / "c.json", **overrides)
+    with pytest.raises(h.ConfigError, match="^rotation 'scale' 1e\\+308 makes non-finite"):
+        h.load_config(cfgfile)
+    with pytest.raises(h.ConfigError, match="^rotation 'scale'"):
+        h.config_from_dict(json.loads(cfgfile.read_text()))
+    assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 2
+    _one_error_naming(capsys, "error: rotation 'scale'")
+    # the check reads the run's own draws: the largest scale they leave
+    # finite is accepted and resolves, a slightly larger one fails both ways
+    top = h._largest_draw(h.load_config(write_config(tmp_path / "ok.json", n=5)), kind != "random")
+    fine = float(np.nextafter(np.finfo(float).max / top, 0.0))
+    cfg = h.load_config(write_config(tmp_path / "ok.json", n=5,
+                                     rotation={"kind": kind, "scale": fine}))
+    assert np.isfinite(h.resolve_rotation(cfg)).all()
+    over = {"kind": kind, "scale": fine * (1.0 + 1e-9)}
+    with pytest.raises(h.ConfigError, match="^rotation 'scale'"):
+        h.load_config(write_config(tmp_path / "over.json", n=5, rotation=over))
+    with pytest.raises(geo.GeometryError, match="non-finite generator entries"):
+        h.resolve_rotation(dataclasses.replace(cfg, rotation=over))
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"d": HUGE}, "field 'd' must be an integer in (1, 11586)"),
+    ({"d": 11586}, "field 'd'"),
+    ({"n": 10**12}, "field 'n' must be an integer in (0, 44739243)"),
+    ({"d": 1000, "n": 134218}, "field 'n' must be an integer in (0, 134218)"),
+    ({"d": 100, "n": 13422, "rotation": {"kind": "random_per_particle"}},
+     "rotation 'random_per_particle' needs n * d * d <= 134217728 doubles"),
+])
+def test_integer_fields_are_capped_at_the_arrays_they_size(tmp_path, capsys, overrides, field):
+    # no array of a run may hold more than MAX_DOUBLES = 2^27 doubles; these
+    # used to pass validation and fail in numpy (exit 1) or try to allocate
+    cfgfile = write_config(tmp_path / "c.json", **overrides)
+    with pytest.raises(h.ConfigError, match=re.escape(field)):
+        h.load_config(cfgfile)
+    assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 2
+    _one_error_naming(capsys, field)
+
+
+def test_an_integer_too_long_to_print_is_named_with_its_size():
+    # the error message used to raise Python's ValueError for str() of an int
+    # over 4300 digits; JSON cannot carry one, library callers can
+    doc = {"d": 10**5000, "n": 3, "mode": "full", "h": 0.01, "t_end": 1.0, "seed": 1}
+    with pytest.raises(h.ConfigError, match=r"^field 'd' must be an integer in \(1, 11586\), "
+                                            r"got an integer of 16610 bits$"):
+        h.config_from_dict(doc)
+
+
+def test_integer_caps_admit_the_largest_arrays():
+    # n * d and d * d both just below 2^27; validation allocates only the n weights
+    cfg = h.config_from_dict({"d": 11585, "n": 11585, "mode": "full", "h": 0.01,
+                              "t_end": 1.0, "seed": 1})
+    assert (cfg.d, cfg.n) == (11585, 11585)
+
+
 def test_unreadable_paths_are_validation_errors(tmp_path, capsys):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"d": 3, "mode": "\xe9"}')

@@ -633,3 +633,24 @@ def test_recover_rotation_det_plus_one():
 def test_recover_rotation_checks_both_arrays(source, target, name):
     with pytest.raises(geo.GeometryError, match=f"'{name}'"):
         red.recover_rotation(source, target)
+
+
+def test_boost_flow_doubles_do_not_depend_on_the_base_layout():
+    # a strided view and an F-ordered copy of the base give the doubles of
+    # the C-contiguous base: every entry takes a C-ordered base, and the
+    # kernel's .dot products are layout-blind
+    x0, A, a = make_system(40, 3, seed=61)
+    wide = np.zeros((40, 7))
+    wide[:, 1:7:2] = x0
+    w0 = np.array([0.2, -0.1, 0.3])
+
+    def runs(base):
+        back = red.integrate_w(w0, base, a, -0.01, -2.0)
+        fwd = red.integrate_reduced(red.ReducedState(w0, np.eye(3), base), A, a, 0.01, 2.0, 10)
+        return [back.states, fwd.states, fwd.info, red.w_rhs(w0, base, a)]
+
+    expected = runs(x0)
+    for base in (wide[:, 1:7:2], np.asfortranarray(x0), x0[::-1].copy()[::-1]):
+        assert not base.flags.c_contiguous
+        for got, want in zip(runs(base), expected):
+            assert np.array_equal(got, want)

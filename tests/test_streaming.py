@@ -125,8 +125,8 @@ class _ZeroFirstRow:
     def __init__(self, seed):
         self.rng, self.calls = np.random.default_rng(seed), 0
 
-    def standard_normal(self, size):
-        v = self.rng.standard_normal(size)
+    def standard_normal(self, size, out=None):  # numpy's out: fill a given array
+        v = self.rng.standard_normal(size, out=out)
         if not self.calls:
             v[0] = 0.0
         self.calls += 1
