@@ -125,25 +125,41 @@ def gaussian_riemann_weights(n, half_width=3.0):
     each weight is the density at the midpoint times the subinterval length,
     normalized so the total is 1.
     """
-    n = _number(n, "n", 0, kinds=())
-    half_width = float(_number(half_width, "half_width", 0.0))
+    n, half_width = _gaussian_riemann_args(n, half_width)
     with np.errstate(over="ignore", invalid="ignore"):
         edges = np.linspace(-half_width, half_width, n + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         w = np.exp(-0.5 * mids**2) * (edges[1] - edges[0])
-        total = w.sum()
-    if not 0.0 < total < np.inf:
-        raise GeometryError(f"'half_width' {half_width:g} is too wide for n = {n}: "
-                            f"the midpoint densities sum to {total:g}")
-    return w / total
+    return w / w.sum()
+
+
+def _gaussian_riemann_args(n, half_width):
+    """gaussian_riemann_weights' checked (n, half_width), without its n weights:
+    their sum is positive and finite exactly when the largest, a middle one,
+    is.  The edges are np.linspace's doubles."""
+    n, hw = _number(n, "n", 0, kinds=()), float(_number(half_width, "half_width", 0.0))
+    step = 2.0 * hw / n
+    e = np.array([hw if i == n else (i * step if step else i / n * (2.0 * hw)) - hw
+                  for i in (0, 1, *range((n - 1) // 2, n // 2 + 2))])
+    with np.errstate(over="ignore", invalid="ignore"):  # all 0 or all NaN: so is their sum
+        top = float(np.max(np.exp(-0.5 * (0.5 * (e[2:-1] + e[3:]))**2) * (e[1] - e[0])))
+    if not 0.0 < top < np.inf:
+        raise GeometryError(f"'half_width' {hw:g} is too wide for n = {n}: "
+                            f"the midpoint densities sum to {top:g}")
+    return n, hw
 
 
 def majority_weights(n, dominant=0.6, index=0):
     """One particle carries weight dominant, the rest split the remainder evenly."""
-    n, dominant = _number(n, "n", 1, kinds=()), _number(dominant, "dominant", 0.0, 1.0)
+    n, dominant, index = _majority_args(n, dominant, index)
     w = np.full(n, (1.0 - dominant) / (n - 1))
-    w[_number(index, "index", -1, n, kinds=())] = dominant
+    w[index] = dominant
     return w
+
+
+def _majority_args(n, dominant, index):  # majority_weights' checks, without its n weights
+    n, dominant = _number(n, "n", 1, kinds=()), _number(dominant, "dominant", 0.0, 1.0)
+    return n, dominant, _number(index, "index", -1, n, kinds=())
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +227,22 @@ def full_rhs(x, A, weights):
     return _field(x, as_weights(weights, x.shape[0]) @ x, A if A is None or A.ndim == 3 else A.T)
 
 
-def _field(x, Z, rot):
+def _field(x, Z, rot, out=None):
     """full_rhs unchecked, for the coupling vector Z = a @ x and the rotation
     term as it acts on the rows: None, x @ rot for rot = A^T of a shared term,
-    or the (N, d, d) stack applied row by row.  integrate_full runs it in
-    every RK stage."""
-    v = Z[None, :] - (x @ Z)[:, None] * x
-    if rot is None:
-        return v
-    return v + (x @ rot if rot.ndim == 2 else np.einsum("nij,nj->ni", rot, x))
+    or the (N, d, d) stack applied row by row; into out if given.  Z - <Z, x_i> x_i
+    runs on transposed views in C order, so each numpy loop is a column N long,
+    at most three columns a call: over four or more, numpy's strided loops ran
+    at half speed (N up to 2000)."""
+    out = np.empty(x.shape) if out is None else out
+    s = x @ Z
+    for j in range(0, x.shape[1], 3):
+        xt, ot = x[:, j:j + 3].T, out[:, j:j + 3].T
+        np.multiply(s, xt, out=ot, order="C")
+        np.subtract(Z[j:j + 3, None], ot, out=ot, order="C")
+    if rot is not None:
+        out += x @ rot if rot.ndim == 2 else np.einsum("nij,nj->ni", rot, x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +316,13 @@ def _drive(rhs, y0, h, t_end, stride, ball=False, after_step=lambda y: (y, 0.0, 
     step that lands within BOUNDARY_TOL of the sphere stops at "boundary"
     (synchrony), as does an RK stage leaving the ball from an accepted state
     within NEAR_BOUNDARY of the sphere; from farther inside, that stage is a
-    failed step, "unstable".  A non-finite step stops at "nonfinite".
-    Otherwise after_step(y) returns (y, info, stop): the state as accepted
-    (projected), a value recorded with it, and None or an abort of _ABORTS to
-    stop.  Returns the Trajectory of t = 0, every stride steps, the last step
-    and, after an early stop, the last accepted state; an abort raises
-    IntegrationAbort carrying it instead.
+    failed step, "unstable", and a non-finite step stops at "nonfinite".
+    Without ball, rhs(y) is the whole step, a fresh array.  A step that did
+    not stop the run goes to after_step(y), which returns (y, info, stop): the
+    state as accepted (projected), a value recorded with it, and None or an
+    abort of _ABORTS to stop.  Returns the Trajectory of t = 0, every stride
+    steps, the last step and, after an early stop, the last accepted state;
+    an abort raises IntegrationAbort carrying it instead.
     """
     n_steps = step_count(t_end, h)
     stride = _number(stride, "stride", 0, kinds=())
@@ -308,11 +332,9 @@ def _drive(rhs, y0, h, t_end, stride, ball=False, after_step=lambda y: (y, 0.0, 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             try:
-                y_next, y2_next = _ball_step(rhs, y, y2, h) if ball else (rk4_step(rhs, y, h), None)
+                y_next, y2_next = _ball_step(rhs, y, y2, h) if ball else (rhs(y), None)
             except _Stop as stop:
                 reason = stop.args[0]
-            except SimulationError:
-                reason = "nonfinite"
             else:
                 y_next, info_next, reason = after_step(y_next)
             if reason is not None:
@@ -365,19 +387,31 @@ def integrate_full(x0, A, weights, h, t_end, projection=True, stride=1):
     A = as_rotation_terms(A, d, n)
     weights = as_weights(weights, n)
     rot = A if A is None or A.ndim == 3 else np.ascontiguousarray(A.T)
+    k1, k2, k3, k4, x = np.empty((5, n, d))  # the slopes, and a stage point the last sum reuses
     drift = 0.0
+
+    def step(y):  # rk4_step's arithmetic on _field in the workspace: the same doubles
+        _field(y, weights @ y, rot, k1)
+        for k, c, nxt in ((k1, 0.5 * h, k2), (k2, 0.5 * h, k3), (k3, h, k4)):
+            np.add(y, np.multiply(k, c, out=x), out=x)
+            _field(x, weights @ x, rot, nxt)
+        np.add(np.multiply(np.add(k2, k3, out=x), 2.0, out=x), k1, out=x)
+        return y + np.multiply(np.add(x, k4, out=x), h / 6.0, out=x)
 
     def after_step(x):
         nonlocal drift
         norms = _row_norms(x)
         defect = float(np.max(np.abs(norms - 1.0)))
+        if not math.isfinite(defect) and not np.isfinite(x).all():
+            return x, drift, "nonfinite"  # finite rows whose squares overflow are no such step
         drift = max(drift, defect)
         if projection:
-            return x / norms[:, None], drift, "unstable" if defect > NORM_DRIFT_LIMIT else None
+            for j in range(0, d, 3):  # as in _field
+                np.divide(x[:, j:j + 3].T, norms, out=x[:, j:j + 3].T, order="C")
+            return x, drift, "unstable" if defect > NORM_DRIFT_LIMIT else None
         return x, drift, "drift" if drift > NORM_DRIFT_LIMIT else None
 
-    return _drive(lambda x: _field(x, weights @ x, rot), x0, h, t_end, stride,
-                  after_step=after_step)
+    return _drive(step, x0, h, t_end, stride, after_step=after_step)
 
 
 # ---------------------------------------------------------------------------

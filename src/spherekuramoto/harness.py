@@ -20,6 +20,8 @@ from . import __version__
 from .continuum import ContinuumState, integrate_continuum, order_parameter_closed_form
 from .dynamics import (
     IntegrationAbort,
+    _gaussian_riemann_args,
+    _majority_args,
     as_rotation_terms,
     as_weights,
     equal_weights,
@@ -163,8 +165,13 @@ def _validate_semantics(cfg):
     if cfg.coupling is not None:
         _require(wkind == "equal",
                  "'coupling' (mean-field) and non-default weights are mutually exclusive")
-    try:
-        resolve_weights(cfg)
+    try:  # the scalar rules of each kind; equal and mean-field ones take only n and coupling
+        if wkind == "explicit":  # built from the values the document holds
+            resolve_weights(cfg)
+        elif wkind == "gaussian_riemann":
+            _gaussian_riemann_args(cfg.n, cfg.weights.get("half_width", 3.0))
+        elif wkind == "majority":
+            _majority_args(cfg.n, cfg.weights.get("dominant", 0.6), cfg.weights.get("index", 0))
     except GeometryError as exc:  # only the weight checks' own messages say "weights"
         field = "'values' invalid: " if "weights" in str(exc) else ""
         raise ConfigError(f"{wkind} weights {field}{exc}") from exc

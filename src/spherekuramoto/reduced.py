@@ -58,28 +58,28 @@ SAME_DIRECTION = 1.0 - 4.0 * 2.0**-52  # normalized rows this aligned count as o
 
 
 def validate_base_points(p):
-    """Check that a base configuration is in general position.
+    """Check that a base configuration is in general position: unit rows,
+    pairwise distinct points, and at least three distinct directions up to
+    sign (otherwise the orbit coordinates are not unique).
 
-    Required: unit rows, pairwise distinct points, and at least three
-    distinct directions up to sign (otherwise the orbit coordinates are not
-    unique).
-
-    The distance test reads the pairwise dot products g_ij = <u_i, u_j>,
-    i < j, of the normalized rows u_i = p_i / |p_i|, streamed in fixed blocks
-    of rows (dynamics._pair_dots), so memory does not grow as N^2.  A pair
-    fails when g_ij >= SAME_DIRECTION = 1 - 4 * 2^-52: every exact duplicate
-    row does, whatever its rounded norm, since a normalized row's computed
-    <u, u> is within a few units in the last place of 1.  As
-    |u_i - u_j|^2 = 2 - 2 g_ij, the resolution is 2^-24.5, about 4.2e-8:
-    closer pairs are rejected, and so is every pair closer than about 1e-8,
-    whose raw dot product rounds to 1.
+    Two rows are one point when the dot g_ij = <u_i, u_j> of the normalized
+    rows u_i = p_i / |p_i| reaches SAME_DIRECTION = 1 - 4 * 2^-52.  Every exact
+    duplicate row does, whatever its rounded norm, since a normalized row's
+    computed <u, u> is within a few units in the last place of 1.  As
+    |u_i - u_j|^2 = 2 - 2 g_ij, the resolution is 2^-24.5, about 4.2e-8, and
+    every pair closer than about 1e-8, whose raw dot rounds to 1, is rejected.
+    The dots are streamed in fixed blocks of rows (dynamics._pair_dots), so
+    memory does not grow as N^2, and only if _may_coincide finds two rows
+    within delta in every coordinate: with e = 2^-53, |u_i|^2 is 1 within
+    (d + 6) e and g_ij is the exact dot within d e, so a failing pair has
+    |u_i - u_j|^2 <= (4d + 28) e < delta^2 = (d + 8) 2^-50.
     """
     p = validate_configuration(p)
     n = p.shape[0]
     if n < 3:
         raise GeometryError("base configurations need at least 3 points")
     u = p / np.linalg.norm(p, axis=1)[:, None]
-    if any(float(g.max()) >= SAME_DIRECTION for g in _pair_dots(u)):
+    if _may_coincide(u) and any(float(g.max()) >= SAME_DIRECTION for g in _pair_dots(u)):
         raise GeometryError("base points must be pairwise distinct: no two closer than "
                             "about 1e-8; directions within 4.2e-8 count as one point")
     reps = []
@@ -91,6 +91,25 @@ def validate_base_points(p):
     if len(reps) < 3:
         raise GeometryError("base points span fewer than three directions up to sign")
     return p
+
+
+def _may_coincide(u):
+    """Whether two rows of u may be within delta in every coordinate: such rows
+    have dots q with one unit direction (each off by d 2^-53 at most) within
+    delta + delta^2.  Sorted by q, rows up to 8 apart are compared, then True."""
+    delta2 = (u.shape[1] + 8) * 2.0**-50
+    delta = delta2**0.5
+    v = np.linspace(1.0, 2.0, u.shape[1])
+    q = u @ (v / np.linalg.norm(v))
+    order = np.argsort(q)
+    q, u = q[order], u[order]
+    for k in range(1, u.shape[0]):
+        close = np.flatnonzero(q[k:] - q[:-k] <= delta + delta2)
+        if close.size == 0:
+            return False
+        if k > 8 or np.any(np.all(np.abs(u[close + k] - u[close]) <= delta, axis=1)):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ Newton polish for the interior fixed point, the pair formula itself for
 the skew-pair matrix, the whole (N, N) gram matrix and its strict upper
 triangle for the streamed pair scan, and one draw of every sample with
 numpy's own mean and standard deviation for the streamed Monte Carlo
-integral.
+integral, and the whole weight array and its sum for the check of the
+Gaussian weights that reads only their middle.
 """
 import json
 import math
@@ -143,6 +144,21 @@ def skew_pair_apply(y1, y2, y):
     applied to y without forming its matrix."""
     y1, y2, y = (np.asarray(v, dtype=float) for v in (y1, y2, y))
     return float(y1 @ y) * y2 - float(y2 @ y) * y1
+
+
+def gaussian_riemann_weights_reference(n, half_width):
+    """The Gaussian Riemann-sum weights as the whole array, and its sum as
+    the "too wide" test: all n weights, or GeometryError with that message.
+    n and half_width are taken as already checked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(-half_width, half_width, n + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        w = np.exp(-0.5 * mids**2) * (edges[1] - edges[0])
+        total = w.sum()
+    if not 0.0 < total < np.inf:
+        raise GeometryError(f"'half_width' {half_width:g} is too wide for n = {n}: "
+                            f"the midpoint densities sum to {total:g}")
+    return w / total
 
 
 def min_pair_dot_reference(x):

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from spherekuramoto.sampling import rng_from
 
 from oracles import (
     angles_to_plane,
+    gaussian_riemann_weights_reference,
     integrate_angles,
     integrate_full_reference,
     mean_field_order_parameter,
@@ -89,6 +91,27 @@ def test_gaussian_weights_reject_a_half_width_no_density_survives(n, half_width)
         with pytest.raises(geo.GeometryError, match="'half_width'"):
             dyn.gaussian_riemann_weights(n, half_width)
     assert np.array_equal(dyn.gaussian_riemann_weights(5, 1000.0), [0, 0, 1, 0, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4000),
+       st.one_of(st.floats(5e-324, 1.7976931348623157e308),
+                 st.floats(-1.0, 2.0).map(lambda e: 38.6 * 10.0**e),  # near the underflow
+                 st.sampled_from([5e-324, 1e-320, 8.98846567431158e307, 8.988465674311579e307])))
+def test_gaussian_weights_check_reads_the_whole_array(n, half_width):
+    # the check reads the middle weights only; it accepts exactly when the
+    # whole array sums to a positive finite total, with the same message
+    try:
+        expected = gaussian_riemann_weights_reference(n, half_width)
+    except geo.GeometryError as exc:
+        with pytest.raises(geo.GeometryError) as info:
+            dyn.gaussian_riemann_weights(n, half_width)
+        assert str(info.value) == str(exc)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dyn.gaussian_riemann_weights(n, half_width)
+        assert np.array_equal(got, expected)
 
 
 def test_uniform_sphere_rejects_a_dimension_below_one():
@@ -464,6 +487,70 @@ def test_integrate_full_matches_plain_rk4_on_public_full_rhs(n, rotation, projec
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.info, info)
+
+
+# sha256 of integrate_full's times, states, info and stop, recorded when its
+# stages ran rk4_step on _field's (N, 1) x (N, d) broadcasts
+FULL_DIGESTS = {
+    (2000, 3, "shared", True, 50): "66b16eacffd2673a69b4ba9a3b3eed4171dc87eece360540da052226980d3ce1",
+    (2000, 3, "shared", False, 50): "a4668c2036d6f9aeb0311d0e8dedeb71e4fe7781daf6e57d5411afa04115a160",
+    (2000, 4, "shared", True, 50): "dd0676d171d0b0d3531de027bbb8c13dd722def4550b5fccd2e625cb80a50470",
+    (2000, 4, "shared", False, 50): "d8d3097fb11e5f62fabd46a4ac1c741afcfe5d75a18eb6c6d72e8be54a1d2784",
+    (100, 2, "per_particle", True, 7): "1871e7ad32f55d8414dbb7f71e23415026c948674842612c3d523473516c1cd9",
+    (100, 5, "per_particle", False, 7): "79661d1a970fa3b205d5237a3580bfa73d2e5e57e6e92d38002598a9cf721df3",
+}
+
+
+@pytest.mark.parametrize("n, d, rotation, projection, stride", sorted(FULL_DIGESTS))
+def test_integrate_full_keeps_its_bits(n, d, rotation, projection, stride):
+    rng = np.random.default_rng(1000 * d + n)
+    x0 = dyn.random_configuration(n, d, seed=n + d)
+    A = (geo.random_antisymmetric(d, rng, 0.5) if rotation == "shared"
+         else np.array([geo.random_antisymmetric(d, rng, 0.5) for _ in range(n)]))
+    a = rng.random(n)
+    a /= a.sum()
+    traj = dyn.integrate_full(x0, A, a, 0.01, 2.0 if n == 2000 else 3.0, projection, stride)
+    digest = hashlib.sha256()
+    for arr in (traj.times, traj.states, traj.info):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    digest.update(traj.stop.encode())
+    assert traj.stop == "end"
+    assert digest.hexdigest() == FULL_DIGESTS[n, d, rotation, projection, stride]
+
+
+def _planar_rotation(scale):
+    return np.array([[0.0, scale], [-scale, 0.0]])
+
+
+# every run aborts at its first step; the stop and message are the ones the
+# separate isfinite scan of rk4_step gave
+@pytest.mark.parametrize("case, projection, stop", [
+    ("nan", True, "nonfinite"), ("nan", False, "nonfinite"),
+    ("inf", True, "nonfinite"), ("inf", False, "nonfinite"),
+    ("square_overflows", True, "unstable"), ("square_overflows", False, "drift"),
+])
+def test_integrate_full_classifies_its_aborts(case, projection, stop):
+    # nan: a step of 1e200 makes inf - inf in the coupling; inf: a rotation
+    # of 1e78 overflows the fourth stage alone; square_overflows: a rotation
+    # of 1e50 leaves finite rows of about 1e200, whose squared norms overflow
+    if case == "nan":
+        x0, A, a, h = dyn.random_configuration(10, 3, 12), None, dyn.equal_weights(10), 1e200
+    else:
+        x0, a, h = dyn.random_configuration(10, 2, 12), np.zeros(10), 1.0
+        A = _planar_rotation(1e78 if case == "inf" else 1e50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dyn.IntegrationAbort) as info:
+            dyn.integrate_full(x0, A, a, h, 3 * h, projection)
+    traj = info.value.trajectory
+    assert info.value.reason == traj.stop == stop
+    assert len(traj.times) == 1 and np.array_equal(traj.states[0], x0)
+    assert str(info.value) == {
+        "nonfinite": "non-finite state after RK4 step at t = ",
+        "unstable": "step too large: an RK stage left the unit ball from far inside it, or a "
+                    "step left the sphere, or its rotation SO(d), by more than 0.001 at t = ",
+        "drift": "norm drift exceeded 0.001 with projection off (integrator failure) at t = ",
+    }[stop] + f"{h:.6g}"
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -924,10 +925,37 @@ def test_an_integer_too_long_to_print_is_named_with_its_size():
 
 
 def test_integer_caps_admit_the_largest_arrays():
-    # n * d and d * d both just below 2^27; validation allocates only the n weights
+    # n * d and d * d both just below 2^27
     cfg = h.config_from_dict({"d": 11585, "n": 11585, "mode": "full", "h": 0.01,
                               "t_end": 1.0, "seed": 1})
     assert (cfg.d, cfg.n) == (11585, 11585)
+
+
+@pytest.mark.parametrize("extra, error", [
+    ({"weights": {"kind": "equal"}}, None),
+    ({"coupling": 2.0}, None),
+    ({"weights": {"kind": "majority", "dominant": 0.3, "index": 2**26 - 1}}, None),
+    ({"weights": {"kind": "majority", "index": 2**26}}, "majority weights 'index'"),
+    ({"weights": {"kind": "gaussian_riemann", "half_width": 4.0}}, None),
+    ({"weights": {"kind": "gaussian_riemann", "half_width": 1e300}},
+     "gaussian_riemann weights 'half_width' 1e+300 is too wide for n = 67108864: "
+     "the midpoint densities sum to 0"),
+], ids=["equal", "mean_field", "majority", "majority_index", "gaussian", "gaussian_too_wide"])
+def test_config_validation_builds_no_weights_at_the_cap(extra, error):
+    # 2^26 weights are 512 MiB; the weight kinds are checked by their scalar rules
+    doc = {"d": 2, "n": 2**26, "mode": "full", "h": 0.01, "t_end": 1.0, "seed": 1, **extra}
+    tracemalloc.start()
+    try:
+        if error is None:
+            assert h.config_from_dict(doc).n == 2**26
+        else:
+            with pytest.raises(h.ConfigError) as info:
+                h.config_from_dict(doc)
+            assert str(info.value).startswith(error)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_unreadable_paths_are_validation_errors(tmp_path, capsys):

@@ -277,6 +277,89 @@ def test_general_position_rejects_a_copy_of_a_short_row():
         red.validate_base_points(p)
 
 
+def _delta(d):
+    """The distance below which validate_base_points' prefilter keeps a pair."""
+    return np.sqrt((d + 8) * 2.0**-50)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _short_copy(row):
+    """row scaled down by whole units in the last place until its computed
+    norm is below 1: a valid configuration row whose norm rounds below 1."""
+    k = 1
+    while np.linalg.norm(row * (1.0 - k * 2.0**-53)) >= 1.0:
+        k += 1
+    return row * (1.0 - k * 2.0**-53)
+
+
+@st.composite
+def near_duplicate_bases(draw):
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(3, 120))
+    p = dyn.random_configuration(n, d, seed=draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["planted", "short_copy", "great_circle", "orthogonal_circle"]))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    gap = draw(st.floats(0.0, 10.0)) * _delta(d)
+    if kind == "planted":
+        t = rng.standard_normal(d)
+        p[j] = _unit(p[i] + gap * _unit(t - (t @ p[i]) * p[i]))
+    elif kind == "short_copy":
+        p[i] = p[j] = _short_copy(p[i])
+    else:  # every row on one great circle, a random one or one at right angles to
+        # the prefilter's direction; rows i and j at an angle of gap
+        a, b = rng.standard_normal((2, d))
+        if kind == "orthogonal_circle" and d > 2:  # in d = 2 the circle is the sphere
+            v = _unit(np.linspace(1.0, 2.0, d))
+            a, b = a - (a @ v) * v, b - (b @ v) * v
+        a = _unit(a)
+        b = _unit(b - (b @ a) * a)
+        theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        theta[j] = theta[i] + gap
+        p = np.cos(theta)[:, None] * a + np.sin(theta)[:, None] * b
+        p = p / np.linalg.norm(p, axis=1)[:, None]
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_duplicate_bases())
+def test_pruned_distinctness_scan_decides_as_the_whole_scan(p):
+    u = p / np.linalg.norm(p, axis=1)[:, None]
+    rejects = any(float(g.max()) >= red.SAME_DIRECTION for g in dyn._pair_dots(u))
+    if rejects:
+        with pytest.raises(geo.GeometryError, match="pairwise distinct"):
+            red.validate_base_points(p)
+    else:
+        try:
+            red.validate_base_points(p)
+        except geo.GeometryError as exc:
+            assert "pairwise distinct" not in str(exc)
+
+
+def test_distinctness_scan_runs_only_when_a_pair_may_fail(monkeypatch):
+    scans = []
+    monkeypatch.setattr(red, "_pair_dots", lambda u: scans.append(len(u)) or dyn._pair_dots(u))
+    uniform = dyn.random_configuration(2000, 3, seed=22)
+    red.validate_base_points(uniform)
+    assert scans == []
+    # a great circle at right angles to the prefilter's direction projects
+    # every row to about 0: the sweep gives up and the scan accepts it
+    v = _unit(np.linspace(1.0, 2.0, 3))
+    a = _unit(np.cross(v, [1.0, 0.0, 0.0]))
+    b = np.cross(v, a)
+    theta = np.linspace(0.0, 2.0 * np.pi, 500, endpoint=False)
+    red.validate_base_points(np.cos(theta)[:, None] * a + np.sin(theta)[:, None] * b)
+    assert scans == [500]
+    planted = uniform.copy()
+    planted[1500] = planted[3]
+    with pytest.raises(geo.GeometryError, match="pairwise distinct"):
+        red.validate_base_points(planted)
+    assert scans == [500, 2000]
+
+
 # ---------------------------------------------------------------------------
 # integration
 

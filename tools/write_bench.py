@@ -23,9 +23,12 @@ The per-layer entries time one RK4 step of three integrators the same way,
 in a fresh process per side: integrate_w (N = 100, d = 3, the criterion-7
 base, backward from w = (0.2, -0.3, 0.1)), integrate_continuum (d = 3, K = 1,
 no rotation, backward from z = (0.3, 0, 0)) and integrate_full (N = 100,
-d = 3, equal weights, a shared rotation of scale 0.5).  Each child runs one
-untimed call, then LAYER_REPEATS runs of LAYER_STEPS steps at h = 0.01
-through the public entry point, and records the median time per step.  The
+d = 3, equal weights, a shared rotation of scale 0.5, and again at N = 2000
+for FULL_STEPS steps, orbit_compare's size).  Each child runs one untimed
+call, then LAYER_REPEATS runs of LAYER_STEPS steps at h = 0.01 through the
+public entry point, and records the median time per step.  The
+validate_base_points entry times BASE_CALLS calls on the N = 2000, d = 3
+base the same way and records the median time per call.  The
 Monte Carlo entry times one block of poisson_integral_mc the same way: each
 run makes MC_BLOCKS calls of 2^14 samples (one block, d = 3, f the
 identity, z = (0.9, 0, 0), seeds 0, 1, ...), and the child records the
@@ -67,12 +70,14 @@ print(json.dumps(seconds))
 """
 
 
-LAYER_STEPS, LAYER_REPEATS, MC_BLOCKS = 2000, 5, 200
+LAYER_STEPS, LAYER_REPEATS, MC_BLOCKS, FULL_STEPS, BASE_CALLS = 2000, 5, 200, 500, 20
 LAYERS = {  # entry name: (child layer, calls per timed run, metric)
     "rk4 step: integrate_w (N = 100, d = 3)": ("w", LAYER_STEPS, "step_s"),
     "rk4 step: integrate_continuum (d = 3)": ("continuum", LAYER_STEPS, "step_s"),
     "rk4 step: integrate_full (N = 100, d = 3)": ("full", LAYER_STEPS, "step_s"),
     "poisson_integral_mc block (d = 3, 2^14 samples)": ("mc", MC_BLOCKS, "block_s"),
+    "rk4 step: integrate_full (N = 2000, d = 3, shared rotation)": ("full2000", FULL_STEPS, "step_s"),
+    "validate_base_points (N = 2000, d = 3)": ("base_points", BASE_CALLS, "call_s"),
 }
 
 LAYER_CHILD = r"""
@@ -94,6 +99,10 @@ def mc():
     z = np.array([0.9, 0.0, 0.0])
     for seed in range(steps):
         continuum.poisson_integral_mc(lambda x: x, z, 2**14, seed)
+big = dynamics.random_configuration(2000, 3, 7000)
+def base_points():
+    for _ in range(steps):
+        reduced.validate_base_points(big)
 run = {
     "w": rk4(lambda h: reduced.integrate_w(np.array([0.2, -0.3, 0.1]), base, a,
                                            -h, -steps * h, steps)),
@@ -101,6 +110,9 @@ run = {
         continuum.ContinuumState(np.array([0.3, 0.0, 0.0]), 1.0), -h, -steps * h, steps)),
     "full": rk4(lambda h: dynamics.integrate_full(base, A, a, h, steps * h, stride=steps)),
     "mc": mc,
+    "full2000": rk4(lambda h: dynamics.integrate_full(big, A, dynamics.equal_weights(2000), h,
+                                                      steps * h, stride=steps)),
+    "base_points": base_points,
 }[layer]
 seconds = []
 for k in range(repeats + 1):
