@@ -224,25 +224,32 @@ def full_rhs(x, A, weights):
     """
     x = np.asarray(x, dtype=float)
     A = as_rotation_terms(A, x.shape[1], x.shape[0])
-    return _field(x, as_weights(weights, x.shape[0]) @ x, A if A is None or A.ndim == 3 else A.T)
+    rot = A if A is None or A.ndim == 3 else A.T
+    return _field(x, as_weights(weights, x.shape[0]), rot, np.empty(x.shape))()
 
 
-def _field(x, Z, rot, out=None):
-    """full_rhs unchecked, for the coupling vector Z = a @ x and the rotation
-    term as it acts on the rows: None, x @ rot for rot = A^T of a shared term,
-    or the (N, d, d) stack applied row by row; into out if given.  Z - <Z, x_i> x_i
-    runs on transposed views in C order, so each numpy loop is a column N long,
-    at most three columns a call: over four or more, numpy's strided loops ran
-    at half speed (N up to 2000)."""
-    out = np.empty(x.shape) if out is None else out
-    s = x @ Z
-    for j in range(0, x.shape[1], 3):
-        xt, ot = x[:, j:j + 3].T, out[:, j:j + 3].T
-        np.multiply(s, xt, out=ot, order="C")
-        np.subtract(Z[j:j + 3, None], ot, out=ot, order="C")
-    if rot is not None:
-        out += x @ rot if rot.ndim == 2 else np.einsum("nij,nj->ni", rot, x)
-    return out
+def _field(x, a, rot, out):
+    """full_rhs unchecked, as a function of no arguments that writes the field
+    of x's current entries into out and returns out.  Z = a @ x; rot is the
+    rotation term as it acts on the rows: None, x @ rot for rot = A^T of a
+    shared term, or the (N, d, d) stack applied row by row.  The products are
+    ndarray .dot, the BLAS calls of `@`, into buffers made here once, as are
+    the transposed views on which Z - <Z, x_i> x_i runs in C order: each numpy
+    loop is a column N long, at most three columns a call (over four or more,
+    numpy's strided loops ran at half speed for N up to 2000)."""
+    Z, s = np.empty(x.shape[1]), np.empty(x.shape[0])
+    groups = [(x[:, j:j + 3].T, out[:, j:j + 3].T, Z[j:j + 3, None]) for j in range(0, len(Z), 3)]
+
+    def field():
+        a.dot(x, Z)
+        x.dot(Z, s)
+        for xt, ot, zt in groups:
+            np.multiply(s, xt, out=ot, order="C")
+            np.subtract(zt, ot, out=ot, order="C")
+        if rot is not None:
+            np.add(out, x.dot(rot) if rot.ndim == 2 else np.einsum("nij,nj->ni", rot, x), out)
+        return out
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +324,12 @@ def _drive(rhs, y0, h, t_end, stride, ball=False, after_step=lambda y: (y, 0.0, 
     (synchrony), as does an RK stage leaving the ball from an accepted state
     within NEAR_BOUNDARY of the sphere; from farther inside, that stage is a
     failed step, "unstable", and a non-finite step stops at "nonfinite".
-    Without ball, rhs(y) is the whole step, a fresh array.  A step that did
-    not stop the run goes to after_step(y), which returns (y, info, stop): the
-    state as accepted (projected), a value recorded with it, and None or an
-    abort of _ABORTS to stop.  Returns the Trajectory of t = 0, every stride
-    steps, the last step and, after an early stop, the last accepted state;
-    an abort raises IntegrationAbort carrying it instead.
+    Without ball, rhs(y) is the whole step.  A step that did not stop the run
+    goes to after_step(y), which returns (y, info, stop): the accepted
+    (projected) state, which no step may write into, a value recorded with
+    it, and None or an abort of _ABORTS to stop.  Returns the Trajectory of
+    t = 0, every stride steps, the last step and, after an early stop, the
+    last accepted state; an abort raises IntegrationAbort carrying it instead.
     """
     n_steps = step_count(t_end, h)
     stride = _number(stride, "stride", 0, kinds=())
@@ -374,6 +381,10 @@ def integrate_full(x0, A, weights, h, t_end, projection=True, stride=1):
     abort, like a non-finite state, raises IntegrationAbort carrying the
     prefix.
 
+    Each step has the doubles of rk4_step on full_rhs.  It runs in a workspace
+    made once per run, with 0-d constants so that every ufunc takes positional
+    arguments: at N = 100 a numpy call costs more than its arithmetic.
+
     Parameters
     ----------
     x0 : (N, d) array of unit rows
@@ -387,29 +398,34 @@ def integrate_full(x0, A, weights, h, t_end, projection=True, stride=1):
     A = as_rotation_terms(A, d, n)
     weights = as_weights(weights, n)
     rot = A if A is None or A.ndim == 3 else np.ascontiguousarray(A.T)
-    k1, k2, k3, k4, x = np.empty((5, n, d))  # the slopes, and a stage point the last sum reuses
+    y, x, k1, k2, k3, k4 = np.empty((6, n, d))  # x: a stage point, then the step's weighted sum
+    y[...] = x0
+    f1, f2, f3, f4 = (_field(p, weights, rot, k) for p, k in ((y, k1), (x, k2), (x, k3), (x, k4)))
+    half, whole, two, sixth, one = (np.array(c) for c in (0.5 * h, h, 2.0, h / 6.0, 1.0))
+    norms, dev = np.empty((2, n))
+    cols = [y[:, j:j + 3].T for j in range(0, d, 3)]  # as in _field
     drift = 0.0
 
-    def step(y):  # rk4_step's arithmetic on _field in the workspace: the same doubles
-        _field(y, weights @ y, rot, k1)
-        for k, c, nxt in ((k1, 0.5 * h, k2), (k2, 0.5 * h, k3), (k3, h, k4)):
-            np.add(y, np.multiply(k, c, out=x), out=x)
-            _field(x, weights @ x, rot, nxt)
-        np.add(np.multiply(np.add(k2, k3, out=x), 2.0, out=x), k1, out=x)
-        return y + np.multiply(np.add(x, k4, out=x), h / 6.0, out=x)
+    def step(_):  # _drive passes the last accepted state, which y holds
+        f1()
+        for k, c, f in ((k1, half, f2), (k2, half, f3), (k3, whole, f4)):
+            np.add(y, np.multiply(k, c, x), x)
+            f()
+        np.add(np.multiply(np.add(k2, k3, x), two, x), k1, x)
+        return np.add(y, np.multiply(np.add(x, k4, x), sixth, x), y)
 
-    def after_step(x):
+    def after_step(_):  # on y; each accepted state is a fresh copy, since the records hold it
         nonlocal drift
-        norms = _row_norms(x)
-        defect = float(np.max(np.abs(norms - 1.0)))
-        if not math.isfinite(defect) and not np.isfinite(x).all():
-            return x, drift, "nonfinite"  # finite rows whose squares overflow are no such step
+        _row_norms(y, norms)
+        defect = float(np.abs(np.subtract(norms, one, dev), dev).max())
+        if not math.isfinite(defect) and not np.isfinite(y).all():
+            return y, drift, "nonfinite"  # finite rows whose squares overflow are no such step
         drift = max(drift, defect)
         if projection:
-            for j in range(0, d, 3):  # as in _field
-                np.divide(x[:, j:j + 3].T, norms, out=x[:, j:j + 3].T, order="C")
-            return x, drift, "unstable" if defect > NORM_DRIFT_LIMIT else None
-        return x, drift, "drift" if drift > NORM_DRIFT_LIMIT else None
+            for yt in cols:
+                np.divide(yt, norms, out=yt, order="C")
+            return y.copy(), drift, "unstable" if defect > NORM_DRIFT_LIMIT else None
+        return y.copy(), drift, "drift" if drift > NORM_DRIFT_LIMIT else None
 
     return _drive(step, x0, h, t_end, stride, after_step=after_step)
 

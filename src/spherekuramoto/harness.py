@@ -9,8 +9,10 @@ the file.
 """
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -511,6 +513,13 @@ def run_experiment(cfg, quiet=False):
     RunSummary.  A run that stops early, cleanly at the ball boundary or on
     an abort, still writes its records up to the last accepted state.
     """
+    if cfg.out is not None:  # open(cfg.out, "w")'s error, before the run and making no file
+        try:  # "parent/" fails unless the parent is a directory
+            os.stat(os.path.join(os.path.dirname(cfg.out) or ".", ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, cfg.out) from None
+        if os.path.isdir(cfg.out):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), cfg.out)
     marks = [time.perf_counter()]
     initial, integrate, rows = _MODE_TABLE[cfg.mode]
     state0, a, A = initial(cfg), resolve_weights(cfg), resolve_rotation(cfg)

@@ -36,18 +36,18 @@ def _gaussian_rows(n, d, rng, out=None):
     return v, norms
 
 
-def _row_norms(x):
-    """np.linalg.norm(x, axis=1) of an (N, d) array, the same doubles.  numpy
-    adds a row shorter than 8 entries in order (from 8 on, pairwise), so for
-    2 <= d < 8 this sums the squared columns one by one instead, a fifth to
-    a quarter of numpy's time at d = 3 (N = 2000 to 16 384)."""
-    if not 2 <= x.shape[1] < 8:
-        return np.linalg.norm(x, axis=1)
+def _row_norms(x, out=None):
+    """np.linalg.norm(x, axis=1) of an (N, d) array, into out if given: the same
+    doubles.  numpy adds a row shorter than 8 entries in order (from 8 on,
+    pairwise), so for 2 <= d < 8 this sums the squared columns one by one, a
+    fifth to a quarter of numpy's time at d = 3 (N = 2000 to 16 384)."""
     sq = x * x
-    total = sq[:, 0] + sq[:, 1]
+    if not 2 <= x.shape[1] < 8:  # np.linalg.norm's own sum
+        return np.sqrt(np.add.reduce(sq, axis=1, out=out), out)
+    total = np.add(sq[:, 0], sq[:, 1], out)
     for j in range(2, x.shape[1]):
         total += sq[:, j]
-    return np.sqrt(total)
+    return np.sqrt(total, total)
 
 
 def uniform_ball(d, rng, radius=1.0):

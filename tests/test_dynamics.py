@@ -490,7 +490,9 @@ def test_integrate_full_matches_plain_rk4_on_public_full_rhs(n, rotation, projec
 
 
 # sha256 of integrate_full's times, states, info and stop, recorded when its
-# stages ran rk4_step on _field's (N, 1) x (N, d) broadcasts
+# stages ran rk4_step on _field's (N, 1) x (N, d) broadcasts; the last four
+# (the presets' shape, N = 100 at d = 4, column groups 3 + 3 + 1 and N = 2000
+# without rotation) when they ran in one workspace on `@` and keyword `out`
 FULL_DIGESTS = {
     (2000, 3, "shared", True, 50): "66b16eacffd2673a69b4ba9a3b3eed4171dc87eece360540da052226980d3ce1",
     (2000, 3, "shared", False, 50): "a4668c2036d6f9aeb0311d0e8dedeb71e4fe7781daf6e57d5411afa04115a160",
@@ -498,6 +500,10 @@ FULL_DIGESTS = {
     (2000, 4, "shared", False, 50): "d8d3097fb11e5f62fabd46a4ac1c741afcfe5d75a18eb6c6d72e8be54a1d2784",
     (100, 2, "per_particle", True, 7): "1871e7ad32f55d8414dbb7f71e23415026c948674842612c3d523473516c1cd9",
     (100, 5, "per_particle", False, 7): "79661d1a970fa3b205d5237a3580bfa73d2e5e57e6e92d38002598a9cf721df3",
+    (100, 3, "none", True, 10): "106403eb716a6e553ed6caae584919c2f334930bda8e133784bd4e188579890c",
+    (100, 4, "shared", True, 1): "4c25e108e36f99ffd9143072e879934b00b0f6c01ad79c357dd3b2ae1c1540f3",
+    (300, 7, "shared", False, 7): "451723be8f9a5d9a0da44ce82d45195354c639a63b1805e7f546ba532936d76f",
+    (2000, 3, "none", True, 50): "8d7561a459a6d617eeb4b3248362e35b7c05f11cccae8116b85aa49b826dd976",
 }
 
 
@@ -505,7 +511,8 @@ FULL_DIGESTS = {
 def test_integrate_full_keeps_its_bits(n, d, rotation, projection, stride):
     rng = np.random.default_rng(1000 * d + n)
     x0 = dyn.random_configuration(n, d, seed=n + d)
-    A = (geo.random_antisymmetric(d, rng, 0.5) if rotation == "shared"
+    A = (None if rotation == "none" else geo.random_antisymmetric(d, rng, 0.5)
+         if rotation == "shared"
          else np.array([geo.random_antisymmetric(d, rng, 0.5) for _ in range(n)]))
     a = rng.random(n)
     a /= a.sum()

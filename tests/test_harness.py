@@ -972,6 +972,31 @@ def test_unreadable_paths_are_validation_errors(tmp_path, capsys):
         _one_error_naming(capsys, "error:")
 
 
+@pytest.mark.parametrize("out", ["missing/x.jsonl", "file/x.jsonl", "."])
+def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys, out):
+    (tmp_path / "file").write_text("kept")
+    calls = []
+    monkeypatch.setattr(h, "integrate_full", lambda *args, **kw: calls.append(args))
+    path = tmp_path / out
+    assert cli.main(["preset", "fig1", "--out", str(path), "--quiet"]) == 2
+    assert calls == []
+    errno = {"missing/x.jsonl": 2, "file/x.jsonl": 20, ".": 21}[out]
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno}] ")
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_out_is_truncated_only_when_the_records_are_written(tmp_path, monkeypatch):
+    out = tmp_path / "x.jsonl"
+    out.write_text("old")
+
+    def integrate(*args, **kw):
+        assert out.read_text() == "old"
+        raise h.ConfigError("stop")
+    monkeypatch.setattr(h, "integrate_full", integrate)
+    assert cli.main(["preset", "fig1", "--out", str(out), "--quiet"]) == 2
+    assert out.read_text() == "old"
+
+
 @pytest.mark.parametrize("seed", [2.7, True, "5", -1])
 def test_preset_seed_is_checked_not_truncated(seed):
     with pytest.raises(h.ConfigError, match="field 'seed'"):

@@ -23,8 +23,9 @@ The per-layer entries time one RK4 step of three integrators the same way,
 in a fresh process per side: integrate_w (N = 100, d = 3, the criterion-7
 base, backward from w = (0.2, -0.3, 0.1)), integrate_continuum (d = 3, K = 1,
 no rotation, backward from z = (0.3, 0, 0)) and integrate_full (N = 100,
-d = 3, equal weights, a shared rotation of scale 0.5, and again at N = 2000
-for FULL_STEPS steps, orbit_compare's size).  Each child runs one untimed
+d = 3, equal weights, a shared rotation of scale 0.5; again without the
+rotation, the presets' shape; at d = 4 with a rotation of scale 0.5; and at
+N = 2000 for FULL_STEPS steps, orbit_compare's size).  Each child runs one untimed
 call, then LAYER_REPEATS runs of LAYER_STEPS steps at h = 0.01 through the
 public entry point, and records the median time per step.  The
 validate_base_points entry times BASE_CALLS calls on the N = 2000, d = 3
@@ -75,6 +76,8 @@ LAYERS = {  # entry name: (child layer, calls per timed run, metric)
     "rk4 step: integrate_w (N = 100, d = 3)": ("w", LAYER_STEPS, "step_s"),
     "rk4 step: integrate_continuum (d = 3)": ("continuum", LAYER_STEPS, "step_s"),
     "rk4 step: integrate_full (N = 100, d = 3)": ("full", LAYER_STEPS, "step_s"),
+    "rk4 step: integrate_full (N = 100, d = 3, no rotation)": ("full_plain", LAYER_STEPS, "step_s"),
+    "rk4 step: integrate_full (N = 100, d = 4, shared rotation)": ("full4", LAYER_STEPS, "step_s"),
     "poisson_integral_mc block (d = 3, 2^14 samples)": ("mc", MC_BLOCKS, "block_s"),
     "rk4 step: integrate_full (N = 2000, d = 3, shared rotation)": ("full2000", FULL_STEPS, "step_s"),
     "validate_base_points (N = 2000, d = 3)": ("base_points", BASE_CALLS, "call_s"),
@@ -89,6 +92,8 @@ layer, repeats, steps = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 base = dynamics.random_configuration(100, 3, 7000)
 a = dynamics.equal_weights(100)
 A = geometry.random_antisymmetric(3, np.random.default_rng(7000), 0.5)
+base4 = dynamics.random_configuration(100, 4, 7000)
+A4 = geometry.random_antisymmetric(4, np.random.default_rng(7000), 0.5)
 def rk4(integrate):
     def run():
         traj = integrate(0.01)
@@ -109,6 +114,8 @@ run = {
     "continuum": rk4(lambda h: continuum.integrate_continuum(
         continuum.ContinuumState(np.array([0.3, 0.0, 0.0]), 1.0), -h, -steps * h, steps)),
     "full": rk4(lambda h: dynamics.integrate_full(base, A, a, h, steps * h, stride=steps)),
+    "full_plain": rk4(lambda h: dynamics.integrate_full(base, None, a, h, steps * h, stride=steps)),
+    "full4": rk4(lambda h: dynamics.integrate_full(base4, A4, a, h, steps * h, stride=steps)),
     "mc": mc,
     "full2000": rk4(lambda h: dynamics.integrate_full(big, A, dynamics.equal_weights(2000), h,
                                                       steps * h, stride=steps)),
