@@ -248,10 +248,10 @@ def poisson_integral_mc(f, z, n_samples, seed, stream=0):
     rows, so memory does not grow with n_samples.  z is checked once; each
     block is normalized into a C-ordered (d, k) array, one sample per column,
     and takes the unchecked geometry._boost on it, whose precondition (unit
-    points, |z| < 1) keeps every denominator above boost_apply's 1e-300
-    floor, so the images are boost_apply's doubles.  The draw, the points
-    and the images fill one workspace allocated per call (the images
-    overwrite the spent draw), so no block faults in fresh pages.  f is
+    points, |z| < 1) keeps every denominator positive, so the images are
+    boost_apply's doubles.  The draw, the points and the images fill one
+    workspace allocated per call (the images overwrite the spent draw), so
+    no block faults in fresh pages.  f is
     called once per block with an (n, d) view of the images that need not be
     C-contiguous (the transpose of the (d, n) block) and that the next block
     overwrites; it must return (n,) or (n, m) values and be row-wise: output
@@ -272,12 +272,9 @@ def poisson_integral_mc(f, z, n_samples, seed, stream=0):
         v, norms = _gaussian_rows(k, d, rng, work[0, :d * k].reshape(k, d))
         xt = np.divide(v.T, norms, out=work[1, :d * k].reshape(d, k))
         del v, norms  # each input goes once used, to keep peak memory low
-        x2 = xt[0] * xt[0]
-        for row in xt[1:]:
-            x2 += row * row
-        img = _boost(w, xt, x2, work[0, :d * k].reshape(d, k))[0]
+        img = _boost(w, xt, work[0, :d * k].reshape(d, k))[0]
         vals = np.asarray(f(img.T), dtype=float).T  # (m, k) or (k,)
-        del xt, x2, img
+        del xt, img
         block_mean = vals.sum(axis=-1) / k
         dev = vals - block_mean[..., None]
         dev *= dev

@@ -201,7 +201,7 @@ def boost_apply(w, x):
         ((1 - |w|^2) x - (1 - 2<w,x> + |x|^2) w) / (1 - 2<w,x> + |w|^2 |x|^2)
 
     is used for every input; it maps the closed ball to itself and restricts
-    to a sphere-to-sphere map on the boundary.
+    to a sphere-to-sphere map on the boundary; _boost takes it through x - w.
 
     Validates its input once, then calls _boost: w must be a finite vector
     strictly inside the unit ball, x must match its dimension, and no
@@ -231,27 +231,31 @@ def boost_apply(w, x):
     return out[0] if x.ndim == 1 else out
 
 
-def _boost(w, xt, x2, out=None):
-    """boost_apply without validation, on columns: the one boost kernel.
+def _boost(w, xt, out=None):
+    """boost_apply without validation, on columns: the one image kernel.
 
-    xt is a (d, n) array whose columns are the points, with any strides (x.T
-    of an (n, d) array works), and x2 their squared norms; returns the (d, n)
-    images, written into out if one is given, and the n denominators.  Every
-    operation but w @ xt, the same BLAS call as x @ w, is elementwise, so row
-    callers get the doubles of the row formula, and on a C-ordered block
-    numpy's inner loops run along rows n long instead of d.  The images are
-    the only (d, n) array formed: each row takes its w_j (c + |x|^2) term as
-    one length-n temporary.  Precondition: |w| < 1 and unit points.  Then
-    each denominator is |x_i - w|^2 >= (1 - |w|)^2 > 0, so nothing is
-    checked here.
+    xt is a (d, n) array of points as columns, with any strides (x.T of an
+    (n, d) array works); returns the (d, n) images, written into out (not
+    xt) if given, and the n denominators.  The formula is taken through
+    x - w, ((1 - |w|^2)(x - w) - |x - w|^2 w) / (|x - w|^2 + (1 - |w|^2)(1 - |x|^2)),
+    so nothing cancels as w nears a unit x.  |x|^2 and |x - w|^2 are summed
+    alike, row by row, so w = 0 returns the columns bit for bit (1 - |x|^2
+    is exact near the sphere), and points off the sphere keep their map.
+    Precondition: |w| < 1 and |x| <= 1, so every denominator is positive and
+    nothing is checked here.
     """
-    w2 = float(w @ w)
-    c = 1.0 - 2.0 * (w @ xt)
-    denom = c + w2 * x2
-    out = np.multiply(1.0 - w2, xt, out=out)
-    c += x2
+    s = 1.0 - float(w.dot(w))
+    out = np.subtract(xt, w[:, None], out=out)  # the columns x - w
+    dist2, denom = out[0] * out[0], xt[0] * xt[0]
+    for row, x in zip(out[1:], xt[1:]):
+        dist2 += row * row
+        denom += x * x
+    np.subtract(1.0, denom, out=denom)
+    denom *= s
+    denom += dist2
     for row, wj in zip(out, w.tolist()):
-        row -= c * wj
+        row *= s
+        row -= dist2 * wj
     out /= denom
     return out, denom
 
@@ -259,7 +263,7 @@ def _boost(w, xt, x2, out=None):
 def _boost_rows(w, x):
     """_boost of the (n, d) rows x: the C-ordered (n, d) images, so that a
     product with them keeps its bits, and the denominators."""
-    out, denom = _boost(w, x.T, np.einsum("ij,ij->i", x, x))
+    out, denom = _boost(w, x.T)
     return np.ascontiguousarray(out.T), denom
 
 
@@ -275,28 +279,30 @@ def _mobius_apply(rotation, boost, form, x):
     return _boost_rows(-boost, x @ rotation.T)[0]
 
 
-def _coupling_sum(w, w2, x, x2, a):
-    """The boost-first flow w' = -(1 - |w|^2) Z0 / 2 with Z0 = sum_i a_i M_w(x_i),
-    without forming the images M_w(x_i).
+def _coupling_sum(base, a):
+    """The one evaluation of the coupling sum over a checked unit base: the
+    function (w, w2 = |w|^2) -> (w', Z0, |p_i - w|^2) of the boost-first flow
+    w' = -(1 - |w|^2) Z0 / 2, Z0 = sum_i a_i M_w(p_i).  For unit p_i this is
 
-    Same arguments and precondition as _boost, plus w2 = |w|^2 and the weight
-    vector a of length n; returns w' and Z0, each a list of d floats, and the
-    denominators.  Each image is ((1 - |w|^2) x_i - (c_i + |x_i|^2) w) / denom_i
-    with c_i = 1 - 2 <x_i, w>, so with q = a / denom the sum is
+        Z0 = (1 - |w|^2) sum_i a_i (p_i - w) / |p_i - w|^2 - (sum_i a_i) w,
 
-        Z0 = (1 - |w|^2) q @ x - <q, c + |x|^2> w,
-
-    two length-n vectors and one (n, d) matrix-vector product per call, all
-    numpy's ndarray .dot (the BLAS call of @ without matmul's dispatch, and
-    on any strides the doubles of a C-contiguous x); the d-length rest runs
-    on Python floats, the same doubles.
+    which forms no image and sums the term of a base point near w from the
+    small differences p_i - w, without cancellation.  The C-ordered (d, n)
+    column copy of base, sum(a) and the ones vector that sums the squares
+    are made once, here; each call is the (d, n) differences, their squares,
+    two ndarray .dot products and a division, and the d-length rest runs on
+    Python floats.  Precondition: w is not a base point.
     """
-    c = 1.0 - 2.0 * x.dot(w)
-    denom = c + w2 * x2
-    q = a / denom
-    s, qc = 1.0 - w2, float(q.dot(c + x2))
-    Z0 = [s * p - qc * v for p, v in zip(q.dot(x).tolist(), w.tolist())]
-    return [-0.5 * s * z for z in Z0], Z0, denom
+    pt, total, ones = np.ascontiguousarray(base.T), float(a.sum()), np.ones(base.shape[1])
+
+    def coupling(w, w2):
+        diff = pt - w[:, None]
+        dist2 = ones.dot(diff * diff)
+        s = 1.0 - w2
+        Z0 = [s * z - total * v for z, v in zip(diff.dot(a / dist2).tolist(), w.tolist())]
+        return [-0.5 * s * z for z in Z0], Z0, dist2
+
+    return coupling
 
 
 @dataclass(frozen=True)

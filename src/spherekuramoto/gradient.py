@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import as_weights, explicit_weights, min_pair_dot, step_count
-from .geometry import (LEFT, GeometryError, _array, _mobius_apply, _number, as_ball_point,
-                       as_sphere_point, boost_apply)
+from .geometry import (LEFT, GeometryError, _array, _coupling_sum, _mobius_apply, _number,
+                       as_ball_point, as_sphere_point, boost_apply)
 from .reduced import integrate_w, validate_base_points, w_rhs
 from .sampling import rng_from, uniform_ball
 
@@ -93,11 +93,6 @@ class PotentialContext:
         return self.base.shape[1]
 
 
-def _dist2_to_base(w, ctx):
-    diff = ctx.base - w
-    return np.einsum("ij,ij->i", diff, diff)
-
-
 def potential(w, ctx):
     """sum_i a_i log((1 - |w|^2) / |w - p_i|^2).
 
@@ -114,7 +109,8 @@ def potential(w, ctx):
 def _potential(w, ctx):
     """potential of a w known to lie in the open ball, such as a recorded
     boost; None within 1e-12 of a base point, where it is singular."""
-    d2 = _dist2_to_base(w, ctx)
+    diff = ctx.base - w
+    d2 = np.einsum("ij,ij->i", diff, diff)
     if float(np.min(d2)) <= SINGULAR_TOL**2:
         return None
     return float(ctx.weights @ (np.log(1.0 - float(w @ w)) - np.log(d2)))
@@ -122,11 +118,20 @@ def _potential(w, ctx):
 
 def potential_grad(w, ctx):
     """Euclidean gradient of the potential: 2 sum_i a_i M_w(p_i) / (1 - |w|^2).
-    w is checked here; M_w(p_i) is geometry._mobius_apply on the checked base."""
+    w is checked here; the sum is geometry._coupling_sum on the checked base."""
     w = as_ball_point(w, ctx.d)
-    if float(np.min(_dist2_to_base(w, ctx))) <= SINGULAR_TOL**2:
-        raise GeometryError("gradient is singular within 1e-12 of a base point")
-    return (2.0 / (1.0 - float(w @ w))) * (ctx.weights @ _mobius_apply(None, w, LEFT, ctx.base))
+    w2 = float(w @ w)
+    return (2.0 / (1.0 - w2)) * np.array(_coupling(w, w2, ctx, "gradient")[1])
+
+
+def _coupling(w, w2, ctx, what):
+    """geometry._coupling_sum of the context at w, w2 = |w|^2; a GeometryError
+    that names what is singular within SINGULAR_TOL of a base point."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = _coupling_sum(ctx.base, ctx.weights)(w, w2)
+    if float(np.min(out[2])) <= SINGULAR_TOL**2:
+        raise GeometryError(f"{what} is singular within 1e-12 of a base point")
+    return out
 
 
 def hyperbolic_grad(grad, w):
@@ -193,7 +198,9 @@ def find_fixed_point(ctx, seed=0):
     positive definite unless the points collapse onto a +/- pair.  The step
     u = (I - T)^{-1} g / 2, capped at |u| <= NEWTON_STEP_CAP, moves the
     iterate to M_{-w}(u), the point that the composed boost carries to the
-    origin.  The linearization is reported from the last recentred base.
+    origin.  The recentred rows are geometry._boost's images, accurate next
+    to a base point, so they are not renormalised.  The linearization is
+    reported from the last recentred base.
 
     Raises GradientError when no interior fixed point exists (a dominant
     weight) or the search leaves the ball or fails to converge.
@@ -207,7 +214,6 @@ def find_fixed_point(ctx, seed=0):
     eye = np.eye(ctx.d)
     for _ in range(MAX_NEWTON):
         x = _mobius_apply(None, w, LEFT, ctx.base)  # |w| < 1 is checked below
-        x = x / np.linalg.norm(x, axis=1)[:, None]
         g = ctx.weights @ x
         if float(np.linalg.norm(g)) <= NEWTON_TOL:
             break
@@ -239,19 +245,16 @@ def find_fixed_point(ctx, seed=0):
 
 
 def scaled_rhs(w, ctx):
-    """Time-rescaled boost field w - sum_i a_i (1 - |w|^2)(p_i - w)/|p_i - w|^2.
+    """Time-rescaled boost field w - sum_i a_i (1 - |w|^2)(p_i - w)/|p_i - w|^2,
+    which is -Z0 for the coupling sum Z0 of geometry._coupling_sum, whose
+    formula holds for any w off the base points (the weights sum to 1).
 
     Shares its trajectories with the boost flow inside the ball (it is
     2/(1 - |w|^2) times it) but extends smoothly to all of R^d away from the
     base points, where it equals the outward radial field on the sphere.
     """
     w = _array(w, "w", (ctx.d,))
-    diff = ctx.base - w
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    if float(np.min(d2)) <= SINGULAR_TOL**2:
-        raise GeometryError("scaled field is singular within 1e-12 of a base point")
-    coeff = ctx.weights * (1.0 - float(w @ w)) / d2
-    return w - coeff @ diff
+    return -np.array(_coupling(w, float(w @ w), ctx, "scaled field")[1])
 
 
 @dataclass(frozen=True)
@@ -280,14 +283,14 @@ def anchor_radius(ctx, anchor=0):
 
 def _semiscaled_raw(r, u, anchor, ctx):
     # Anchor term of the scaled field with the removable 0/0 cancelled:
-    # (1 - |w|^2)(p_a - w)/|p_a - w|^2 == (2<p_a, u> - r) u  for w = p_a - r u.
+    # (1 - |w|^2)(p_a - w)/|p_a - w|^2 == (2<p_a, u> - r) u  for w = p_a - r u;
+    # the other terms are geometry._coupling_sum's Z0 + (sum of their a_i) w.
     p_a = ctx.base[anchor]
     w = p_a - r * u
     others = np.delete(np.arange(ctx.n), anchor)
-    diff = ctx.base[others] - w
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    coeff = ctx.weights[others] * (1.0 - float(w @ w)) / d2
-    s = w - ctx.weights[anchor] * (2.0 * float(p_a @ u) - r) * u - coeff @ diff
+    a = ctx.weights[others]
+    Z0 = np.array(_coupling_sum(ctx.base[others], a)(w, float(w @ w))[1])
+    s = (1.0 - float(a.sum())) * w - ctx.weights[anchor] * (2.0 * float(p_a @ u) - r) * u - Z0
     us = float(u @ s)
     rdot = -r * us
     udot = us * u - s

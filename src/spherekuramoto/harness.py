@@ -150,7 +150,8 @@ def config_from_dict(data):
     projection = data.get("projection", True)
     _require(isinstance(projection, bool), "field 'projection' must be true or false")
     out = data.get("out")
-    _require(out is None or isinstance(out, str), "field 'out' must be a string path")
+    _require(out is None or isinstance(out, str) and out != "",
+             "field 'out' must be a nonempty string path")
 
     _require(t_end == 0.0 or h != 0.0, "field 'h' must be nonzero unless t_end is 0")
     if t_end != 0.0:
@@ -514,6 +515,8 @@ def run_experiment(cfg, quiet=False):
     an abort, still writes its records up to the last accepted state.
     """
     if cfg.out is not None:  # open(cfg.out, "w")'s error, before the run and making no file
+        if cfg.out == "":  # a flag bypasses config_from_dict's check
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), cfg.out)
         try:  # "parent/" fails unless the parent is a directory
             os.stat(os.path.join(os.path.dirname(cfg.out) or ".", ""))
         except OSError as exc:

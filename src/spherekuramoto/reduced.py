@@ -179,8 +179,7 @@ def reduced_rhs(state, A, weights):
         raise GeometryError("boost parameter has reached the ball boundary")
     a = as_weights(weights, base.shape[0])
     if state.form == LEFT:
-        wdot, Z0, _ = _coupling_sum(boost, float(boost.dot(boost)), base,
-                                    np.einsum("ij,ij->i", base, base), a)
+        wdot, Z0, _ = _coupling_sum(base, a)(boost, float(boost.dot(boost)))
         B = skew_pair_matrix(Z0, boost)
         return np.array(wdot), zeta @ B if A is None else A @ zeta + zeta @ B
     Z = a @ _mobius_apply(zeta, boost, state.form, base)  # M_{-z}(zeta p)
@@ -193,25 +192,17 @@ def w_rhs(w, base, weights):
     w' = -(1 - |w|^2) sum_i a_i M_w(p_i) / 2.  The rotation drops out, so this
     d-dimensional equation alone decides synchrony versus incoherence.
 
-    Validates like geometry.boost_apply: w must be a finite vector strictly
-    inside the unit ball, base must match its dimension, the weights must
-    pass dynamics.as_weights, and no boost denominator may fall below 1e-300 in
-    magnitude; each violation raises GeometryError.  The flow itself is the
-    fused kernel geometry._coupling_sum, the same arithmetic that integrate_w
-    and the boost-first reduced_rhs run in every RK stage, on a C-ordered
-    copy of base, so the doubles do not depend on its memory layout.
+    Validates like integrate_w: base must pass
+    dynamics.validate_configuration (unit rows), w must be a finite vector
+    of its dimension strictly inside the unit ball, and the weights must pass
+    dynamics.as_weights; each violation raises GeometryError.  The flow itself
+    is the coupling-sum kernel geometry._coupling_sum, the same arithmetic
+    that integrate_w and the boost-first reduced_rhs run in every RK stage.
     """
-    w = as_ball_point(w)
-    base = np.ascontiguousarray(np.atleast_2d(base), dtype=float)
-    if base.shape[1] != w.size:
-        raise GeometryError(f"dimension mismatch: boost in R^{w.size}, point in R^{base.shape[1]}")
+    base = validate_configuration(base)
+    w = as_ball_point(w, base.shape[1])
     weights = as_weights(weights, base.shape[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wdot, _, denom = _coupling_sum(w, float(w.dot(w)), base,
-                                       np.einsum("ij,ij->i", base, base), weights)
-    if np.any(np.abs(denom) < 1e-300):
-        raise GeometryError("boost denominator vanished; state is corrupted")
-    return np.array(wdot)
+    return np.array(_coupling_sum(base, weights)(w, float(w.dot(w)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +242,7 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
         raise TypeError("integrate_reduced expects orbit coordinates (ReducedState)")
     base, zeta, d = state0.base, state0.zeta, state0.boost.size
     A = as_rotation_terms(A, d)
-    a = as_weights(weights, base.shape[0])
-    x2 = np.einsum("ij,ij->i", base, base)
+    coupling = _coupling_sum(base, as_weights(weights, base.shape[0]))
     eye = np.eye(d)
     with np.errstate(over="ignore", invalid="ignore"):
         hA = np.zeros((d, d)) if A is None else h * A
@@ -266,7 +256,7 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
 
     def rhs(w, w2):
         nonlocal calls
-        wdot, Z0, _ = _coupling_sum(w, w2, base, x2, a)
+        wdot, Z0, _ = coupling(w, w2)
         stages[calls] = w, Z0
         calls += 1
         return wdot
@@ -332,11 +322,10 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
     """
     base = validate_configuration(base)
     w0 = as_ball_point(w0, base.shape[1])
-    weights = as_weights(weights, base.shape[0])
-    x2 = np.einsum("ij,ij->i", base, base)
+    coupling = _coupling_sum(base, as_weights(weights, base.shape[0]))
 
-    def rhs(w, w2):  # w_rhs on the unvalidated kernel, with |base_i|^2 computed once
-        return _coupling_sum(w, w2, base, x2, weights)[0]
+    def rhs(w, w2):  # w_rhs on the unvalidated kernel, its base copy made once
+        return coupling(w, w2)[0]
 
     return _drive(rhs, w0, h, t_end, stride, True)
 

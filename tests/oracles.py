@@ -185,13 +185,18 @@ def poisson_integral_mc_reference(f, z, n_samples, seed, stream=0):
     return MCEstimate(value, stderr, int(n_samples))
 
 
-def boost_rows_reference(w, x, x2):
-    """The boost kernel on the (n, d) rows x with squared norms x2, as it
-    was written before it took columns: the images and the denominators."""
+def boost_rows_reference(w, x):
+    """The image kernel written on the (n, d) rows x: the general ball formula
+    through x - w, with |x - w|^2 and |x|^2 each summed one column at a time
+    from the first; the images and the denominators."""
     w2 = float(w @ w)
-    c = 1.0 - 2.0 * (x @ w)
-    denom = c + w2 * x2
-    return ((1.0 - w2) * x - (c + x2)[:, None] * w) / denom[:, None], denom
+    diff = x - w
+    dist2, x2 = diff[:, 0] * diff[:, 0], x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        dist2 = dist2 + diff[:, j] * diff[:, j]
+        x2 = x2 + x[:, j] * x[:, j]
+    denom = dist2 + (1.0 - w2) * (1.0 - x2)
+    return ((1.0 - w2) * diff - dist2[:, None] * w) / denom[:, None], denom
 
 
 def coupling_sum_reference(w, base, a):
@@ -386,7 +391,8 @@ def integrate_reduced_stacked_reference(state0, A, weights, h, t_end, stride=1):
     """The boost-first skew product with the rotation carried through every
     RK stage: a plain RK4 loop on the stacked (d + 1, d) state (w; zeta + Omega),
     whose boost row takes w' = -(1 - |w|^2) Z0 / 2 with Z0 = sum_i a_i M_w(p_i)
-    summed in numpy, whose rotation rows take the Cayley-RKMK stages
+    summed in numpy in the sphere form (1 - |w|^2) sum_i q_i (p_i - w) - (sum a) w,
+    q = a / |p - w|^2, whose rotation rows take the Cayley-RKMK stages
     (I + Omega/2) B (I - Omega/2), and, once accepted, zeta <- E zeta cay(Omega).
     Its own loop keeps the stop contract: a stage whose w has |w|^2 >= 1 stops
     the run, at "boundary" from an accepted w within 0.1 of the sphere, else
@@ -398,7 +404,7 @@ def integrate_reduced_stacked_reference(state0, A, weights, h, t_end, stride=1):
     base, zeta, d = state0.base, state0.zeta, state0.boost.size
     A = as_rotation_terms(A, d)
     a = np.asarray(weights, dtype=float)
-    x2 = np.einsum("ij,ij->i", base, base)
+    pt, total, ones = np.ascontiguousarray(base.T), float(a.sum()), np.ones(d)
     eye = np.eye(d)
     with np.errstate(over="ignore", invalid="ignore"):
         hA = np.zeros((d, d)) if A is None else h * A
@@ -412,9 +418,9 @@ def integrate_reduced_stacked_reference(state0, A, weights, h, t_end, stride=1):
         if w.dot(w) >= 1.0:
             raise _LeftBall
         w2 = float(w @ w)
-        c = 1.0 - 2.0 * (base @ w)
-        q = a / (c + w2 * x2)
-        Z0 = (1.0 - w2) * (q @ base) - float(q @ (c + x2)) * w
+        diff = pt - w[:, None]
+        q = a / ones.dot(diff * diff)
+        Z0 = (1.0 - w2) * diff.dot(q) - total * w
         half = 0.5 * (y[1:] - zeta)
         return np.vstack([-0.5 * (1.0 - w2) * Z0,
                           (eye + half) @ skew_pair_matrix(Z0, w) @ (eye - half)])

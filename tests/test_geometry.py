@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherekuramoto import continuum as cont
+from spherekuramoto import dynamics as dyn
 from spherekuramoto import geometry as geo
+from spherekuramoto import gradient as gr
 from spherekuramoto.geometry import LEFT, RIGHT
 from spherekuramoto.sampling import rng_from, uniform_sphere
 
@@ -126,20 +128,35 @@ def test_row_callers_keep_the_row_kernels_doubles(d, n):
     x = rng.standard_normal((n, d))
     x /= np.linalg.norm(x, axis=1)[:, None]
     for pts in _layouts(x).values():
-        left = boost_rows_reference(w, pts, np.einsum("ij,ij->i", pts, pts))[0]
+        left = boost_rows_reference(w, pts)[0]
         xr = pts @ rotation.T
-        right = boost_rows_reference(-w, xr, np.einsum("ij,ij->i", xr, xr))[0]
+        right = boost_rows_reference(-w, xr)[0]
         _same(geo.boost_apply(w, pts), left)
         _same(geo._mobius_apply(None, w, LEFT, pts), left)
         _same(geo._mobius_apply(rotation, w, LEFT, pts), left @ rotation.T)
         _same(geo._mobius_apply(rotation, w, RIGHT, pts), right)
     samples = uniform_sphere(n, d, rng_from(n + d, 0))
     _same(cont.sample_pushforward(w, n, n + d),
-          boost_rows_reference(-w, samples, np.einsum("ij,ij->i", samples, samples))[0])
+          boost_rows_reference(-w, samples)[0])
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_boost_by_zero_returns_its_columns_bit_for_bit(d):
+    # |x|^2 and |x - w|^2 are summed alike, so at w = 0 the denominator is
+    # |x|^2 + (1 - |x|^2) = 1 exactly, also for rows an ulp off the sphere
+    rng = np.random.default_rng(40 + d)
+    x = rng.standard_normal((64, d))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    x[::3] *= 1.0 + 2.0**-52
+    x[1::3] *= 1.0 - 2.0**-53
+    for pts in _layouts(x).values():
+        out, denom = geo._boost(np.zeros(d), pts.T)
+        assert out.tobytes() == np.ascontiguousarray(pts.T).tobytes()
+        assert np.all(denom == 1.0)
 
 
 def coupling_sum(w, base, a):  # (Z0, denominators); the kernel's first output is the flow
-    return geo._coupling_sum(w, float(w @ w), base, np.einsum("ij,ij->i", base, base), a)[1:]
+    return geo._coupling_sum(base, a)(w, float(w @ w))[1:]
 
 
 @settings(max_examples=300, deadline=None)
@@ -192,6 +209,19 @@ def test_coupling_sum_error_near_a_base_point(d, gap):
     c_plus_x2 = 2.0 - 2.0 * (base @ w)
     S = float(np.abs(a / denom) @ ((1.0 - w @ w) + np.abs(c_plus_x2) * np.linalg.norm(w)))
     assert fused_err <= 1.01 * image_err + 1e-15 + np.sqrt(n) * np.finfo(float).eps * S
+
+
+def test_coupling_sum_at_a_fixed_point_next_to_a_base_point():
+    # the near-critical equilibrium of a dominant weight 0.4999 lies 2.3e-4
+    # inside the sphere, next to its base point, where the true |Z| is about
+    # 4e-12: the sum and the images must both resolve it
+    ctx = gr.PotentialContext(dyn.random_configuration(100, 2, 202),
+                              dyn.majority_weights(100, 0.4999))
+    w = gr.find_fixed_point(ctx).w_star
+    assert 1.0 - np.linalg.norm(w) < 3e-4
+    exact = _coupling_sum_mp(w, ctx.base, ctx.weights)
+    assert np.max(np.abs(coupling_sum(w, ctx.base, ctx.weights)[0] - exact)) <= 1e-11
+    assert np.max(np.abs(ctx.weights @ geo.boost_apply(w, ctx.base) - exact)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------

@@ -675,20 +675,48 @@ def test_huge_coupling_writes_a_finite_znorm(tmp_path, capsys, mode, stop):
     assert znorms and all(np.isfinite(z) and z > 1e307 for z in znorms)
 
 
+def test_fig3_as_reduced_w_reconstructs_unit_rows(tmp_path):
+    # the backward run ends with w 2.7e-4 from the dominant base point, where
+    # the images must stay on the sphere
+    out = tmp_path / "fig3.jsonl"
+    cfg = dataclasses.replace(h.preset_config("fig3", out=str(out)), mode="reduced_w")
+    h.run_experiment(cfg, quiet=True)
+    base = h.initial_configuration(cfg)
+    _, records = h.read_trajectory(out)
+    assert records[-1]["t"] == -40.0
+    for record in records:
+        x = geo.boost_apply(np.array(record["state"]["w"]), base)
+        assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-12
+        assert record["min_pair_dot"] >= -1.0
+
+
+def test_majority_backward_reduced_w_run_reaches_its_end(tmp_path, capsys):
+    # w comes within 1e-8 of the dominant base point: no division by zero,
+    # no abort, and |Z| ends at 2a - 1 = 0.4, the antipodal state
+    out = tmp_path / "m.jsonl"
+    cfgfile = write_config(tmp_path / "c.json", n=100, mode="reduced_w",
+                           weights={"kind": "majority", "dominant": 0.7},
+                           h=0.01, t_end=-50.0, out=str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    _, records = h.read_trajectory(out)
+    assert records[-1]["t"] == -50.0
+    assert abs(records[-1]["Znorm"] - 0.4) <= 1e-6
+
+
 # sha256 of small rotated reduced runs (n = 50, d = 3, h = 0.01, t_end = 2,
-# stride 10, seed 11).  reduced_w (which ignores the rotation) as written
-# since its right-hand side sums the coupling with the fused kernel (at most
-# 2.2e-16 per double).  reduced_wzeta and reduced_zzeta as written since
-# both forms advance the rotation after the boost steps, one chunk of Cayley
-# steps at a time (times the polar factor of RK4's rotation step, no per-step
-# projection), instead of carrying it through the RK stages: this moved zeta
-# by at most 2.0e-15 per double, min_pair_dot by 2.6e-15, the drift column
-# (the rotation's defect) by 1.1e-15, and z and Znorm by at most 8.3e-17;
-# the boost w kept its bits.
+# stride 10, seed 11), as written since the coupling sum takes the sphere
+# form (1 - |w|^2) sum_i a_i (p_i - w)/|p_i - w|^2 - (sum a) w and the image
+# kernel evaluates the ball formula through x - w.  Against the files written
+# before, doubles moved by at most: w 7.3e-17, z 7.6e-17, Znorm 1.5e-16,
+# min_pair_dot 5.6e-16 and phi 2.9e-17; t, zeta and the drift column (the
+# rotation's defect) kept their bits.
 REDUCED_DIGESTS = {
-    "reduced_w": "854372d6325a608f2c41f6fe0b6122f51de5dc49374eae27604c00de976c1716",
-    "reduced_wzeta": "73920530b45c8db07bca084428636e5ad5e53600ccfdfcfd3e8ffa44698d7e2a",
-    "reduced_zzeta": "d625c5d21687826ed142428e14e849d923cc64285abaa2e4db91bbef929fc948",
+    "reduced_w": "1690e051658c49a5a4d98d4195e3cb9284e3557e1311ad4ba3c2f363a6bed427",
+    "reduced_wzeta": "c8d22d78b7a0e71b5d9e2f23267b3504eff6d31b7fc294233abc52ff554d74b9",
+    "reduced_zzeta": "7b9c18d6328f706f9dd7b3da1793516f5b107bbb9fb8704db119aa177fe705cd",
 }
 
 
@@ -972,17 +1000,23 @@ def test_unreadable_paths_are_validation_errors(tmp_path, capsys):
         _one_error_naming(capsys, "error:")
 
 
-@pytest.mark.parametrize("out", ["missing/x.jsonl", "file/x.jsonl", "."])
+@pytest.mark.parametrize("out", ["missing/x.jsonl", "file/x.jsonl", ".", ""])
 def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys, out):
     (tmp_path / "file").write_text("kept")
     calls = []
     monkeypatch.setattr(h, "integrate_full", lambda *args, **kw: calls.append(args))
-    path = tmp_path / out
+    path = tmp_path / out if out else ""
     assert cli.main(["preset", "fig1", "--out", str(path), "--quiet"]) == 2
     assert calls == []
-    errno = {"missing/x.jsonl": 2, "file/x.jsonl": 20, ".": 21}[out]
+    errno = {"missing/x.jsonl": 2, "file/x.jsonl": 20, ".": 21, "": 2}[out]
     assert capsys.readouterr().err.startswith(f"error: [Errno {errno}] ")
     assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_empty_out_in_a_config_is_named(tmp_path):
+    path = write_config(tmp_path / "c.json", out="")
+    with pytest.raises(h.ConfigError, match="field 'out'"):
+        h.load_config(path)
 
 
 def test_out_is_truncated_only_when_the_records_are_written(tmp_path, monkeypatch):

@@ -595,7 +595,7 @@ def test_w_rhs_rejects_vanishing_denominator_without_warnings():
     # x = w / |w|^2 is the point the boost sends to infinity
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(geo.GeometryError, match="denominator"):
+        with pytest.raises(geo.GeometryError, match="off the unit sphere"):
             red.w_rhs(np.array([0.5, 0.0]), np.array([[0.0, 1.0], [2.0, 0.0]]), [0.5, 0.5])
 
 

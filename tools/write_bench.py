@@ -25,7 +25,10 @@ base, backward from w = (0.2, -0.3, 0.1)), integrate_continuum (d = 3, K = 1,
 no rotation, backward from z = (0.3, 0, 0)) and integrate_full (N = 100,
 d = 3, equal weights, a shared rotation of scale 0.5; again without the
 rotation, the presets' shape; at d = 4 with a rotation of scale 0.5; and at
-N = 2000 for FULL_STEPS steps, orbit_compare's size).  Each child runs one untimed
+N = 2000 for FULL_STEPS steps, orbit_compare's size), and integrate_reduced
+at orbit_compare's size (N = 2000, d = 3, equal weights, the same shared
+rotation, from the base's own orbit coordinates, for FULL_STEPS steps).
+Each child runs one untimed
 call, then LAYER_REPEATS runs of LAYER_STEPS steps at h = 0.01 through the
 public entry point, and records the median time per step.  The
 validate_base_points entry times BASE_CALLS calls on the N = 2000, d = 3
@@ -80,6 +83,8 @@ LAYERS = {  # entry name: (child layer, calls per timed run, metric)
     "rk4 step: integrate_full (N = 100, d = 4, shared rotation)": ("full4", LAYER_STEPS, "step_s"),
     "poisson_integral_mc block (d = 3, 2^14 samples)": ("mc", MC_BLOCKS, "block_s"),
     "rk4 step: integrate_full (N = 2000, d = 3, shared rotation)": ("full2000", FULL_STEPS, "step_s"),
+    "rk4 step: integrate_reduced (N = 2000, d = 3, shared rotation)": ("reduced2000", FULL_STEPS,
+                                                                       "step_s"),
     "validate_base_points (N = 2000, d = 3)": ("base_points", BASE_CALLS, "call_s"),
 }
 
@@ -105,6 +110,7 @@ def mc():
     for seed in range(steps):
         continuum.poisson_integral_mc(lambda x: x, z, 2**14, seed)
 big = dynamics.random_configuration(2000, 3, 7000)
+big_state = reduced.initial_state(big)
 def base_points():
     for _ in range(steps):
         reduced.validate_base_points(big)
@@ -119,6 +125,8 @@ run = {
     "mc": mc,
     "full2000": rk4(lambda h: dynamics.integrate_full(big, A, dynamics.equal_weights(2000), h,
                                                       steps * h, stride=steps)),
+    "reduced2000": rk4(lambda h: reduced.integrate_reduced(
+        big_state, A, dynamics.equal_weights(2000), h, steps * h, steps)),
     "base_points": base_points,
 }[layer]
 seconds = []
