@@ -16,7 +16,7 @@ import numpy as np
 
 # rk4_step stays importable from here: perfbench/selftest.py checks that the
 # tracer rebinds it in every module that holds it.
-from .dynamics import _drive, as_rotation_terms, rk4_step  # noqa: F401
+from .dynamics import _ball_step, _drive, as_rotation_terms, rk4_step  # noqa: F401
 from .geometry import GeometryError, _boost, _generator, _number, as_ball_point, boost_apply
 from .sampling import _gaussian_rows, rng_from, uniform_sphere
 
@@ -338,13 +338,13 @@ def _continuum_field(z, z2, A, coupling):
 
 
 def integrate_continuum(state0, h, t_end, stride=1):
-    """RK4 on the mean-field coordinate z, the ball point of dynamics._drive's
-    stop contract; a boundary stop records the last accepted state.
+    """RK4 on the mean-field coordinate z, a ball point stepped by
+    dynamics._ball_step; a boundary stop records the last accepted state.
 
     Returns the dynamics.Trajectory of the (d,) points z.
     """
     if not isinstance(state0, ContinuumState):
         raise TypeError("integrate_continuum expects a ContinuumState")
-    A = state0.rotation
-    K = state0.coupling
-    return _drive(lambda z, z2: _continuum_field(z, z2, A, K), state0.z, h, t_end, stride, True)
+    A, K = state0.rotation, state0.coupling
+    step = _ball_step(lambda z, z2: _continuum_field(z, z2, A, K), state0.z, h)
+    return _drive(step, state0.z, h, t_end, stride)

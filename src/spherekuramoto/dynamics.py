@@ -285,70 +285,66 @@ def step_count(t_end, h):
     return n
 
 
-class _Stop(Exception):
-    """A step of a ball point ended the run; args[0] is the stop."""
-
-
-def _ball_step(rhs, y, y2, h):
-    """One RK4 step of the (d,) ball point y, y2 = y @ y, for rhs(y, y2):
-    (y_next, y_next @ y_next), or _Stop.  Each stage's |y|^2 is the one
+def _ball_step(rhs, y0, h):
+    """The RK4 step of a (d,) point of the open unit ball, for _drive, from
+    y0: step(y) -> (y_next, 0.0, stop), stop None or the run's end.  rhs(y, y2)
+    takes y2 = y @ y and returns d floats.  Each stage's |y|^2 is the one
     ndarray .dot that guards it and that rhs takes; the stage sums y + c k run
-    on Python floats, which round as numpy's elementwise ops do."""
-    ys, ks, v, v2 = y.tolist(), [], y, y2
-    for c in (0.5 * h, 0.5 * h, h, None):
-        if v2 >= 1.0:  # v.dot(v) >= 1 is exactly norm(v) >= 1
-            raise _Stop("boundary" if 1.0 - math.sqrt(y2) <= NEAR_BOUNDARY else "unstable")
-        ks.append(rhs(v, v2))
-        if c is not None:
-            v = np.array([a + c * k for a, k in zip(ys, ks[-1])])
-            v2 = float(v.dot(v))
+    on Python floats, which round as numpy's elementwise ops do.  The step
+    keeps the |y|^2 of the state it returned last, so it must be passed that
+    state.  A step that lands within BOUNDARY_TOL of the sphere stops at
+    "boundary" (synchrony), as does an RK stage leaving the ball from an
+    accepted state within NEAR_BOUNDARY of the sphere; from farther inside,
+    that stage is a failed step, "unstable", and a non-finite step stops at
+    "nonfinite".  No other integration code tests a ball point."""
+    y2 = float(y0 @ y0)
     sixth = h / 6.0
-    v = np.array([a + sixth * (k1 + 2.0 * (k2 + k3) + k4) for a, k1, k2, k3, k4 in zip(ys, *ks)])
-    v2 = float(v.dot(v))
-    if not math.isfinite(v2):  # finite entries whose square overflows lie past the sphere
-        raise _Stop("boundary" if np.isfinite(v).all() else "nonfinite")
-    if math.sqrt(v2) >= 1.0 - BOUNDARY_TOL:  # the double np.linalg.norm returns
-        raise _Stop("boundary")
-    return v, v2
+
+    def step(y):
+        nonlocal y2
+        ys, ks, v, v2 = y.tolist(), [], y, y2
+        for c in (0.5 * h, 0.5 * h, h, None):
+            if v2 >= 1.0:  # v.dot(v) >= 1 is exactly norm(v) >= 1
+                return y, 0.0, "boundary" if 1.0 - math.sqrt(y2) <= NEAR_BOUNDARY else "unstable"
+            ks.append(rhs(v, v2))
+            if c is not None:
+                v = np.array([a + c * k for a, k in zip(ys, ks[-1])])
+                v2 = float(v.dot(v))
+        v = np.array([a + sixth * (k1 + 2.0 * (k2 + k3) + k4) for a, k1, k2, k3, k4 in zip(ys, *ks)])
+        v2 = float(v.dot(v))
+        if not math.isfinite(v2):  # finite entries whose square overflows lie past the sphere
+            return v, 0.0, "boundary" if np.isfinite(v).all() else "nonfinite"
+        if math.sqrt(v2) >= 1.0 - BOUNDARY_TOL:  # the double np.linalg.norm returns
+            return v, 0.0, "boundary"
+        y2 = v2
+        return v, 0.0, None
+    return step
 
 
-def _drive(rhs, y0, h, t_end, stride, ball=False, after_step=lambda y: (y, 0.0, None)):
+def _drive(step, y0, h, t_end, stride):
     """Fixed-step RK4 from y0 under the stop contract of every integrator.
 
-    With ball set, y is a (d,) point of the open unit ball, stepped by
-    _ball_step; no other integration code tests it.  rhs(y, y2) then takes
-    y2 = y @ y, formed once per stage for both the stage guard and rhs, and
-    returns d floats; the accepted state's y2 serves its boundary test and
-    the next step's first stage, so after_step must return y as given.  A
-    step that lands within BOUNDARY_TOL of the sphere stops at "boundary"
-    (synchrony), as does an RK stage leaving the ball from an accepted state
-    within NEAR_BOUNDARY of the sphere; from farther inside, that stage is a
-    failed step, "unstable", and a non-finite step stops at "nonfinite".
-    Without ball, rhs(y) is the whole step.  A step that did not stop the run
-    goes to after_step(y), which returns (y, info, stop): the accepted
-    (projected) state, which no step may write into, a value recorded with
-    it, and None or an abort of _ABORTS to stop.  Returns the Trajectory of
-    t = 0, every stride steps, the last step and, after an early stop, the
-    last accepted state; an abort raises IntegrationAbort carrying it instead.
+    step(y) takes the last accepted state and returns (y_next, info, stop):
+    with stop None, y_next is the accepted (projected) state, which no later
+    step may write into, and info a value recorded with it; otherwise stop is
+    "boundary" or an abort of _ABORTS, and the run ends at y.  The ball
+    flows step with _ball_step.  Returns the Trajectory of t = 0, every
+    stride steps, the last step and, after an early stop, the last accepted
+    state; an abort raises IntegrationAbort carrying it instead.
     """
     n_steps = step_count(t_end, h)
     stride = _number(stride, "stride", 0, kinds=())
-    y, y2, info, last = y0, float(y0 @ y0) if ball else None, 0.0, 0
+    y, info, last = y0, 0.0, 0
     records = [(0.0, y, info)]  # no step writes into a state; np.stack copies each once
     # a run that overflows ends as "nonfinite", not with numpy warnings on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            try:
-                y_next, y2_next = _ball_step(rhs, y, y2, h) if ball else (rhs(y), None)
-            except _Stop as stop:
-                reason = stop.args[0]
-            else:
-                y_next, info_next, reason = after_step(y_next)
+            y_next, info_next, reason = step(y)
             if reason is not None:
                 if last < k - 1:
                     records.append(((k - 1) * h, y, info))
                 break
-            y, y2, info = y_next, y2_next, info_next
+            y, info = y_next, info_next
             if k % stride == 0 or k == n_steps:
                 records.append((k * h, y, info))
                 last = k
@@ -407,27 +403,25 @@ def integrate_full(x0, A, weights, h, t_end, projection=True, stride=1):
     drift = 0.0
 
     def step(_):  # _drive passes the last accepted state, which y holds
+        nonlocal drift
         f1()
         for k, c, f in ((k1, half, f2), (k2, half, f3), (k3, whole, f4)):
             np.add(y, np.multiply(k, c, x), x)
             f()
         np.add(np.multiply(np.add(k2, k3, x), two, x), k1, x)
-        return np.add(y, np.multiply(np.add(x, k4, x), sixth, x), y)
-
-    def after_step(_):  # on y; each accepted state is a fresh copy, since the records hold it
-        nonlocal drift
+        np.add(y, np.multiply(np.add(x, k4, x), sixth, x), y)
         _row_norms(y, norms)
         defect = float(np.abs(np.subtract(norms, one, dev), dev).max())
         if not math.isfinite(defect) and not np.isfinite(y).all():
             return y, drift, "nonfinite"  # finite rows whose squares overflow are no such step
         drift = max(drift, defect)
-        if projection:
+        if projection:  # each accepted state is a fresh copy, since the records hold it
             for yt in cols:
                 np.divide(yt, norms, out=yt, order="C")
             return y.copy(), drift, "unstable" if defect > NORM_DRIFT_LIMIT else None
         return y.copy(), drift, "drift" if drift > NORM_DRIFT_LIMIT else None
 
-    return _drive(step, x0, h, t_end, stride, after_step=after_step)
+    return _drive(step, x0, h, t_end, stride)
 
 
 # ---------------------------------------------------------------------------

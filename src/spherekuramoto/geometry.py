@@ -74,10 +74,12 @@ def _array(value, name, shape, kind=float):
     """np.asarray(value, dtype=kind), kind float or complex, if no entry is a
     bool or a string, its shape matches shape (a None entry matches any
     length) and every entry is finite; otherwise a GeometryError that names
-    the parameter.  The one check of every array argument."""
+    the parameter.  The entries of any value but an ndarray are read as
+    objects: numpy turns a bool among numbers into a number.  The one check
+    of every array argument."""
     try:
         arr = np.asarray(value, dtype=kind)
-        raw = value if isinstance(value, np.ndarray) else np.asarray(value)
+        raw = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
     except (TypeError, ValueError, OverflowError) as exc:
         raise GeometryError(f"'{name}' must be an array of numbers: {exc}") from exc
     if raw.dtype.kind in "bSUV" or raw.dtype.kind == "O" and any(

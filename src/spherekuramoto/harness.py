@@ -178,9 +178,6 @@ def _validate_semantics(cfg):
     except GeometryError as exc:  # only the weight checks' own messages say "weights"
         field = "'values' invalid: " if "weights" in str(exc) else ""
         raise ConfigError(f"{wkind} weights {field}{exc}") from exc
-    if wkind == "explicit" and isinstance(cfg.weights.get("values"), list):
-        for value in cfg.weights["values"]:  # a bool among numbers converts silently
-            _checked("explicit weights", _number, value, "values")
     if cfg.rotation["kind"] == "explicit":
         _require(cfg.rotation.get("matrix") is not None, "explicit rotation requires a 'matrix'")
         arr = _checked("rotation", _array, cfg.rotation.get("matrix"), "matrix", (cfg.d, cfg.d))

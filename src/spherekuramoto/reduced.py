@@ -19,6 +19,7 @@ from .dynamics import (
     BOUNDARY_TOL,
     NORM_DRIFT_LIMIT,
     IntegrationAbort,
+    _ball_step,
     _drive,
     _pair_dots,
     as_rotation_terms,
@@ -227,17 +228,17 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
     form of state0, for A None or one shared (d, d) term.  Both forms run
     boost-first (RIGHT enters as w = -zeta^T z, leaves as z = -zeta w).
 
-    w alone takes integrate_w's RK4 steps bit for bit, as the ball point of
-    _drive, and each stage's (w, Z0) goes into a buffer of _CHUNK steps.
-    Each full buffer, and the rest at the stop, then advances the rotation
-    zeta <- E zeta cay(Omega), one whole chunk at a time: cay is the Cayley
-    map, Omega the RK-Munthe-Kaas increment of
-    Omega' = (I + Omega/2) B (I - Omega/2) on the stages' B = w Z0^T - Z0 w^T,
-    and E the polar factor of RK4's rotation step I + hA + ... + (hA)^4/24.
-    zeta and its defect are kept only at the recorded steps.  If E's
-    polynomial is off SO(d) by over NORM_DRIFT_LIMIT, or overflows, the first
-    step is the abort "unstable", or "nonfinite".  Nothing is projected: info
-    is the defect max |zeta^T zeta - I|."""
+    The step that _drive takes runs integrate_w's ball step
+    (dynamics._ball_step) on w, bit for bit, and puts each stage's (w, Z0)
+    into a buffer of _CHUNK steps.  Each full buffer, and the rest at the
+    stop, then advances the rotation zeta <- E zeta cay(Omega), one whole
+    chunk at a time: cay is the Cayley map, Omega the RK-Munthe-Kaas
+    increment of Omega' = (I + Omega/2) B (I - Omega/2) on the stages'
+    B = w Z0^T - Z0 w^T, and E the polar factor of RK4's rotation step
+    I + hA + ... + (hA)^4/24.  zeta and its defect are stored only at the
+    recorded steps.  If E's polynomial is off SO(d) by over NORM_DRIFT_LIMIT,
+    or overflows, the first step is the abort "unstable", or "nonfinite".
+    Nothing is projected: info is the defect max |zeta^T zeta - I|."""
     if not isinstance(state0, ReducedState):
         raise TypeError("integrate_reduced expects orbit coordinates (ReducedState)")
     base, zeta, d = state0.base, state0.zeta, state0.boost.size
@@ -251,7 +252,7 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
     fail = None if defect <= NORM_DRIFT_LIMIT else "unstable" if defect < np.inf else "nonfinite"
     E = eye if fail else nearest_rotation(poly)
     stages = np.empty((4 * _CHUNK, 2, d))  # (w, Z0) of every RK stage of the chunk
-    calls = done = kept = 0  # stages in the chunk, accepted steps, step of zetas[-1]
+    calls = done = 0  # stages in the chunk, accepted steps
     zetas, defects = [zeta], [0.0]
 
     def rhs(w, w2):
@@ -261,11 +262,9 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
         calls += 1
         return wdot
 
-    def keep(k):
-        nonlocal kept
+    def keep():
         zetas.append(zeta)
         defects.append(float(np.max(np.abs(zeta.T @ zeta - eye))))
-        kept = k
 
     def advance(n):  # the rotation over the chunk's first n steps, which end at step done
         nonlocal zeta
@@ -280,31 +279,33 @@ def integrate_reduced(state0, A, weights, h, t_end, stride=1):
         for k, cay in enumerate(np.linalg.solve(eye - half, eye + half), done - n + 1):
             zeta = E @ zeta @ cay
             if k % every == 0:
-                keep(k)
+                keep()
 
-    def after_step(w):
+    w0 = state0.boost if state0.form == LEFT else -(zeta.T @ state0.boost)
+    ball = _ball_step(rhs, w0, h)
+
+    def step(w):  # ball keeps the |w|^2 of the state it returned, so that state goes on unchanged
         nonlocal calls, done
-        if fail:
-            return w, 0.0, fail
-        done += 1
-        if done % _CHUNK == 0:
-            advance(_CHUNK)
-            calls = 0
-        return w, 0.0, None
+        w, info, stop = ball(w)
+        if not (stop or fail):
+            done += 1
+            if done % _CHUNK == 0:
+                advance(_CHUNK)
+                calls = 0
+        return w, info, stop or fail
 
     def finish(traj):  # zeta at the records of traj, the last accepted step included
         advance(done % _CHUNK)
-        if kept < done:
-            keep(done)
+        if len(zetas) < len(traj.times):
+            keep()
         zeta_k = np.stack(zetas)
         states = np.concatenate([traj.states[:, None, :], zeta_k], axis=1)
         if state0.form != LEFT:  # z = (-zeta) w, never -0
             states[:, 0] = np.einsum("kij,kj->ki", -zeta_k, traj.states)
         return replace(traj, states=states, info=np.array(defects))
 
-    w0 = state0.boost if state0.form == LEFT else -(zeta.T @ state0.boost)
     try:
-        traj = _drive(rhs, w0, h, t_end, stride, True, after_step)
+        traj = _drive(step, w0, h, t_end, stride)
     except IntegrationAbort as exc:
         exc.trajectory = finish(exc.trajectory)
         raise
@@ -315,7 +316,7 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
     """Integrate the boost-only flow with RK4; returns the
     dynamics.Trajectory of the (d,) boosts w.
 
-    w is the ball point of dynamics._drive's stop contract.  Forward time
+    w is a ball point, stepped by dynamics._ball_step.  Forward time
     drives it to the boundary in finite numerical time once the population
     synchronizes, so that stop ("boundary") is an expected exit, not an
     error.  The last accepted state is always recorded.
@@ -327,7 +328,7 @@ def integrate_w(w0, base, weights, h, t_end, stride=1):
     def rhs(w, w2):  # w_rhs on the unvalidated kernel, its base copy made once
         return coupling(w, w2)[0]
 
-    return _drive(rhs, w0, h, t_end, stride, True)
+    return _drive(_ball_step(rhs, w0, h), w0, h, t_end, stride)
 
 
 # ---------------------------------------------------------------------------

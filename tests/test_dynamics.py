@@ -386,7 +386,7 @@ def test_drift_abort_records_last_accepted_state():
 
 
 # ---------------------------------------------------------------------------
-# the ball-point step of _drive, on synthetic fields
+# the ball-point step of _ball_step, driven by _drive, on synthetic fields
 
 
 def _counted_field(value, special=None, at=None):
@@ -405,9 +405,10 @@ def _counted_field(value, special=None, at=None):
 def test_ball_step_nan_stage_ends_as_nonfinite():
     # the second stage of step 6 is NaN; NaN passes the stage guard and the
     # step ends as "nonfinite", with step 5 the last accepted state
+    y0 = np.array([0.2, 0.0, 0.0])
     rhs = _counted_field([0.1, 0.0, 0.0], [np.nan, 0.0, 0.0], at=4 * 5 + 2)
     with pytest.raises(dyn.IntegrationAbort) as info:
-        dyn._drive(rhs, np.array([0.2, 0.0, 0.0]), 0.01, 1.0, 1, True)
+        dyn._drive(dyn._ball_step(rhs, y0, 0.01), y0, 0.01, 1.0, 1)
     traj = info.value.trajectory
     assert info.value.reason == traj.stop == "nonfinite"
     assert np.allclose(traj.times, 0.01 * np.arange(6), rtol=0, atol=1e-15)
@@ -419,7 +420,7 @@ def test_ball_step_whose_square_overflows_stops_at_the_boundary():
     # is finite (about 1.7e297) while its |y|^2 overflows: a clean stop
     y0 = np.array([0.2, 0.0, 0.0])
     rhs = _counted_field([0.0, 0.0, 0.0], [1e300, 0.0, 0.0], at=4)
-    traj = dyn._drive(rhs, y0, 0.01, 1.0, 1, True)
+    traj = dyn._drive(dyn._ball_step(rhs, y0, 0.01), y0, 0.01, 1.0, 1)
     assert traj.stop == "boundary"
     assert list(traj.times) == [0.0] and np.array_equal(traj.states, [y0])
 
@@ -432,10 +433,10 @@ def test_ball_stage_leaving_the_ball(start, reason):
     rhs = _counted_field([1000.0, 0.0, 0.0])
     if reason == "unstable":
         with pytest.raises(dyn.IntegrationAbort) as info:
-            dyn._drive(rhs, y0, 0.01, 1.0, 1, True)
+            dyn._drive(dyn._ball_step(rhs, y0, 0.01), y0, 0.01, 1.0, 1)
         traj = info.value.trajectory
     else:
-        traj = dyn._drive(rhs, y0, 0.01, 1.0, 1, True)
+        traj = dyn._drive(dyn._ball_step(rhs, y0, 0.01), y0, 0.01, 1.0, 1)
     assert traj.stop == reason
     assert list(traj.times) == [0.0] and np.array_equal(traj.states, [y0])
 
@@ -444,7 +445,8 @@ def test_ball_start_whose_square_rounds_to_one_stops_at_the_first_stage():
     y0 = np.array([0.7415052042025201, 0.5385471155343273, -0.4001712589507583])
     assert float(y0 @ y0) == 1.0 and sum(Fraction(v) ** 2 for v in y0) < 1
     calls = []
-    traj = dyn._drive(lambda y, y2: calls.append(y2) or [0.0, 0.0, 0.0], y0, 0.01, 1.0, 1, True)
+    step = dyn._ball_step(lambda y, y2: calls.append(y2) or [0.0, 0.0, 0.0], y0, 0.01)
+    traj = dyn._drive(step, y0, 0.01, 1.0, 1)
     assert traj.stop == "boundary" and not calls
     assert list(traj.times) == [0.0] and np.array_equal(traj.states, [y0])
 

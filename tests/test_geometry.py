@@ -534,6 +534,9 @@ def test_array_rule_converts_as_numpy_does():
     (np.array([1, 0], dtype=bool), (2,), float, "booleans or strings"),
     (["0.5", "0.5"], (None,), float, "booleans or strings"),
     ([2**64, True], (None,), float, "booleans or strings"),
+    ([1.0, True], (None,), float, "booleans or strings"),  # numpy makes these [1., 1.]
+    ([1, True], (None,), float, "booleans or strings"),
+    ([[0.0, True], [1.0, 0.0]], (None, None), float, "booleans or strings"),
     (["1j", "0"], (2,), complex, "booleans or strings"),
     ([1.0, "x"], (None,), float, "numbers"),
     ([10**400], (None,), float, "numbers"),

@@ -1,11 +1,15 @@
 import argparse
 import collections
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
@@ -1060,6 +1064,45 @@ def test_cli_compare(tmp_path):
     assert cli.main(["compare", "--config", str(cfgfile), "--quiet"]) == 0
 
 
+def test_cli_compare_prints_its_report(tmp_path, capsys):
+    cfgfile = write_config(tmp_path / "c.json", t_end=0.5,
+                           rotation={"kind": "random", "scale": 0.5})
+    assert cli.main(["compare", "--config", str(cfgfile)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:21] for line in lines] == ["max deviation        ", "cross-ratio drift    ",
+                                             "wall time full       ", "wall time reduced    "]
+    assert lines[2].endswith("(dimension 20)") and lines[3].endswith("(dimension 6)")
+    assert float(lines[0].split()[-1]) <= 1e-8 and float(lines[1].split()[-1]) <= 1e-8
+
+
+def test_compare_without_a_cross_ratio_tuple_reports_zero_drift(tmp_path):
+    # n = 3 holds no four points, so no cross-ratio is tracked
+    cfgfile = write_config(tmp_path / "c.json", n=3, seed=3, h=0.01, t_end=0.1)
+    assert cli.main(["compare", "--config", str(cfgfile), "--quiet"]) == 0
+    report = h.compare_full_reduced(h.load_config(cfgfile), quiet=True)
+    assert report.cross_ratio_drift == 0.0 and report.max_deviation <= 1e-10
+
+
+def test_cli_potential_check_prints_ok_lines(tmp_path, capsys):
+    cfgfile = write_config(tmp_path / "c.json", n=12, t_end=5.0)
+    assert cli.main(["potential-check", "--config", str(cfgfile), "--samples", "30"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(line.startswith("ok   ") for line in lines), lines
+    assert [line[5:].split(":")[0] for line in lines] == [
+        "gradient identity (closed form)", "gradient identity (central differences)",
+        "potential monotone decrease"]
+
+
+def test_reduced_w_run_without_a_potential_records_null_phi(tmp_path):
+    # zero weights leave PotentialContext undefined; the run still writes its records
+    out = tmp_path / "o.jsonl"
+    cfgfile = write_config(tmp_path / "c.json", n=5, mode="reduced_w", out=str(out),
+                           weights={"kind": "explicit", "values": [0.4, 0.3, 0.3, 0, 0]})
+    assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 0
+    _, records = h.read_trajectory(out)
+    assert len(records) == 11 and all(r["phi"] is None for r in records)
+
+
 def test_cli_fixedpoint_residual_near_critical_weight(tmp_path, capsys):
     # |Z| is read in the frame the solver stopped in; boosting the base again
     # by w* (|w*| = 0.99977) would add about 3e-9 of cancellation error
@@ -1141,11 +1184,100 @@ def test_cli_entry_point_runs():
     ({"weights": {"kind": "explicit", "values": [0.5, 0.5, False, 0, 0]}}, "weights 'values'"),
     ({"rotation": {"kind": "explicit", "matrix": [[False] * 3] * 3}}, "rotation 'matrix'"),
     ({"rotation": {"kind": "explicit", "matrix": [["0"] * 3] * 3}}, "rotation 'matrix'"),
+    ({"d": 2, "rotation": {"kind": "explicit", "matrix": [[0, True], [-1, 0]]}},
+     "rotation 'matrix'"),
 ])
 def test_cli_boolean_or_string_arrays_are_validation_errors(tmp_path, capsys, overrides, field):
     cfgfile = write_config(tmp_path / "c.json", n=5, **overrides)
     assert cli.main(["simulate", "--config", str(cfgfile), "--quiet"]) == 2
     _one_error_naming(capsys, field)
+
+
+# ---------------------------------------------------------------------------
+# any config document: a run, a validation error or an abort, never a crash
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.lists(st.integers(-1, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1))
+_MAGNITUDES = st.one_of(st.floats(), st.integers(-10**6, 10**6), st.sampled_from(
+    [0, -1, 0.5, 1e-308, 1e308, -1e308, 2**63, 10**400, -10**400]))
+_OUT = "run.jsonl"  # the test writes it into a fresh directory
+
+
+@st.composite
+def _config_documents(draw):
+    """A document whose every field is usually of its own kind and range, and
+    one time in 16 any magnitude or type."""
+    def field(typical):
+        return draw(typical if draw(st.integers(0, 15)) else st.one_of(_MAGNITUDES, _JUNK))
+
+    def maybe(doc, key, typical):
+        if draw(st.booleans()):
+            doc[key] = field(typical)
+
+    if not draw(st.integers(0, 49)):
+        return draw(_JUNK)
+    d, n = field(st.integers(2, 4)), field(st.integers(1, 16))
+    mode = field(st.sampled_from(h.MODES))
+    size = n if isinstance(n, int) and 0 <= n <= 17 else 3
+    weights = {"kind": field(st.sampled_from(h.WEIGHT_KINDS))}
+    raw = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 1)),
+                        min_size=size, max_size=size + draw(st.integers(0, 1))))
+    total = sum(raw)
+    values = [v / total for v in raw] if total and draw(st.booleans()) else raw
+    maybe(weights, "values", st.just(values))
+    maybe(weights, "normalized", st.booleans())
+    maybe(weights, "dominant", st.floats(0.0, 1.0))
+    maybe(weights, "index", st.integers(-2, size + 1))
+    maybe(weights, "half_width", st.floats(0.0, 10.0))
+    rotation = {"kind": field(st.sampled_from(h.ROTATION_KINDS))}
+    maybe(rotation, "scale", st.floats(0.0, 2.0) | st.just(500.0))  # 500: too stiff for h
+    dim = d if isinstance(d, int) and 1 <= d <= 4 else 3
+    upper = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim * dim, max_size=dim * dim))
+    if rotation["kind"] == "explicit" or draw(st.booleans()):
+        rotation["matrix"] = field(st.just([[upper[i * dim + j] - upper[j * dim + i]
+                                             for j in range(dim)] for i in range(dim)]))
+    doc = {"d": d, "n": n, "mode": mode,
+           "h": field(st.sampled_from([0.01, -0.01, 0.05, 0.1, 0.5])),
+           "t_end": field(st.sampled_from([0.0, 0.1, -0.5, 1.0, 2.0])),
+           "seed": field(st.integers(-1, 10**6)),
+           "weights": field(st.just(weights)), "rotation": field(st.just(rotation))}
+    if mode == "continuum" or not draw(st.integers(0, 3)):
+        doc["coupling"] = field(st.floats(-2.0, 2.0))
+    maybe(doc, "stride", st.integers(0, 5))
+    maybe(doc, "projection", st.booleans())
+    maybe(doc, "out", st.just(_OUT))
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(_config_documents())
+def test_any_config_document_runs_or_fails_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(doc, dict) and doc.get("out") == _OUT:
+            doc = {**doc, "out": os.path.join(tmp, _OUT)}
+        try:
+            cfg = h.config_from_dict(doc)
+        except h.ConfigError:
+            cfg = None
+        # only small runs: n * d <= 64 and at most 200 steps
+        if cfg is not None and (cfg.n * cfg.d > 64 or cfg.t_end and abs(cfg.t_end / cfg.h) > 200.5):
+            return
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["simulate", "--config", path, "--quiet"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), (code, doc)
+    assert code != 0 or cfg is not None, doc
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error:"), (lines, doc)
+    else:
+        assert not lines, (lines, doc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], doc
 
 
 def test_per_particle_rotation_run_matches_integrate_full(tmp_path):

@@ -2,6 +2,7 @@
 package root re-exports is public in the module it comes from."""
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -61,3 +62,15 @@ def test_rotation_terms_are_checked_in_one_place():
               for owner in _callers(ast.parse((INIT.parent / f"{name}.py").read_text(encoding="utf-8")),
                                     "as_antisymmetric")}
     assert owners == {("dynamics", "as_rotation_terms")}
+
+
+def test_rk4_driver_has_one_step_protocol():
+    # every integrator hands dynamics._drive one step(y) -> (y_next, info, stop),
+    # and only the ball-step factory tests a state against the ball's edge
+    from spherekuramoto import dynamics
+    assert list(inspect.signature(dynamics._drive).parameters) == ["step", "y0", "h", "t_end", "stride"]
+    readers = {(name, getattr(top, "name", None)) for name in MODULES
+               for top in ast.parse((INIT.parent / f"{name}.py").read_text(encoding="utf-8")).body
+               for node in ast.walk(top) if isinstance(getattr(node, "ctx", None), ast.Load)
+               and "NEAR_BOUNDARY" in (getattr(node, "id", None), getattr(node, "attr", None))}
+    assert readers == {("dynamics", "_ball_step")}
